@@ -20,8 +20,8 @@ from typing import Union
 import numpy as np
 
 from . import modelio, rng, synthdata
-from .nncore import NetParams, NetSpec, SgdState, backward, forward_batch, \
-    _forward_cache, init_params, one_hot
+from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
+    forward_batch, _forward_cache, _layer_views, init_params, one_hot
 from .synthdata import BlobsConfig, Dataset, RingConfig, SynthConfig
 
 GENERATOR_HEADER = "cgankd-generator v1"
@@ -193,6 +193,11 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
 
     opt_g = SgdState(gen, config.momentum)
     opt_d = SgdState(dis, config.momentum)
+    # The discriminator's fake-batch gradient, added to its real-batch one.
+    d_fake = np.empty_like(opt_d.grad)
+    d_fake_grads = _layer_views(d_spec, d_fake)
+    ws_real, ws_fake = (Workspace(d_spec, config.batch_size) for _ in range(2))
+    ws_gen = Workspace(g_spec, config.batch_size)
     g = rng.generator(rng.derive_key("cgan-train", config.seed))
     enc_all = label_encoding(task, train_set.labels)
     for it in range(config.iterations):
@@ -203,24 +208,25 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
         fake = forward_batch(opt_g.params, np.hstack([z, enc]))
         xr = np.hstack([train_set.features[idx], enc])
         xf = np.hstack([fake, enc])
-        out_r, cache_r = _forward_cache(opt_d.params, xr)
-        out_f, cache_f = _forward_cache(opt_d.params, xf)
+        out_r, _ = _forward_cache(opt_d.params, xr, ws_real)
+        out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
         loss_r, grad_r = _bce_logit_loss_and_grad(out_r, 1.0)
         loss_f, grad_f = _bce_logit_loss_and_grad(out_f, 0.0)
-        gw_r, gb_r, _ = backward(opt_d.params, cache_r, grad_r)
-        gw_f, gb_f, _ = backward(opt_d.params, cache_f, grad_f)
-        opt_d.step([a + b for a, b in zip(gw_r, gw_f)],
-                   [a + b for a, b in zip(gb_r, gb_f)], config.lr_d)
+        backward(opt_d.params, ws_real, grad_r, opt_d.grads, input_grad=False)
+        backward(opt_d.params, ws_fake, grad_f, d_fake_grads, input_grad=False)
+        opt_d.grad += d_fake
+        opt_d.step(config.lr_d)
         # generator step: non-saturating, push D(G(z)) toward "real"
         z = g.normal(size=(config.batch_size, config.noise_dim))
         gin = np.hstack([z, enc])
-        fake, cache_g = _forward_cache(opt_g.params, gin)
+        fake, _ = _forward_cache(opt_g.params, gin, ws_gen)
         xf = np.hstack([fake, enc])
-        out_f, cache_f = _forward_cache(opt_d.params, xf)
+        out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
         loss_g, grad_f = _bce_logit_loss_and_grad(out_f, 1.0)
-        _, _, d_input = backward(opt_d.params, cache_f, grad_f)
-        gw_g, gb_g, _ = backward(opt_g.params, cache_g, d_input[:, :d])
-        opt_g.step(gw_g, gb_g, config.lr_g)
+        _, _, d_input = backward(opt_d.params, ws_fake, grad_f, d_fake_grads)
+        backward(opt_g.params, ws_gen, d_input[:, :d], opt_g.grads,
+                 input_grad=False)
+        opt_g.step(config.lr_g)
         if not (np.isfinite(loss_r) and np.isfinite(loss_f) and np.isfinite(loss_g)):
             raise RuntimeError(
                 f"cgan training diverged at iteration {it}: non-finite loss "

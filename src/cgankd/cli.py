@@ -10,6 +10,7 @@ run exactly.  Exit codes: 0 ok, 2 config error, 3 pipeline stage failure.
 
 import argparse
 import csv
+import math
 import statistics
 import sys
 import time
@@ -96,9 +97,12 @@ class _Reader:
         self.used.add(key)
         raw = self.kv[key]
         try:
-            return cast(raw)
+            value = cast(raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"non-finite value for {key!r}: {raw!r}")
+        return value
 
     def finish(self):
         unknown = sorted(set(self.kv) - self.used)

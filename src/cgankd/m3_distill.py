@@ -286,31 +286,45 @@ def run_ablation(config: PipelineConfig) -> dict:
     def seed_of(*parts):
         return rng.derive_key(config.master_seed, *parts)
 
-    full = make_dataset(replace(config.data, seed=seed_of("data")))
-    real_train, eval_set = split(full, config.train_fraction, seed_of("split"))
-    teacher = _train_net(config.teacher_hidden, config.teacher_train,
-                         real_train, seed_of("teacher"))
-    generator = _prepare_generator(config, real_train, seed_of("generator"))
+    def data_stage():
+        full = make_dataset(replace(config.data, seed=seed_of("data")))
+        return split(full, config.train_fraction, seed_of("split"))
 
-    raw_labels = cgen.sample_labels(real_train, config.n_fake,
-                                    seed=seed_of("raw-labels"))
-    d_raw = cgen.sample(generator, raw_labels, seed=seed_of("raw-fakes"))
-    d_m1 = _subsample_fakes(config, generator, real_train, seed_of)
-    d_filtered, _ = (m2_labeladjust.filter_classification(teacher, d_m1,
-                                                          config.rho)
-                     if real_train.task.kind == "classification"
-                     else m2_labeladjust.filter_regression(teacher, d_m1,
-                                                           config.rho))
-    if real_train.task.kind == "regression" and d_filtered.n:
-        d_full = m2_labeladjust.replace_labels(teacher, d_filtered)
-    else:
-        d_full = d_filtered
+    real_train, eval_set = _stage("data", timings, data_stage)
+    teacher = _stage("teacher", timings, lambda: _train_net(
+        config.teacher_hidden, config.teacher_train, real_train,
+        seed_of("teacher")))
+    generator = _stage("generator", timings, lambda: _prepare_generator(
+        config, real_train, seed_of("generator")))
+
+    def raw_stage():
+        raw_labels = cgen.sample_labels(real_train, config.n_fake,
+                                        seed=seed_of("raw-labels"))
+        return cgen.sample(generator, raw_labels, seed=seed_of("raw-fakes"))
+
+    d_raw = _stage("raw", timings, raw_stage)
+    d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
+        config, generator, real_train, seed_of))
+
+    def m2_stage():
+        d_filtered, _ = (m2_labeladjust.filter_classification(teacher, d_m1,
+                                                              config.rho)
+                         if real_train.task.kind == "classification"
+                         else m2_labeladjust.filter_regression(teacher, d_m1,
+                                                               config.rho))
+        if real_train.task.kind == "regression" and d_filtered.n:
+            return d_filtered, m2_labeladjust.replace_labels(teacher,
+                                                             d_filtered)
+        return d_filtered, d_filtered
+
+    d_filtered, d_full = _stage("m2", timings, m2_stage)
     variants = {"raw": d_raw, "m1": d_m1, "m1m2": d_filtered, "full": d_full}
 
     out = {}
     for name in ABLATION_VARIANTS:
-        student = train_student(augment(real_train, variants[name]),
-                                config.student_hidden, config.student_train,
-                                "plain", seed_of("student"))
-        out[name] = nncore.evaluate(student, eval_set)
+        student = _stage("student", timings, lambda: train_student(
+            augment(real_train, variants[name]), config.student_hidden,
+            config.student_train, "plain", seed_of("student")))
+        out[name] = _stage("evaluate", timings,
+                           lambda: nncore.evaluate(student, eval_set))
     return out

@@ -51,6 +51,11 @@ class NetSpec:
     def layer_dims(self):
         return (self.input_dim,) + self.hidden_widths + (self.n_outputs,)
 
+    @property
+    def n_params(self) -> int:
+        dims = self.layer_dims
+        return sum((dims[l] + 1) * dims[l + 1] for l in range(len(dims) - 1))
+
 
 @dataclass
 class NetParams:
@@ -67,10 +72,6 @@ class NetParams:
                 raise ValueError(f"shape mismatch at layer {l}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("non-finite parameters")
-
-    def copy(self) -> "NetParams":
-        return NetParams(self.spec, [w.copy() for w in self.weights],
-                         [b.copy() for b in self.biases])
 
 
 @dataclass(frozen=True)
@@ -152,22 +153,62 @@ def init_params(spec: NetSpec, seed: int) -> NetParams:
     return NetParams(spec, weights, biases)
 
 
-def _forward_cache(params: NetParams, X: np.ndarray):
-    """Forward pass keeping pre-activations for backprop."""
-    pre, acts = [], [X]
-    a = X
-    n_layers = len(params.weights)
+def _layer_views(spec: NetSpec, flat: np.ndarray):
+    """Per-layer (weights, biases) views into one flat vector.
+
+    Layout: every layer's weights in order, then every layer's biases, so
+    the weights form one leading slice.
+    """
+    dims = spec.layer_dims
+    weights, biases, at = [], [], 0
+    for l in range(len(dims) - 1):
+        size = dims[l + 1] * dims[l]
+        weights.append(flat[at:at + size].reshape(dims[l + 1], dims[l]))
+        at += size
+    for l in range(len(dims) - 1):
+        biases.append(flat[at:at + dims[l + 1]])
+        at += dims[l + 1]
+    return weights, biases
+
+
+class Workspace:
+    """Forward and backward buffers of one network for one batch size.
+
+    `pre[l]`/`acts[l + 1]` are layer l's pre-activations and outputs
+    (`acts[0]` is the input batch, and a head without a clamp outputs its
+    pre-activations), `masks[l]` its ReLU masks, `deltas[l]` the loss
+    gradient w.r.t. its pre-activations and `d_input` the one w.r.t. the
+    input.  `loss_grad`/`sq` hold the squared-error loss terms.
+    """
+
+    def __init__(self, spec: NetSpec, n: int):
+        dims = spec.layer_dims
+        n_layers = len(dims) - 1
+        self.pre = [np.empty((n, d)) for d in dims[1:]]
+        clamped = spec.output_kind == "nonneg_scalar"
+        self.acts = [None] + [np.empty((n, d)) for d in dims[1:-1]] + \
+            [np.empty((n, dims[-1])) if clamped else self.pre[-1]]
+        self.masks = [np.empty((n, d), dtype=bool) for d in dims[1:]]
+        self.deltas = [np.empty((n, d)) for d in dims[1:]]
+        self.d_input = np.empty((n, dims[0]))
+        self.loss_grad = np.empty((n, dims[-1]))
+        self.sq = np.empty(n)
+        self.clamped = [True] * (n_layers - 1) + [clamped]
+
+
+def _forward_cache(params: NetParams, X: np.ndarray, ws: Workspace = None):
+    """Forward pass into `ws` (fresh if None), keeping it for backprop.
+
+    Returns (outputs, workspace); the outputs are a view into the workspace.
+    """
+    if ws is None:
+        ws = Workspace(params.spec, X.shape[0])
+    ws.acts[0] = a = X
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = a @ w.T + b
-        pre.append(z)
-        if l < n_layers - 1:
-            a = np.maximum(z, 0.0)
-        elif params.spec.output_kind == "nonneg_scalar":
-            a = np.maximum(z, 0.0)
-        else:
-            a = z
-        acts.append(a)
-    return acts[-1], (pre, acts)
+        z = np.matmul(a, w.T, out=ws.pre[l])
+        np.add(z, b, out=z)
+        a = np.maximum(z, 0.0, out=ws.acts[l + 1]) if ws.clamped[l] else z
+    return a, ws
 
 
 def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
@@ -190,24 +231,31 @@ def forward(params: NetParams, features):
     return out
 
 
-def backward(params: NetParams, cache, d_out: np.ndarray):
-    """Backprop a gradient w.r.t. the network output.
+def backward(params: NetParams, ws: Workspace, d_out: np.ndarray,
+             grads=None, input_grad: bool = True):
+    """Backprop a gradient w.r.t. the network output through `ws`.
 
-    Returns (weight grads, bias grads, gradient w.r.t. the input batch).
+    Writes the weight and bias gradients into `grads`, a (weights, biases)
+    pair of per-layer arrays (fresh if None), and returns (weight grads,
+    bias grads, gradient w.r.t. the input batch, or None without
+    `input_grad`).  ReLU masks multiply as booleans, which keeps signed
+    zeros.
     """
-    pre, acts = cache
-    n_layers = len(params.weights)
+    if grads is None:
+        grads = _layer_views(params.spec, np.empty(params.spec.n_params))
+    gw, gb = grads
     delta = d_out
-    if params.spec.output_kind == "nonneg_scalar":
-        delta = delta * (pre[-1] > 0.0)
-    gw = [None] * n_layers
-    gb = [None] * n_layers
-    for l in range(n_layers - 1, -1, -1):
-        gw[l] = delta.T @ acts[l]
-        gb[l] = delta.sum(axis=0)
-        delta = delta @ params.weights[l]
-        if l > 0:
-            delta = delta * (pre[l - 1] > 0.0)
+    last = len(params.weights) - 1
+    for l in range(last, -1, -1):
+        if ws.clamped[l]:
+            mask = np.greater(ws.pre[l], 0.0, out=ws.masks[l])
+            delta = np.multiply(delta, mask, out=ws.deltas[l])
+        np.matmul(delta.T, ws.acts[l], out=gw[l])
+        np.add.reduce(delta, axis=0, out=gb[l])
+        if l == 0 and not input_grad:
+            return gw, gb, None
+        delta = np.matmul(delta, params.weights[l],
+                          out=ws.deltas[l - 1] if l else ws.d_input)
     return gw, gb, delta
 
 
@@ -261,14 +309,21 @@ def loss_value(loss: Loss, prediction, target, teacher_soft: SoftLabel = None) -
     return (1.0 - loss.lam) * hard + loss.lam * soft
 
 
-def _batch_loss_and_dout(params, out, targets, loss: Loss, teacher_probs=None):
-    """Mean batch loss and its gradient w.r.t. the network output."""
+def _batch_loss_and_dout(params, out, targets, loss: Loss, teacher_probs=None,
+                         ws: Workspace = None):
+    """Mean batch loss and its gradient w.r.t. the network output.
+
+    The squared-error terms are written into `ws` when one is given.
+    """
     n = out.shape[0]
     if loss.kind == "plain_se":
-        diff = out[:, 0] - targets
-        value = float(np.mean(diff**2))
-        d_out = np.zeros_like(out)
-        d_out[:, 0] = 2.0 * diff / n
+        # The scalar head has one output column, so d_out is 2 * diff / n.
+        d_out = np.empty_like(out) if ws is None else ws.loss_grad
+        diff = np.subtract(out[:, 0], targets, out=d_out[:, 0])
+        sq = np.multiply(diff, diff, out=None if ws is None else ws.sq)
+        value = float(np.add.reduce(sq)) / n
+        d_out *= 2.0
+        d_out /= n
         return value, d_out
     T = loss.temperature
     p = softmax(out, T)
@@ -314,29 +369,48 @@ def gradients(params: NetParams, batch, loss: Loss, teacher: NetParams = None) -
         if teacher is None:
             raise ValueError("blkd loss requires a teacher")
         teacher_probs = _teacher_probs(teacher, X, loss.temperature)
-    out, cache = _forward_cache(params, X)
-    _, d_out = _batch_loss_and_dout(params, out, targets, loss, teacher_probs)
-    gw, gb, _ = backward(params, cache, d_out)
+    out, ws = _forward_cache(params, X)
+    _, d_out = _batch_loss_and_dout(params, out, targets, loss, teacher_probs,
+                                    ws)
+    gw, gb, _ = backward(params, ws, d_out, input_grad=False)
     return NetParams(params.spec, gw, gb)
 
 
 class SgdState:
-    """SGD with momentum and decoupled L2 weight decay."""
+    """SGD with momentum and L2 weight decay on one flat parameter vector.
+
+    `params` and `grads` are per-layer views into the flat `theta` and
+    `grad` (see `_layer_views`); `backward` writes into `grads`, and `step`
+    updates all layers at once as v = (m*v + g) + wd*w, w = w - lr*v, with
+    weight decay on the weights only.
+    """
 
     def __init__(self, params: NetParams, momentum: float, weight_decay: float = 0.0):
-        self.params = params
+        spec = params.spec
+        self.theta = np.concatenate([w.ravel() for w in params.weights]
+                                    + list(params.biases))
+        self.params = NetParams(spec, *_layer_views(spec, self.theta))
+        self.grad = np.zeros_like(self.theta)
+        self.grads = _layer_views(spec, self.grad)
+        self.velocity = np.zeros_like(self.theta)
+        self._scaled = np.empty_like(self.theta)
+        n_weights = sum(w.size for w in params.weights)
+        self._decayed = (self.theta[:n_weights], self.velocity[:n_weights],
+                         self._scaled[:n_weights])
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.vw = [np.zeros_like(w) for w in params.weights]
-        self.vb = [np.zeros_like(b) for b in params.biases]
 
-    def step(self, gw, gb, lr: float):
-        for l in range(len(self.params.weights)):
-            self.vw[l] = self.momentum * self.vw[l] + gw[l] \
-                + self.weight_decay * self.params.weights[l]
-            self.vb[l] = self.momentum * self.vb[l] + gb[l]
-            self.params.weights[l] -= lr * self.vw[l]
-            self.params.biases[l] -= lr * self.vb[l]
+    def step(self, lr: float):
+        v, scaled = self.velocity, self._scaled
+        v *= self.momentum
+        v += self.grad
+        # With wd 0 the skipped term wd*w is +-0: it can change only the sign
+        # of a zero velocity entry, and w - lr*(+-0) is w for any w but -0,
+        # which init_params never draws and no update produces.
+        if self.weight_decay:
+            w, vw, sw = self._decayed
+            vw += np.multiply(w, self.weight_decay, out=sw)
+        self.theta -= np.multiply(v, lr, out=scaled)
 
 
 def train(params: NetParams, dataset: Dataset, config: TrainConfig,
@@ -345,6 +419,9 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
 
     Returns (trained params, per-epoch mean-loss history).  The teacher's
     soft labels (blkd mode) are computed once on every training sample.
+    Each epoch gathers its shuffled copy of the data once and trains on
+    slices of it, through one workspace per batch size.  Raises
+    RuntimeError when an epoch ends with non-finite parameters.
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
@@ -357,25 +434,35 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
     if loss.kind == "blkd":
         teacher_probs = _teacher_probs(teacher, X, loss.temperature)
 
-    state = SgdState(params.copy(), config.momentum, config.weight_decay)
+    state = SgdState(params, config.momentum, config.weight_decay)
+    n, size = dataset.n, config.batch_size
+    spaces = {}
     lr = config.lr
     history = []
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
             lr *= config.lr_decay_factor
         g = rng.generator(rng.derive_key("shuffle", config.seed, epoch))
-        order = g.permutation(dataset.n)
+        order = g.permutation(n)
+        Xs, ts = X[order], targets[order]
+        tps = teacher_probs[order] if teacher_probs is not None else None
         total = 0.0
-        for start in range(0, dataset.n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            tp = teacher_probs[idx] if teacher_probs is not None else None
-            out, cache = _forward_cache(state.params, X[idx])
-            value, d_out = _batch_loss_and_dout(state.params, out, targets[idx],
-                                                loss, tp)
-            gw, gb, _ = backward(state.params, cache, d_out)
-            state.step(gw, gb, lr)
-            total += value * len(idx)
-        history.append(total / dataset.n)
+        for start in range(0, n, size):
+            stop = min(start + size, n)
+            ws = spaces.get(stop - start)
+            if ws is None:
+                ws = spaces[stop - start] = Workspace(params.spec, stop - start)
+            out, _ = _forward_cache(state.params, Xs[start:stop], ws)
+            value, d_out = _batch_loss_and_dout(
+                state.params, out, ts[start:stop], loss,
+                tps[start:stop] if tps is not None else None, ws)
+            backward(state.params, ws, d_out, state.grads, input_grad=False)
+            state.step(lr)
+            total += value * (stop - start)
+        if not np.isfinite(state.theta).all():
+            raise RuntimeError(f"training diverged in epoch {epoch}: "
+                               "non-finite parameters")
+        history.append(total / n)
     return state.params, history
 
 

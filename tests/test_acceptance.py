@@ -53,7 +53,7 @@ def reg_reports():
 # --- criterion 1: analytic gradients against central finite differences ---
 
 def _kink_margin(params, X):
-    _, (pre, _) = nncore._forward_cache(params, X)
+    pre = nncore._forward_cache(params, X)[1].pre
     layers = pre[:-1]
     if params.spec.output_kind == "nonneg_scalar":
         layers = pre

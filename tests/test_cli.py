@@ -1,8 +1,10 @@
 import csv
 import os
 
+import numpy as np
 import pytest
 
+from cgankd import m3_distill
 from cgankd.cli import (ConfigError, build_pipeline_config, load_config,
                         main, parse_config_text)
 
@@ -130,6 +132,45 @@ def test_ablation_csv_shape(tiny_cfg, tmp_path):
     seed_rows = [r for r in rows if r[1] not in ("mean", "stddev")]
     assert len(seed_rows) == 4 * 2
     assert len(rows) == 4 * 2 + 4 * 2
+
+
+def _tiny_with(tmp_path, key, value):
+    lines = [ln for ln in TINY_CFG.splitlines()
+             if not ln.startswith(f"{key}=")]
+    path = tmp_path / "tiny-edit.cfg"
+    path.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value", [("teacher.lr", "nan"),
+                                       ("data.separation", "inf"),
+                                       ("rho", "-inf"),
+                                       ("dr.momentum", "NaN")])
+def test_nonfinite_float_exits_2(tmp_path, capsys, key, value):
+    path = _tiny_with(tmp_path, key, value)
+    with pytest.raises(ConfigError, match="non-finite"):
+        build_pipeline_config(load_config(path)[0])
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_diverged_training_exits_3(tmp_path, capsys):
+    path = _tiny_with(tmp_path, "teacher.lr", "1e300")
+    with np.errstate(all="ignore"):
+        assert main(["run", path, "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "'teacher'" in err and "non-finite parameters" in err
+
+
+def test_ablation_stage_failure_exits_3(tiny_cfg, tmp_path, monkeypatch,
+                                        capsys):
+    def broken(config, real_train, seed):
+        raise RuntimeError("generator exploded")
+    monkeypatch.setattr(m3_distill, "_prepare_generator", broken)
+    assert main(["ablation", tiny_cfg, "--seeds", "0",
+                 "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "'generator'" in err and "generator exploded" in err
 
 
 def test_verify_bound_csv(tmp_path):

@@ -9,7 +9,8 @@ from cgankd.nncore import (Loss, Metrics, NetParams, NetSpec, SoftLabel,
                            gradients, init_params, loss_value, one_hot,
                            soft_labels, train)
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
-                              RegressionTask, make_classification)
+                              RegressionTask, RingConfig, make_classification,
+                              make_dataset)
 
 
 def zero_net(spec):
@@ -171,7 +172,7 @@ def relative_grad_error(analytic, numeric):
 def _kink_margin(params, X):
     # smallest |pre-activation| over all ReLU layers; central differences are
     # only valid away from the kinks
-    _, (pre, _) = nncore._forward_cache(params, X)
+    pre = nncore._forward_cache(params, X)[1].pre
     layers = pre[:-1]
     if params.spec.output_kind == "nonneg_scalar":
         layers = pre
@@ -356,3 +357,134 @@ def test_evaluate_all_class_zero():
     p = NetParams(spec, [np.zeros((2, 2)), np.zeros((3, 2))],
                   [np.zeros(2), np.array([1.0, 0.0, 0.0])])
     assert evaluate(p, ds).top1 == pytest.approx(1.0 / 3.0)
+
+
+# --- reference oracle: the per-layer training loop that the flat-vector
+# SGD step replaced, kept verbatim so the new loop must match it bit for bit.
+
+def _reference_forward(params, X):
+    pre, acts = [], [X]
+    a = X
+    n_layers = len(params.weights)
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = a @ w.T + b
+        pre.append(z)
+        if l < n_layers - 1 or params.spec.output_kind == "nonneg_scalar":
+            a = np.maximum(z, 0.0)
+        else:
+            a = z
+        acts.append(a)
+    return acts[-1], (pre, acts)
+
+
+def _reference_backward(params, cache, d_out):
+    pre, acts = cache
+    n_layers = len(params.weights)
+    delta = d_out
+    if params.spec.output_kind == "nonneg_scalar":
+        delta = delta * (pre[-1] > 0.0)
+    gw = [None] * n_layers
+    gb = [None] * n_layers
+    for l in range(n_layers - 1, -1, -1):
+        gw[l] = delta.T @ acts[l]
+        gb[l] = delta.sum(axis=0)
+        delta = delta @ params.weights[l]
+        if l > 0:
+            delta = delta * (pre[l - 1] > 0.0)
+    return gw, gb
+
+
+def _reference_loss_and_dout(out, targets, loss, teacher_probs):
+    n = out.shape[0]
+    if loss.kind == "plain_se":
+        diff = out[:, 0] - targets
+        value = float(np.mean(diff**2))
+        d_out = np.zeros_like(out)
+        d_out[:, 0] = 2.0 * diff / n
+        return value, d_out
+    T = loss.temperature
+    p = nncore.softmax(out, T)
+    if loss.kind == "plain_ce":
+        t_eff = targets
+    else:
+        t_eff = (1.0 - loss.lam) * targets + loss.lam * teacher_probs
+    value = float(np.mean(nncore._ce_rows(p, t_eff)))
+    active = p > nncore.PROB_FLOOR
+    g = np.where(active, -t_eff / np.maximum(p, nncore.PROB_FLOOR), 0.0)
+    d_out = p * (g - (p * g).sum(axis=-1, keepdims=True)) / (T * n)
+    return value, d_out
+
+
+def _reference_train(params, dataset, config, teacher=None):
+    loss = config.loss
+    targets = nncore._prepare_targets(dataset, params.spec, loss)
+    X = dataset.features
+    teacher_probs = None
+    if loss.kind == "blkd":
+        teacher_probs = nncore._teacher_probs(teacher, X, loss.temperature)
+    p = NetParams(params.spec, [w.copy() for w in params.weights],
+                  [b.copy() for b in params.biases])
+    vw = [np.zeros_like(w) for w in p.weights]
+    vb = [np.zeros_like(b) for b in p.biases]
+    lr = config.lr
+    history = []
+    for epoch in range(config.epochs):
+        if epoch in config.lr_decay_epochs:
+            lr *= config.lr_decay_factor
+        g = rng.generator(rng.derive_key("shuffle", config.seed, epoch))
+        order = g.permutation(dataset.n)
+        total = 0.0
+        for start in range(0, dataset.n, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            tp = teacher_probs[idx] if teacher_probs is not None else None
+            out, cache = _reference_forward(p, X[idx])
+            value, d_out = _reference_loss_and_dout(out, targets[idx], loss, tp)
+            gw, gb = _reference_backward(p, cache, d_out)
+            for l in range(len(p.weights)):
+                vw[l] = config.momentum * vw[l] + gw[l] \
+                    + config.weight_decay * p.weights[l]
+                vb[l] = config.momentum * vb[l] + gb[l]
+                p.weights[l] -= lr * vw[l]
+                p.biases[l] -= lr * vb[l]
+            total += value * len(idx)
+        history.append(total / dataset.n)
+    return p, history
+
+
+def ring_dataset(seed=0, n=150):
+    return make_dataset(RingConfig(n=n, seed=seed))
+
+
+@pytest.mark.parametrize("kind", ["plain_ce", "plain_se", "blkd"])
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-3])
+def test_train_matches_reference_loop_bit_for_bit(kind, weight_decay):
+    teacher = None
+    if kind == "plain_se":
+        ds = ring_dataset(n=150)
+        spec = NetSpec(ds.dim, (16, 8), "nonneg_scalar")
+    else:
+        ds = blob_dataset(n=150, sep=2.0, noise=1.0, classes=3)
+        spec = NetSpec(ds.dim, (16, 8), "logits", 3)
+        if kind == "blkd":
+            teacher, _ = train(init_params(NetSpec(ds.dim, (8,), "logits", 3), 4),
+                               ds, TrainConfig(5, 32, 0.05, seed=4))
+    # 150 rows at batch 32: four full batches and one of 22 per epoch.
+    cfg = TrainConfig(6, 32, 0.05, lr_decay_epochs=(4,), weight_decay=weight_decay,
+                      seed=2, loss=Loss(kind, lam=0.3, temperature=4.0))
+    p0 = init_params(spec, 3)
+    got, got_hist = train(p0, ds, cfg, teacher=teacher)
+    want, want_hist = _reference_train(p0, ds, cfg, teacher=teacher)
+    assert got_hist == want_hist
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert np.array_equal(a, b)
+    # train leaves its input untouched
+    assert np.array_equal(p0.weights[0], init_params(spec, 3).weights[0])
+
+
+def test_train_raises_on_nonfinite_parameters():
+    # lr 1e300: the first update sends the weights past the float range
+    ds = blob_dataset(n=64)
+    spec = NetSpec(2, (8,), "logits", 2)
+    with np.errstate(all="ignore"), pytest.raises(RuntimeError,
+                                                  match="epoch 0: non-finite"):
+        train(init_params(spec, 0), ds, TrainConfig(3, 16, 1e300))
