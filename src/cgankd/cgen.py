@@ -260,11 +260,7 @@ def save_generator(handle: GeneratorHandle, path) -> None:
         lines.append("kind=cgan")
         lines.append(f"noise_dim={handle.noise_dim}")
         lines.append(f"dim={handle.dim}")
-        if handle.task.kind == "classification":
-            lines.append(f"task=classification C={handle.task.n_classes}")
-        else:
-            lines.append(f"task=regression lo={handle.task.label_lo!r} "
-                         f"hi={handle.task.label_hi!r}")
+        lines.append(synthdata.task_line(handle.task))
         lines.extend(modelio.netparams_lines(handle.generator))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
@@ -295,8 +291,8 @@ def load_generator(path) -> GeneratorHandle:
                                float(kv["label_gauss_std"]),
                                float(kv["junk_prob"]), float(kv["junk_spread"]))
     if kv.get("kind") == "cgan":
-        task_line = next(ln for ln in lines if ln.startswith("task="))
-        task = synthdata._parse_task_line(task_line)
+        task = synthdata.parse_task_line(
+            next(ln for ln in lines if ln.startswith("task=")))
         gen = modelio.netparams_from_lines(lines[model_start:])
         return TrainedCgan(gen, int(kv["noise_dim"]), task, int(kv["dim"]))
     raise ValueError("unknown generator kind")

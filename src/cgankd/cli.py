@@ -14,7 +14,6 @@ import math
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .cgen import GanTrainConfig
@@ -296,11 +295,6 @@ def _mean_std(values):
     return mean, std
 
 
-def _run_cells(cells, jobs):
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        return list(pool.map(lambda c: run_pipeline(c), cells))
-
-
 def cmd_sweep(args) -> int:
     kv, snapshot, _ = load_config(args.config)
     base = build_pipeline_config(kv)
@@ -316,7 +310,7 @@ def cmd_sweep(args) -> int:
               _sweep_variant(replace(base, master_seed=seed), args.param,
                              value))
              for value in values for seed in sorted(seeds)]
-    reports = _run_cells([c for _, _, c in cells], args.jobs)
+    reports = [run_pipeline(c) for _, _, c in cells]
 
     rows = []
     for value in values:
@@ -347,9 +341,7 @@ def cmd_ablation(args) -> int:
         seeds = sorted(int(s) for s in args.seeds.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad seeds: {exc}") from exc
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        tables = list(pool.map(
-            lambda s: run_ablation(replace(base, master_seed=s)), seeds))
+    tables = [run_ablation(replace(base, master_seed=s)) for s in seeds]
     rows = []
     for variant in ABLATION_VARIANTS:
         values = []
@@ -451,7 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out-dir", default=".")
-        sp.add_argument("--jobs", type=int, default=1)
+        # Cells run one after another: a thread pool doubled wall and CPU
+        # time, so the option stays only for existing command lines.
+        sp.add_argument("--jobs", type=int, default=1,
+                        help="accepted and ignored")
 
     run = sub.add_parser("run", help="execute one pipeline run")
     run.add_argument("config")

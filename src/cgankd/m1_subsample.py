@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cgen, modelio, nncore, rng
+from . import cgen, nncore, rng
 from .nncore import NetParams, NetSpec, TrainConfig
 from .synthdata import ClassificationTask, Dataset
-
-DRMODEL_HEADER = "cgankd-drmodel v1"
 
 _LOGIT_CLIP = 30.0  # keeps exp() finite; equivalent to the probability floor
 _COLLAPSE_RATE = 1e-4
@@ -28,8 +26,6 @@ class SubsampleConfig:
     dr_train: TrainConfig
     n_target: int
     dr_hidden: tuple = (32,)
-    n_fake_train: int = 0      # 0: match the real set's size
-    calibration_size: int = 2000
     gamma: float = 1.2
     seed: int = 0
 
@@ -44,7 +40,7 @@ class SubsampleConfig:
 @dataclass
 class DensityRatioModel:
     net: NetParams            # logits(2) head: class 1 = real, class 0 = fake
-    prior_correction: float   # n_fake_train / n_real_train
+    prior_correction: float   # fake / real training set sizes
     m_max: float
     task: object
 
@@ -92,13 +88,6 @@ def ratio_batch(model: DensityRatioModel, features: np.ndarray,
                                   _dr_inputs(model.task, features, labels))
     odds_log = np.clip(logits[:, 1] - logits[:, 0], -_LOGIT_CLIP, _LOGIT_CLIP)
     return np.exp(odds_log) * model.prior_correction
-
-
-def ratio(model: DensityRatioModel, sample) -> float:
-    """Ratio estimate for a single (features, label) pair."""
-    features, label = sample
-    arr = np.asarray(features, dtype=np.float64)[None, :]
-    return float(ratio_batch(model, arr, np.asarray([label]))[0])
 
 
 def model_ratio_fn(model: DensityRatioModel):
@@ -183,31 +172,3 @@ class CallableGenerator:
 
     def sample_features(self, labels, indices):
         return self._fn(labels, indices)
-
-
-def save_dr_model(model: DensityRatioModel, path) -> None:
-    lines = [DRMODEL_HEADER,
-             f"prior_correction={model.prior_correction!r}",
-             f"m_max={model.m_max!r}"]
-    if model.task.kind == "classification":
-        lines.append(f"task=classification C={model.task.n_classes}")
-    else:
-        lines.append(f"task=regression lo={model.task.label_lo!r} "
-                     f"hi={model.task.label_hi!r}")
-    lines.extend(modelio.netparams_lines(model.net))
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-
-
-def load_dr_model(path) -> DensityRatioModel:
-    from .synthdata import _parse_task_line
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or lines[0] != DRMODEL_HEADER:
-        raise ValueError("malformed density-ratio model header")
-    kv = dict(ln.partition("=")[::2] for ln in lines[1:4])
-    task = _parse_task_line(next(ln for ln in lines if ln.startswith("task=")))
-    start = lines.index(modelio.MODEL_HEADER)
-    net = modelio.netparams_from_lines(lines[start:])
-    return DensityRatioModel(net, float(kv["prior_correction"]),
-                             float(kv["m_max"]), task)

@@ -67,10 +67,16 @@ def sample_errors(teacher: NetParams, samples: Dataset) -> np.ndarray:
 
 
 def quantile_threshold(errors: np.ndarray, rho: float) -> float:
-    """Nearest-rank rho-quantile; -inf sentinel at rho=0 (keep nothing)."""
+    """Nearest-rank rho-quantile; -inf sentinel at rho=0 (keep nothing).
+
+    Raises ValueError on a non-finite error: NaN fails every keep test, so
+    it would silently empty the filtered set.
+    """
     errors = np.asarray(errors, dtype=np.float64)
     if errors.size == 0:
         raise ValueError("empty errors")
+    if not np.isfinite(errors).all():
+        raise ValueError("non-finite teacher errors")
     if not 0.0 <= rho <= 1.0:
         raise ValueError("rho must lie in [0, 1]")
     if rho == 0.0:
@@ -149,11 +155,16 @@ def replace_labels(teacher: NetParams, fakes: Dataset) -> Dataset:
     return Dataset(fakes.task, fakes.features, labels, prov)
 
 
-def run_m2(teacher: NetParams, fakes: Dataset, rho: float):
-    """Filter, then (regression only) replace labels."""
+def filter_fakes(teacher: NetParams, fakes: Dataset, rho: float):
+    """The quantile filter of the fakes' task; returns (kept set, report)."""
     if fakes.task.kind == "classification":
         return filter_classification(teacher, fakes, rho)
-    kept, report = filter_regression(teacher, fakes, rho)
-    if kept.n:
+    return filter_regression(teacher, fakes, rho)
+
+
+def run_m2(teacher: NetParams, fakes: Dataset, rho: float):
+    """Filter, then (regression only) replace labels."""
+    kept, report = filter_fakes(teacher, fakes, rho)
+    if kept.task.kind == "regression" and kept.n:
         kept = replace_labels(teacher, kept)
     return kept, report

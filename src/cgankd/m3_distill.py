@@ -12,6 +12,7 @@ surviving fakes the two students coincide exactly.
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -109,14 +110,14 @@ def _head(task):
     return "nonneg_scalar", 1
 
 
-def _train_net(hidden, train_cfg, dataset, seed, teacher=None):
+def _plain_loss(task):
+    return Loss("plain_ce" if task.kind == "classification" else "plain_se")
+
+
+def _train_net(hidden, train_cfg, dataset, seed, loss, teacher=None):
     kind, n_out = _head(dataset.task)
     spec = NetSpec(dataset.dim, hidden, kind, n_out)
-    cfg = replace(train_cfg, seed=seed)
-    if teacher is None:
-        plain = Loss("plain_ce" if dataset.task.kind == "classification"
-                     else "plain_se")
-        cfg = replace(cfg, loss=plain)
+    cfg = replace(train_cfg, seed=seed, loss=loss)
     params, _ = nncore.train(nncore.init_params(spec, seed), dataset, cfg,
                              teacher=teacher)
     return params
@@ -143,11 +144,9 @@ def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, mode: str,
         if d_aug.task.kind != "classification":
             raise ValueError("distillation loss applies to classification only")
         loss = Loss("blkd", lam=lam_kd, temperature=temperature)
-        return _train_net(hidden, replace(train_cfg, loss=loss), d_aug, seed,
-                          teacher=teacher)
-    base = Loss("plain_ce" if d_aug.task.kind == "classification"
-                else "plain_se")
-    return _train_net(hidden, replace(train_cfg, loss=base), d_aug, seed)
+    else:
+        loss, teacher = _plain_loss(d_aug.task), None
+    return _train_net(hidden, train_cfg, d_aug, seed, loss, teacher)
 
 
 def _prepare_generator(config: PipelineConfig, real_train: Dataset, seed: int):
@@ -201,49 +200,57 @@ def _cap_fakes(fakes: Dataset, cap: int, seed: int) -> Dataset:
     return fakes.subset(idx)
 
 
-def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
-    """Execute the full run; optionally checkpoint artifacts per stage."""
-    timings = {}
+def _save(checkpoint_dir, name, writer, obj):
+    if checkpoint_dir is not None:
+        writer(obj, f"{checkpoint_dir}/{name}")
 
-    def seed_of(*parts):
-        return rng.derive_key(config.master_seed, *parts)
 
-    def save(name, writer):
-        if checkpoint_dir is not None:
-            writer(f"{checkpoint_dir}/{name}")
-
+def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
+                   checkpoint_dir):
+    """Data, teacher, generator and M1, the stages a run and an ablation
+    share; returns (real train set, eval set, teacher, generator, M1 fakes).
+    """
     def data_stage():
         full = make_dataset(replace(config.data, seed=seed_of("data")))
         return split(full, config.train_fraction, seed_of("split"))
 
     real_train, eval_set = _stage("data", timings, data_stage)
-    save("train.txt", lambda p: write_dataset(real_train, p))
-    save("eval.txt", lambda p: write_dataset(eval_set, p))
+    _save(checkpoint_dir, "train.txt", write_dataset, real_train)
+    _save(checkpoint_dir, "eval.txt", write_dataset, eval_set)
 
     teacher = _stage("teacher", timings, lambda: _train_net(
         config.teacher_hidden, config.teacher_train, real_train,
-        seed_of("teacher")))
-    save("teacher.txt", lambda p: modelio.write_netparams(teacher, p))
+        seed_of("teacher"), _plain_loss(real_train.task)))
+    _save(checkpoint_dir, "teacher.txt", modelio.write_netparams, teacher)
+
+    generator = _stage("generator", timings, lambda: _prepare_generator(
+        config, real_train, seed_of("generator")))
+    _save(checkpoint_dir, "generator.txt", cgen.save_generator, generator)
+
+    d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
+        config, generator, real_train, seed_of))
+    _save(checkpoint_dir, "fakes_m1.txt", write_dataset, d_m1)
+    return real_train, eval_set, teacher, generator, d_m1
+
+
+def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
+    """Execute the full run; optionally checkpoint artifacts per stage."""
+    timings = {}
+    seed_of = partial(rng.derive_key, config.master_seed)
+    real_train, eval_set, teacher, _, d_m1 = _shared_stages(
+        config, seed_of, timings, checkpoint_dir)
 
     student_nokd = _stage("student-nokd", timings, lambda: train_student(
         real_train, config.student_hidden, config.student_train, "plain",
         seed_of("student")))
-    save("student_nokd.txt",
-         lambda p: modelio.write_netparams(student_nokd, p))
-
-    generator = _stage("generator", timings, lambda: _prepare_generator(
-        config, real_train, seed_of("generator")))
-    save("generator.txt", lambda p: cgen.save_generator(generator, p))
-
-    d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
-        config, generator, real_train, seed_of))
-    save("fakes_m1.txt", lambda p: write_dataset(d_m1, p))
+    _save(checkpoint_dir, "student_nokd.txt", modelio.write_netparams,
+          student_nokd)
 
     d_m2, filter_report = _stage("m2", timings, lambda: m2_labeladjust.run_m2(
         teacher, d_m1, config.rho))
     d_m2 = _cap_fakes(d_m2, config.fake_cap, seed_of("fake-cap"))
     if d_m2.n:
-        save("fakes_m2.txt", lambda p: write_dataset(d_m2, p))
+        _save(checkpoint_dir, "fakes_m2.txt", write_dataset, d_m2)
 
     def student_stage():
         d_aug = augment(real_train, d_m2)
@@ -255,7 +262,7 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
                              temperature=config.temperature)
 
     student = _stage("student", timings, student_stage)
-    save("student.txt", lambda p: modelio.write_netparams(student, p))
+    _save(checkpoint_dir, "student.txt", modelio.write_netparams, student)
 
     def eval_stage():
         return (nncore.evaluate(teacher, eval_set),
@@ -282,41 +289,23 @@ def run_ablation(config: PipelineConfig) -> dict:
     classification, where no replacement step exists).
     """
     timings = {}
-
-    def seed_of(*parts):
-        return rng.derive_key(config.master_seed, *parts)
-
-    def data_stage():
-        full = make_dataset(replace(config.data, seed=seed_of("data")))
-        return split(full, config.train_fraction, seed_of("split"))
-
-    real_train, eval_set = _stage("data", timings, data_stage)
-    teacher = _stage("teacher", timings, lambda: _train_net(
-        config.teacher_hidden, config.teacher_train, real_train,
-        seed_of("teacher")))
-    generator = _stage("generator", timings, lambda: _prepare_generator(
-        config, real_train, seed_of("generator")))
+    seed_of = partial(rng.derive_key, config.master_seed)
+    real_train, eval_set, teacher, generator, d_m1 = _shared_stages(
+        config, seed_of, timings, None)
 
     def raw_stage():
         raw_labels = cgen.sample_labels(real_train, config.n_fake,
                                         seed=seed_of("raw-labels"))
         return cgen.sample(generator, raw_labels, seed=seed_of("raw-fakes"))
 
-    d_raw = _stage("raw", timings, raw_stage)
-    d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
-        config, generator, real_train, seed_of))
-
     def m2_stage():
-        d_filtered, _ = (m2_labeladjust.filter_classification(teacher, d_m1,
-                                                              config.rho)
-                         if real_train.task.kind == "classification"
-                         else m2_labeladjust.filter_regression(teacher, d_m1,
-                                                               config.rho))
-        if real_train.task.kind == "regression" and d_filtered.n:
+        d_filtered, _ = m2_labeladjust.filter_fakes(teacher, d_m1, config.rho)
+        if d_filtered.task.kind == "regression" and d_filtered.n:
             return d_filtered, m2_labeladjust.replace_labels(teacher,
                                                              d_filtered)
         return d_filtered, d_filtered
 
+    d_raw = _stage("raw", timings, raw_stage)
     d_filtered, d_full = _stage("m2", timings, m2_stage)
     variants = {"raw": d_raw, "m1": d_m1, "m1m2": d_filtered, "full": d_full}
 

@@ -1,8 +1,8 @@
 """Versioned text serialization for network parameters.
 
 Shares the dataset files' float convention: repr() shortest round-trip
-decimals, so write/read is value-exact.  Higher-level objects (generator
-handles, density-ratio models) embed these blocks in their own formats.
+decimals, so write/read is value-exact.  Trained generator handles embed
+these blocks in their own format.
 """
 
 import numpy as np
@@ -58,9 +58,3 @@ def netparams_from_lines(lines: list) -> NetParams:
 def write_netparams(params: NetParams, path) -> None:
     with open(path, "w") as f:
         f.write("\n".join(netparams_lines(params)) + "\n")
-
-
-def read_netparams(path) -> NetParams:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    return netparams_from_lines(lines)

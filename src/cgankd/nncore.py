@@ -12,7 +12,7 @@ stays bounded; the analytic gradients account for the floor exactly.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,19 +72,6 @@ class NetParams:
                 raise ValueError(f"shape mismatch at layer {l}")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("non-finite parameters")
-
-
-@dataclass(frozen=True)
-class SoftLabel:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", p)
-        if p.ndim != 1 or np.any(p <= 0.0) or np.any(p > 1.0):
-            raise ValueError("soft label entries must lie in (0, 1]")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError("soft label must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -220,17 +207,6 @@ def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(params: NetParams, features):
-    """Single-sample forward: logits vector, or a nonnegative float."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape != (params.spec.input_dim,):
-        raise ValueError("input dimension mismatch")
-    out = forward_batch(params, x[None, :])[0]
-    if params.spec.output_kind == "nonneg_scalar":
-        return float(out[0])
-    return out
-
-
 def backward(params: NetParams, ws: Workspace, d_out: np.ndarray,
              grads=None, input_grad: bool = True):
     """Backprop a gradient w.r.t. the network output through `ws`.
@@ -267,17 +243,6 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def soft_labels(logits, temperature: float) -> SoftLabel:
-    l = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(l)):
-        raise ValueError("non-finite logits")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
-    p = softmax(l, temperature)
-    p = np.maximum(p, PROB_FLOOR)
-    return SoftLabel(p / p.sum())
-
-
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     out = np.zeros((len(labels), n_classes))
     out[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)] = 1.0
@@ -287,26 +252,6 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 def _ce_rows(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-row cross entropy  -sum_c t_c log max(p_c, floor)."""
     return -(targets * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=-1)
-
-
-def loss_value(loss: Loss, prediction, target, teacher_soft: SoftLabel = None) -> float:
-    """Single-sample loss.
-
-    For classification kinds `prediction` is the logits vector and `target`
-    the one-hot label; for plain_se both are scalars.
-    """
-    if loss.kind == "plain_se":
-        return float(prediction - target) ** 2
-    logits = np.asarray(prediction, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    p = softmax(logits, loss.temperature)
-    hard = float(_ce_rows(p[None, :], t[None, :])[0])
-    if loss.kind == "plain_ce":
-        return hard
-    if teacher_soft is None:
-        raise ValueError("blkd loss requires teacher_soft")
-    soft = float(_ce_rows(p[None, :], teacher_soft.probs[None, :])[0])
-    return (1.0 - loss.lam) * hard + loss.lam * soft
 
 
 def _batch_loss_and_dout(params, out, targets, loss: Loss, teacher_probs=None,
@@ -352,28 +297,6 @@ def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss):
     if spec.output_kind != "logits" or dataset.task.kind != "classification":
         raise ValueError("cross-entropy losses need a logits head and class data")
     return one_hot(dataset.labels, spec.n_outputs)
-
-
-def gradients(params: NetParams, batch, loss: Loss, teacher: NetParams = None) -> NetParams:
-    """Exact analytic gradients of the mean batch loss, shaped like the params.
-
-    `batch` is (X, targets): one-hot rows for classification, scalars for
-    regression.
-    """
-    X, targets = batch
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] == 0:
-        raise ValueError("empty batch")
-    teacher_probs = None
-    if loss.kind == "blkd":
-        if teacher is None:
-            raise ValueError("blkd loss requires a teacher")
-        teacher_probs = _teacher_probs(teacher, X, loss.temperature)
-    out, ws = _forward_cache(params, X)
-    _, d_out = _batch_loss_and_dout(params, out, targets, loss, teacher_probs,
-                                    ws)
-    gw, gb, _ = backward(params, ws, d_out, input_grad=False)
-    return NetParams(params.spec, gw, gb)
 
 
 class SgdState:

@@ -7,7 +7,7 @@ when reporting MAE in original label units.
 """
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Union
+from typing import Union
 
 import numpy as np
 
@@ -42,12 +42,6 @@ class RegressionTask:
 
 
 Task = Union[ClassificationTask, RegressionTask]
-
-
-class Sample(NamedTuple):
-    features: np.ndarray
-    label: object  # int class index or float in [0, 1]
-    provenance: str
 
 
 @dataclass
@@ -96,11 +90,6 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def __getitem__(self, i: int) -> Sample:
-        label = self.labels[i]
-        label = int(label) if self.task.kind == "classification" else float(label)
-        return Sample(self.features[i], label, str(self.provenance[i]))
-
     def subset(self, idx) -> "Dataset":
         return Dataset(self.task, self.features[idx], self.labels[idx],
                        self.provenance[idx])
@@ -117,11 +106,6 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
                    np.vstack([a.features, b.features]),
                    np.concatenate([a.labels, b.labels]),
                    np.concatenate([a.provenance, b.provenance]))
-
-
-def empty_like(ds: Dataset) -> Dataset:
-    return Dataset(ds.task, np.empty((0, ds.dim)),
-                   np.empty(0, dtype=ds.labels.dtype), np.empty(0, dtype="U8"))
 
 
 @dataclass(frozen=True)
@@ -270,7 +254,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
     return dataset.subset(train_idx), dataset.subset(test_idx)
 
 
-def _task_line(task: Task) -> str:
+def task_line(task: Task) -> str:
     if task.kind == "classification":
         return f"task=classification C={task.n_classes}"
     return f"task=regression lo={task.label_lo!r} hi={task.label_hi!r}"
@@ -279,7 +263,7 @@ def _task_line(task: Task) -> str:
 def write_dataset(dataset: Dataset, path) -> None:
     with open(path, "w") as f:
         f.write(FORMAT_HEADER + "\n")
-        f.write(_task_line(dataset.task) + "\n")
+        f.write(task_line(dataset.task) + "\n")
         f.write(f"dim={dataset.dim}\n")
         for i in range(dataset.n):
             if dataset.task.kind == "classification":
@@ -296,7 +280,7 @@ def read_dataset(path) -> Dataset:
         lines = [ln.rstrip("\n") for ln in f]
     if len(lines) < 3 or lines[0] != FORMAT_HEADER:
         raise ValueError("malformed dataset header")
-    task = _parse_task_line(lines[1])
+    task = parse_task_line(lines[1])
     if not lines[2].startswith("dim="):
         raise ValueError("malformed dim line")
     dim = int(lines[2][4:])
@@ -322,7 +306,7 @@ def read_dataset(path) -> Dataset:
     return Dataset(task, feats, np.asarray(labels), np.asarray(prov, dtype="U8"))
 
 
-def _parse_task_line(line: str) -> Task:
+def parse_task_line(line: str) -> Task:
     parts = line.split()
     kv = dict(p.split("=", 1) for p in parts if "=" in p)
     if kv.get("task") == "classification" and "C" in kv:

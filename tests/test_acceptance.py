@@ -18,9 +18,9 @@ from cgankd.cli import build_pipeline_config, load_config, main
 from cgankd.m1_subsample import CallableGenerator, constant_labels, \
     rejection_sample
 from cgankd.m3_distill import run_ablation, run_pipeline
-from cgankd.nncore import (Loss, NetSpec, SoftLabel, TrainConfig, gradients,
-                           init_params, loss_value, one_hot, soft_labels)
+from cgankd.nncore import Loss, NetSpec, TrainConfig, init_params, one_hot
 from cgankd.synthdata import ClassificationTask
+from nn_oracles import gradients, loss_value, soft_labels
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SEEDS = (0, 1, 2, 3, 4)

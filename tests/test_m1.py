@@ -4,12 +4,18 @@ import pytest
 from cgankd import cgen, m1_subsample, nncore
 from cgankd.m1_subsample import (CallableGenerator, DensityRatioModel,
                                  SubsampleConfig, constant_labels,
-                                 empirical_labels, load_dr_model,
-                                 model_ratio_fn, ratio, ratio_batch,
-                                 rejection_sample, save_dr_model, train_dr)
+                                 empirical_labels, model_ratio_fn,
+                                 ratio_batch, rejection_sample, train_dr)
 from cgankd.nncore import NetParams, NetSpec, TrainConfig
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               make_classification)
+
+
+def ratio(model, sample):
+    """Ratio estimate for a single (features, label) pair."""
+    features, label = sample
+    arr = np.asarray(features, dtype=np.float64)[None, :]
+    return float(ratio_batch(model, arr, np.asarray([label]))[0])
 
 
 def fixed_odds_model(logit_diff, prior_correction=1.0, task=None, in_dim=3):
@@ -177,15 +183,3 @@ def test_rejection_label_sources():
     labels = src(np.arange(4000))
     counts = np.bincount(labels, minlength=4)
     assert np.max(np.abs(counts - 1000)) < 150
-
-
-def test_dr_model_roundtrip(tmp_path):
-    real, fake, _ = make_blob_sets(seed=5, n=200)
-    model = train_dr(real, fake, dr_config(seed=5, epochs=10))
-    path = tmp_path / "dr.txt"
-    save_dr_model(model, path)
-    back = load_dr_model(path)
-    assert back.m_max == model.m_max
-    assert back.prior_correction == model.prior_correction
-    probe = (np.array([0.3, -0.2]), 1)
-    assert ratio(back, probe) == ratio(model, probe)

@@ -81,6 +81,15 @@ def test_quantile_exactness_sweep():
             assert np.sum(errors <= alpha) == math.ceil(rho * n - 1e-9)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0])
+def test_quantile_rejects_nonfinite_errors(bad, rho):
+    # NaN fails every `errors <= alpha` test, so accepting it would keep
+    # nothing without a word
+    with pytest.raises(ValueError, match="non-finite"):
+        quantile_threshold(np.array([0.1, bad, 0.3]), rho)
+
+
 def test_quantile_500_at_09_keeps_450():
     errors = np.random.default_rng(1).permutation(500).astype(float)
     alpha = quantile_threshold(errors, 0.9)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from cgankd import m3_distill, nncore
+from cgankd import m2_labeladjust, m3_distill, nncore
 from cgankd.m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
                                augment, run_ablation, run_pipeline,
                                train_student)
@@ -142,6 +142,29 @@ def test_pipeline_checkpoints(tmp_path):
                  "generator.txt", "fakes_m1.txt", "fakes_m2.txt",
                  "student.txt"):
         assert os.path.exists(tmp_path / name), name
+
+
+def test_pipeline_nan_teacher_errors_fail_stage_m2(monkeypatch):
+    monkeypatch.setattr(m2_labeladjust, "sample_errors",
+                        lambda teacher, fakes: np.full(fakes.n, np.nan))
+    with pytest.raises(StageError, match="'m2'.*non-finite"):
+        run_pipeline(reg_config(seed=20))
+
+
+@pytest.mark.parametrize("config", [
+    # overlapping blobs, so that top-1 tells different students apart
+    cls_config(seed=21, data=BlobsConfig(3, 2.0, 1.0, n=600), fake_cap=0,
+               student_loss="plain"),
+    reg_config(seed=21, fake_cap=0, student_loss="plain"),
+], ids=["classification", "regression"])
+def test_ablation_full_equals_pipeline_student(config):
+    # The ablation runs the pipeline's own stage sequence, so its last
+    # variant is the pipeline's student whenever no cap or distillation
+    # loss sets the two apart.
+    ablation = run_ablation(config)
+    assert ablation["full"] == run_pipeline(config).student_cgankd
+    if config.data.task.kind == "classification":
+        assert ablation["m1m2"] == ablation["full"]
 
 
 def test_ablation_variants_and_determinism():

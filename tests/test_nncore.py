@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from cgankd import nncore, rng
-from cgankd.nncore import (Loss, Metrics, NetParams, NetSpec, SoftLabel,
-                           TrainConfig, evaluate, forward, forward_batch,
-                           gradients, init_params, loss_value, one_hot,
-                           soft_labels, train)
+from cgankd.nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
+                           evaluate, forward_batch, init_params, one_hot,
+                           train)
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, make_classification,
                               make_dataset)
+from nn_oracles import SoftLabel, forward, gradients, loss_value, soft_labels
 
 
 def zero_net(spec):
