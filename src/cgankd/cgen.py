@@ -14,7 +14,7 @@ Sampling is pure in (handle, labels, seed, index): requesting a prefix of a
 stream yields a prefix of the longer stream.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -22,7 +22,8 @@ import numpy as np
 from . import modelio, rng, synthdata
 from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
     forward_batch, _forward_cache, _layer_views, init_params, one_hot
-from .synthdata import BlobsConfig, Dataset, RingConfig, SynthConfig
+from .synthdata import (BlobsConfig, Dataset, RingConfig, SynthConfig,
+                        kv_lines, parse_kv)
 
 GENERATOR_HEADER = "cgankd-generator v1"
 
@@ -234,36 +235,35 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
     return TrainedCgan(opt_g.params, config.noise_dim, task, d)
 
 
+_FAMILIES = {"blobs": BlobsConfig, "ring": RingConfig}
+# Fields an oracle file leaves out: the dataset size and seed of the base
+# family are not part of the generator, and `base` is written field by field.
+_UNSAVED = ("n", "seed", "base")
+
+
+def _saved_fields(config):
+    return [f for f in fields(config) if f.name not in _UNSAVED]
+
+
 def save_generator(handle: GeneratorHandle, path) -> None:
-    lines = [GENERATOR_HEADER]
     if isinstance(handle, CorruptedOracle):
-        base = handle.base
-        lines.append("kind=oracle")
-        if isinstance(base, BlobsConfig):
-            lines.append("family=blobs")
-            lines.append(f"n_classes={base.n_classes}")
-            lines.append(f"separation={base.separation!r}")
-            lines.append(f"noise_std={base.noise_std!r}")
-            lines.append(f"dim={base.dim}")
-        else:
-            lines.append("family=ring")
-            lines.append(f"radius_base={base.radius_base!r}")
-            lines.append(f"radius_slope={base.radius_slope!r}")
-            lines.append(f"noise_std={base.noise_std!r}")
-            lines.append(f"label_lo={base.label_lo!r}")
-            lines.append(f"label_hi={base.label_hi!r}")
-        lines.append(f"flip_prob={handle.flip_prob!r}")
-        lines.append(f"label_gauss_std={handle.label_gauss_std!r}")
-        lines.append(f"junk_prob={handle.junk_prob!r}")
-        lines.append(f"junk_spread={handle.junk_spread!r}")
+        family = next(name for name, cls in _FAMILIES.items()
+                      if isinstance(handle.base, cls))
+        lines = kv_lines([("kind", "oracle"), ("family", family)] + [
+            (f.name, getattr(config, f.name))
+            for config in (handle.base, handle) for f in _saved_fields(config)])
     else:
-        lines.append("kind=cgan")
-        lines.append(f"noise_dim={handle.noise_dim}")
-        lines.append(f"dim={handle.dim}")
+        lines = kv_lines([("kind", "cgan"), ("noise_dim", handle.noise_dim),
+                          ("dim", handle.dim)])
         lines.append(synthdata.task_line(handle.task))
         lines.extend(modelio.netparams_lines(handle.generator))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write("\n".join([GENERATOR_HEADER] + lines) + "\n")
+
+
+def _from_kv(cls, kv: dict, **given):
+    return cls(**given,
+               **{f.name: f.type(kv[f.name]) for f in _saved_fields(cls)})
 
 
 def load_generator(path) -> GeneratorHandle:
@@ -271,28 +271,14 @@ def load_generator(path) -> GeneratorHandle:
         lines = [ln.rstrip("\n") for ln in f if ln.strip()]
     if not lines or lines[0] != GENERATOR_HEADER:
         raise ValueError("malformed generator header")
-    kv = {}
-    model_start = None
-    for i, ln in enumerate(lines[1:], start=1):
-        if ln == modelio.MODEL_HEADER:
-            model_start = i
-            break
-        key, _, value = ln.partition("=")
-        kv[key] = value
+    model_start = (lines.index(modelio.MODEL_HEADER)
+                   if modelio.MODEL_HEADER in lines else len(lines))
+    kv = parse_kv(lines[1:model_start])
     if kv.get("kind") == "oracle":
-        if kv["family"] == "blobs":
-            base = BlobsConfig(int(kv["n_classes"]), float(kv["separation"]),
-                               float(kv["noise_std"]), dim=int(kv["dim"]))
-        else:
-            base = RingConfig(float(kv["radius_base"]), float(kv["radius_slope"]),
-                              float(kv["noise_std"]), float(kv["label_lo"]),
-                              float(kv["label_hi"]))
-        return CorruptedOracle(base, float(kv["flip_prob"]),
-                               float(kv["label_gauss_std"]),
-                               float(kv["junk_prob"]), float(kv["junk_spread"]))
+        base = _from_kv(_FAMILIES[kv["family"]], kv)
+        return _from_kv(CorruptedOracle, kv, base=base)
     if kv.get("kind") == "cgan":
-        task = synthdata.parse_task_line(
-            next(ln for ln in lines if ln.startswith("task=")))
+        task = synthdata.parse_task_line("task=" + kv["task"])
         gen = modelio.netparams_from_lines(lines[model_start:])
         return TrainedCgan(gen, int(kv["noise_dim"]), task, int(kv["dim"]))
     raise ValueError("unknown generator kind")

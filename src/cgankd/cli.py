@@ -11,6 +11,7 @@ run exactly.  Exit codes: 0 ok, 2 config error, 3 pipeline stage failure.
 import argparse
 import csv
 import math
+import os
 import statistics
 import sys
 import time
@@ -20,7 +21,7 @@ from .cgen import GanTrainConfig
 from .m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
                          run_ablation, run_pipeline)
 from .nncore import TrainConfig
-from .synthdata import BlobsConfig, RingConfig
+from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
 from .theory import standard_setup, verify_bound
 
 MANIFEST_HEADER = "cgankd-manifest v1"
@@ -45,19 +46,10 @@ class ConfigError(Exception):
 
 def parse_config_text(text: str) -> dict:
     """Flat key=value lines; '#' comments and blank lines are skipped."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key:
-            raise ConfigError(f"line {lineno}: expected key=value, got {raw!r}")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
+    try:
+        return parse_kv(text.splitlines())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path):
@@ -75,8 +67,8 @@ def load_config(path):
         head, sep, snapshot = text.partition("\n---\n")
         if not sep:
             raise ConfigError("manifest has no config snapshot section")
-        meta = parse_config_text(head.split("\n", 1)[1])
-        seed = int(meta["seed"]) if "seed" in meta else None
+        meta = parse_config_text(head.partition("\n")[2])
+        seed = _Reader(meta).get("seed", int)
         return parse_config_text(snapshot), snapshot, seed
     return parse_config_text(text), text, None
 
@@ -240,16 +232,25 @@ def read_csv(path):
 
 
 def write_manifest(out_dir, command, config_path, snapshot, seed, artifacts):
-    lines = [MANIFEST_HEADER,
-             f"command={command}",
-             f"config_path={config_path}",
-             f"seed={seed}",
-             f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S')}"]
-    lines.extend(f"artifact={a}" for a in artifacts)
+    lines = [MANIFEST_HEADER] + kv_lines([
+        ("command", command), ("config_path", config_path), ("seed", seed),
+        ("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S")),
+        ("artifact", tuple(artifacts))])
     path = f"{out_dir}/manifest.txt"
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n---\n" + snapshot)
     return path
+
+
+def _write_result(args, config_path, snapshot, seed, name, columns, rows,
+                  note=""):
+    """Writes `name` and a manifest listing it under --out-dir."""
+    path = f"{args.out_dir}/{name}"
+    write_csv(path, columns, rows)
+    write_manifest(args.out_dir, args.command, config_path, snapshot, seed,
+                   (name,))
+    print(path + note)
+    return 0
 
 
 def _report_row(config, report):
@@ -266,12 +267,9 @@ def cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else manifest_seed
     config = build_pipeline_config(kv, seed_override=seed)
     report = run_pipeline(config, checkpoint_dir=args.out_dir)
-    path = f"{args.out_dir}/report.csv"
-    write_csv(path, RUN_COLUMNS, [_report_row(config, report)])
-    write_manifest(args.out_dir, "run", args.config, snapshot,
-                   config.master_seed, ["report.csv"])
-    print(path)
-    return 0
+    return _write_result(args, args.config, snapshot, config.master_seed,
+                         "report.csv", RUN_COLUMNS,
+                         [_report_row(config, report)])
 
 
 def _sweep_variant(config: PipelineConfig, param: str, value):
@@ -295,43 +293,36 @@ def _mean_std(values):
     return mean, std
 
 
+def _seed_rows(key, per_seed):
+    """`key + (seed, *values)` per (seed, values) pair, then `key` plus
+    "mean" and "stddev" with each column's statistic."""
+    rows = [key + (seed,) + tuple(values) for seed, values in per_seed]
+    stats = [_mean_std(col) for col in zip(*(v for _, v in per_seed))]
+    for name, pick in (("mean", 0), ("stddev", 1)):
+        rows.append(key + (name,) + tuple(st[pick] for st in stats))
+    return rows
+
+
 def cmd_sweep(args) -> int:
     kv, snapshot, _ = load_config(args.config)
     base = build_pipeline_config(kv)
-    if args.param not in SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {args.param!r}")
     try:
         values = sorted(float(v) if args.param == "rho" else int(v)
                         for v in args.values.split(","))
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = sorted(int(s) for s in args.seeds.split(","))
+        cells = [[_sweep_variant(replace(base, master_seed=seed), args.param,
+                                 value) for seed in seeds] for value in values]
     except ValueError as exc:
         raise ConfigError(f"bad sweep values/seeds: {exc}") from exc
-    cells = [(value, seed,
-              _sweep_variant(replace(base, master_seed=seed), args.param,
-                             value))
-             for value in values for seed in sorted(seeds)]
-    reports = [run_pipeline(c) for _, _, c in cells]
-
     rows = []
-    for value in values:
-        group = [(seed, rep) for (v, seed, _), rep in zip(cells, reports)
-                 if v == value]
-        per_seed = []
-        for seed, rep in group:
-            per_seed.append((rep.teacher.primary, rep.student_nokd.primary,
-                             rep.student_cgankd.primary, rep.m_fake,
-                             rep.theta))
-            rows.append((args.param, value, seed) + per_seed[-1])
-        for name, picker in (("mean", 0), ("stddev", 1)):
-            stats = [_mean_std([s[i] for s in per_seed])[picker]
-                     for i in range(5)]
-            rows.append((args.param, value, name) + tuple(stats))
-    path = f"{args.out_dir}/sweep.csv"
-    write_csv(path, SWEEP_COLUMNS, rows)
-    write_manifest(args.out_dir, "sweep", args.config, snapshot,
-                   base.master_seed, ["sweep.csv"])
-    print(path)
-    return 0
+    for value, configs in zip(values, cells):
+        reports = [run_pipeline(c) for c in configs]
+        rows += _seed_rows((args.param, value), [
+            (seed, (rep.teacher.primary, rep.student_nokd.primary,
+                    rep.student_cgankd.primary, rep.m_fake, rep.theta))
+            for seed, rep in zip(seeds, reports)])
+    return _write_result(args, args.config, snapshot, base.master_seed,
+                         "sweep.csv", SWEEP_COLUMNS, rows)
 
 
 def cmd_ablation(args) -> int:
@@ -344,19 +335,10 @@ def cmd_ablation(args) -> int:
     tables = [run_ablation(replace(base, master_seed=s)) for s in seeds]
     rows = []
     for variant in ABLATION_VARIANTS:
-        values = []
-        for seed, table in zip(seeds, tables):
-            values.append(table[variant].primary)
-            rows.append((variant, seed, values[-1]))
-        mean, std = _mean_std(values)
-        rows.append((variant, "mean", mean))
-        rows.append((variant, "stddev", std))
-    path = f"{args.out_dir}/ablation.csv"
-    write_csv(path, ABLATION_COLUMNS, rows)
-    write_manifest(args.out_dir, "ablation", args.config, snapshot,
-                   base.master_seed, ["ablation.csv"])
-    print(path)
-    return 0
+        rows += _seed_rows((variant,), [(seed, (table[variant].primary,))
+                                        for seed, table in zip(seeds, tables)])
+    return _write_result(args, args.config, snapshot, base.master_seed,
+                         "ablation.csv", ABLATION_COLUMNS, rows)
 
 
 def cmd_verify_bound(args) -> int:
@@ -373,48 +355,23 @@ def cmd_verify_bound(args) -> int:
     rows = [(t, lhs, report.bound.rhs, held, frac)
             for t, (lhs, held) in enumerate(zip(report.lhs_values,
                                                 report.holds_flags))]
-    path = f"{args.out_dir}/bound.csv"
-    write_csv(path, BOUND_COLUMNS, rows)
-    write_manifest(args.out_dir, "verify-bound", args.setup, snapshot,
-                   extras["seed"], ["bound.csv"])
-    print(f"{path} holds_fraction={frac!r}")
-    return 0
+    return _write_result(args, args.setup, snapshot, extras["seed"],
+                         "bound.csv", BOUND_COLUMNS, rows,
+                         note=f" holds_fraction={frac!r}")
 
 
-def _plot_rows_sweep(header, rows):
-    idx = {name: header.index(name) for name in SWEEP_COLUMNS}
-    series_cols = ("teacher_metric", "student_nokd_metric",
-                   "student_cgankd_metric")
-    by_value = {}
+def _plot_rows(header, rows, key, series, order=None):
+    """(x, series, mean, stddev) over the per-seed rows, one x per distinct
+    `key` column value, in first-seen order or sorted by `order`."""
+    i_key, i_seed = header.index(key), header.index("seed")
+    columns = [(name, header.index(name)) for name in series]
+    groups = {}
     for row in rows:
-        if row[idx["seed"]] in ("mean", "stddev"):
-            continue
-        by_value.setdefault(row[idx["value"]], []).append(row)
-    out = []
-    for value in sorted(by_value, key=float):
-        for col in series_cols:
-            vals = [float(r[idx[col]]) for r in by_value[value]]
-            mean, std = _mean_std(vals)
-            out.append((value, col, mean, std))
-    return out
-
-
-def _plot_rows_ablation(header, rows):
-    idx = {name: header.index(name) for name in ABLATION_COLUMNS}
-    by_variant = {}
-    order = []
-    for row in rows:
-        if row[idx["seed"]] in ("mean", "stddev"):
-            continue
-        variant = row[idx["variant"]]
-        if variant not in by_variant:
-            order.append(variant)
-        by_variant.setdefault(variant, []).append(float(row[idx["metric"]]))
-    out = []
-    for variant in order:
-        mean, std = _mean_std(by_variant[variant])
-        out.append((variant, "metric", mean, std))
-    return out
+        if row[i_seed] not in ("mean", "stddev"):
+            groups.setdefault(row[i_key], []).append(row)
+    xs = sorted(groups, key=order) if order else groups
+    return [(x, name) + _mean_std([float(r[i]) for r in groups[x]])
+            for x in xs for name, i in columns]
 
 
 def cmd_plotdata(args) -> int:
@@ -424,9 +381,11 @@ def cmd_plotdata(args) -> int:
         raise ConfigError(f"cannot read {args.report}: {exc}") from exc
     try:
         if args.kind == "sweep":
-            out = _plot_rows_sweep(header, rows)
+            out = _plot_rows(header, rows, "value",
+                             ("teacher_metric", "student_nokd_metric",
+                              "student_cgankd_metric"), order=float)
         else:
-            out = _plot_rows_ablation(header, rows)
+            out = _plot_rows(header, rows, "variant", ("metric",))
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"unrecognized {args.kind} schema: {exc}") from exc
     path = f"{args.out_dir}/plot.csv"
@@ -486,6 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not os.path.isdir(args.out_dir):
+            raise ConfigError(f"no output directory {args.out_dir!r}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

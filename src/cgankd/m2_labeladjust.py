@@ -30,21 +30,6 @@ class FilterReport:
     consistency_after: float = None
     error_quantiles: dict = field(default_factory=dict)
 
-    def to_lines(self) -> list:
-        lines = [f"rho={self.rho!r}"]
-        for k in sorted(self.thresholds, key=str):
-            lines.append(f"threshold.{k}={self.thresholds[k]!r}")
-        for name, d in (("counts_in", self.counts_in),
-                        ("counts_out", self.counts_out)):
-            for k in sorted(d, key=str):
-                lines.append(f"{name}.{k}={d[k]}")
-        if self.consistency_before is not None:
-            lines.append(f"consistency_before={self.consistency_before!r}")
-            lines.append(f"consistency_after={self.consistency_after!r}")
-        for k in sorted(self.error_quantiles):
-            lines.append(f"error_q.{k}={self.error_quantiles[k]!r}")
-        return lines
-
 
 def sample_errors(teacher: NetParams, samples: Dataset) -> np.ndarray:
     """Per-sample teacher-vs-assigned-label error, order-preserving.

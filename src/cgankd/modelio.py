@@ -1,19 +1,16 @@
 """Versioned text serialization for network parameters.
 
-Shares the dataset files' float convention: repr() shortest round-trip
-decimals, so write/read is value-exact.  Trained generator handles embed
-these blocks in their own format.
+Goes through the `synthdata` key=value codec, whose repr() shortest
+round-trip decimals make write/read value-exact.  Trained generator handles
+embed these blocks in their own format.
 """
 
 import numpy as np
 
 from .nncore import NetParams, NetSpec
+from .synthdata import kv_lines, parse_kv
 
 MODEL_HEADER = "cgankd-model v1"
-
-
-def _floats(arr) -> str:
-    return ",".join(repr(float(v)) for v in np.asarray(arr).ravel())
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -24,26 +21,17 @@ def _parse_floats(text: str) -> np.ndarray:
 
 def netparams_lines(params: NetParams) -> list:
     spec = params.spec
-    lines = [
-        MODEL_HEADER,
-        f"input_dim={spec.input_dim}",
-        "hidden=" + ",".join(str(w) for w in spec.hidden_widths),
-        f"output_kind={spec.output_kind}",
-        f"n_outputs={spec.n_outputs}",
-    ]
+    pairs = [("input_dim", spec.input_dim), ("hidden", spec.hidden_widths),
+             ("output_kind", spec.output_kind), ("n_outputs", spec.n_outputs)]
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        lines.append(f"W{l}=" + _floats(w))
-        lines.append(f"b{l}=" + _floats(b))
-    return lines
+        pairs += [(f"W{l}", w), (f"b{l}", b)]
+    return [MODEL_HEADER] + kv_lines(pairs)
 
 
 def netparams_from_lines(lines: list) -> NetParams:
     if not lines or lines[0] != MODEL_HEADER:
         raise ValueError("malformed model header")
-    kv = {}
-    for ln in lines[1:]:
-        key, _, value = ln.partition("=")
-        kv[key] = value
+    kv = parse_kv(lines[1:])
     spec = NetSpec(int(kv["input_dim"]),
                    tuple(int(w) for w in kv["hidden"].split(",")),
                    kv["output_kind"], int(kv["n_outputs"]))

@@ -207,18 +207,15 @@ def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(params: NetParams, ws: Workspace, d_out: np.ndarray,
-             grads=None, input_grad: bool = True):
+def backward(params: NetParams, ws: Workspace, d_out: np.ndarray, grads,
+             input_grad: bool = True):
     """Backprop a gradient w.r.t. the network output through `ws`.
 
     Writes the weight and bias gradients into `grads`, a (weights, biases)
-    pair of per-layer arrays (fresh if None), and returns (weight grads,
-    bias grads, gradient w.r.t. the input batch, or None without
-    `input_grad`).  ReLU masks multiply as booleans, which keeps signed
-    zeros.
+    pair of per-layer arrays, and returns (weight grads, bias grads,
+    gradient w.r.t. the input batch, or None without `input_grad`).  ReLU
+    masks multiply as booleans, which keeps signed zeros.
     """
-    if grads is None:
-        grads = _layer_views(params.spec, np.empty(params.spec.n_params))
     gw, gb = grads
     delta = d_out
     last = len(params.weights) - 1

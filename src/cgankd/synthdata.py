@@ -1,4 +1,5 @@
-"""Synthetic conditional dataset families and a bit-exact dataset file format.
+"""Synthetic conditional dataset families, a bit-exact dataset file format
+and the key=value line codec that every cgankd text file shares.
 
 Two families stand in for real data: Gaussian blobs on a circle (classification)
 and a spiral "ring" curve with uniform scalar labels (regression).  Regression
@@ -144,17 +145,16 @@ class RingConfig:
     label_hi: float = 1.0
     n: int = 0
     seed: int = 0
-    dim: int = 2
 
     def __post_init__(self):
-        if self.dim != 2:
-            raise ValueError("ring family is 2-dimensional")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
 
     @property
     def task(self) -> Task:
         return RegressionTask(self.label_lo, self.label_hi)
+
+    dim = 2
 
 
 SynthConfig = Union[BlobsConfig, RingConfig]
@@ -252,6 +252,40 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
         train_idx = np.sort(idx[:k])
         test_idx = np.sort(idx[k:])
     return dataset.subset(train_idx), dataset.subset(test_idx)
+
+
+def _kv_value(value) -> str:
+    if isinstance(value, np.ndarray):
+        return ",".join(repr(float(v)) for v in value.ravel())
+    if isinstance(value, tuple):
+        return ",".join(_kv_value(v) for v in value)
+    if isinstance(value, float):
+        return repr(float(value))
+    return str(value)
+
+
+def kv_lines(pairs) -> list:
+    """`key=value` lines; floats and float arrays use shortest round-trip
+    repr() decimals, so parsing them back is value-exact."""
+    return [f"{key}={_kv_value(value)}" for key, value in pairs]
+
+
+def parse_kv(lines) -> dict:
+    """Strict inverse of `kv_lines`: skips blank and '#' lines, rejects a
+    line without '=' or a repeated key with ValueError naming the line."""
+    out = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
 
 
 def task_line(task: Task) -> str:

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cgankd.nncore import (PROB_FLOOR, Loss, NetParams, _batch_loss_and_dout,
-                           _ce_rows, _forward_cache, _teacher_probs, backward,
-                           forward_batch, softmax)
+                           _ce_rows, _forward_cache, _layer_views,
+                           _teacher_probs, backward, forward_batch, softmax)
 
 
 @dataclass(frozen=True)
@@ -88,5 +88,6 @@ def gradients(params: NetParams, batch, loss: Loss, teacher: NetParams = None) -
     out, ws = _forward_cache(params, X)
     _, d_out = _batch_loss_and_dout(params, out, targets, loss, teacher_probs,
                                     ws)
-    gw, gb, _ = backward(params, ws, d_out, input_grad=False)
+    grads = _layer_views(params.spec, np.empty(params.spec.n_params))
+    gw, gb, _ = backward(params, ws, d_out, grads, input_grad=False)
     return NetParams(params.spec, gw, gb)

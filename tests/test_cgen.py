@@ -149,14 +149,33 @@ def test_cgan_learns_blob_means():
         assert np.linalg.norm(got - mu[c]) < 3 * base.noise_std
 
 
+def _assert_rejects_malformed_lines(path, keys):
+    """Each repeated `key=` line, and a line without '=', fails to load."""
+    lines = path.read_text().splitlines()
+    for key in keys:
+        i = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key}="))
+        path.write_text("\n".join(lines[:i + 1] + lines[i:]) + "\n")
+        with pytest.raises(ValueError, match=f"duplicate key '{key}'"):
+            cgen.load_generator(path)
+    path.write_text("\n".join(lines + ["nonsense"]) + "\n")
+    with pytest.raises(ValueError, match="expected key=value"):
+        cgen.load_generator(path)
+
+
 def test_generator_roundtrip_oracle(tmp_path):
-    handle = make_oracle(BASE, flip_prob=0.1, junk_prob=0.2, junk_spread=30.0)
-    path = tmp_path / "gen.txt"
-    cgen.save_generator(handle, path)
-    back = cgen.load_generator(path)
-    labels = np.arange(20) % 3
-    assert np.array_equal(sample(handle, labels, 0).features,
-                          sample(back, labels, 0).features)
+    ring = RingConfig(radius_base=1.5, radius_slope=2.0, noise_std=0.2,
+                      label_hi=90.0)
+    for base in (BASE, ring):
+        handle = make_oracle(base, flip_prob=0.1, label_gauss_std=0.05,
+                             junk_prob=0.2, junk_spread=30.0)
+        path = tmp_path / "gen.txt"
+        cgen.save_generator(handle, path)
+        back = cgen.load_generator(path)
+        assert back == handle
+        labels = np.arange(20) % 3 if base is BASE else np.linspace(0, 1, 20)
+        assert np.array_equal(sample(handle, labels, 0).features,
+                              sample(back, labels, 0).features)
+        _assert_rejects_malformed_lines(path, ("kind", "flip_prob"))
 
 
 def test_generator_roundtrip_cgan(tmp_path):
@@ -168,3 +187,5 @@ def test_generator_roundtrip_cgan(tmp_path):
     labels = np.arange(10) % 2
     assert np.array_equal(sample(handle, labels, 0).features,
                           sample(back, labels, 0).features)
+    # one key in the generator head, one in the embedded model block
+    _assert_rejects_malformed_lines(path, ("noise_dim", "W0"))

@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from cgankd import m3_distill
-from cgankd.cli import (ConfigError, build_pipeline_config, load_config,
-                        main, parse_config_text)
+from cgankd import cli, m3_distill
+from cgankd.cli import (MANIFEST_HEADER, ConfigError, build_pipeline_config,
+                        load_config, main, parse_config_text, write_manifest)
 
 TINY_CFG = """\
 task=classification
@@ -121,6 +121,52 @@ def test_sweep_unknown_param_exits_2(tiny_cfg, tmp_path):
     with pytest.raises(SystemExit):
         main(["sweep", tiny_cfg, "--param", "bogus", "--values", "1",
               "--seeds", "0", "--out-dir", str(tmp_path)])
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a pipeline ran")
+
+
+@pytest.mark.parametrize("param,values", [("rho", "0.5,1.5"),
+                                          ("rho", "nan"),
+                                          ("teacher-epochs", "5,-1"),
+                                          ("mg", "-3")])
+def test_sweep_out_of_range_value_exits_2_before_training(
+        tiny_cfg, tmp_path, monkeypatch, capsys, param, values):
+    monkeypatch.setattr(cli, "run_pipeline", _no_training)
+    assert main(["sweep", tiny_cfg, "--param", param, "--values", values,
+                 "--seeds", "0", "--out-dir", str(tmp_path)]) == 2
+    assert "bad sweep values" in capsys.readouterr().err
+
+
+def test_missing_out_dir_exits_2_before_running(tiny_cfg, tmp_path,
+                                                monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_pipeline", _no_training)
+    monkeypatch.setattr(cli, "run_ablation", _no_training)
+    missing = str(tmp_path / "missing")
+    for argv in (["run", tiny_cfg],
+                 ["sweep", tiny_cfg, "--param", "rho", "--values", "0.5",
+                  "--seeds", "0"],
+                 ["ablation", tiny_cfg, "--seeds", "0"]):
+        assert main(argv + ["--out-dir", missing]) == 2
+        assert "no output directory" in capsys.readouterr().err
+    assert not os.path.exists(missing)
+
+
+def test_manifest_always_loads_back(tmp_path, capsys):
+    snapshot = TINY_CFG.replace("seed=0", "seed=7")
+    write_manifest(tmp_path, "run", "tiny.cfg", snapshot, 3,
+                   ["report.csv", "trace.jsonl"])
+    path = tmp_path / "manifest.txt"
+    assert "\nartifact=report.csv,trace.jsonl\n---\n" in path.read_text()
+    assert load_config(path)[1:] == (snapshot, 3)
+    # no metadata lines: the seed comes from the snapshot
+    path.write_text(f"{MANIFEST_HEADER}\n---\n{snapshot}")
+    kv, _, seed = load_config(path)
+    assert seed is None and build_pipeline_config(kv, seed).master_seed == 7
+    path.write_text(f"{MANIFEST_HEADER}\nseed=abc\n---\n{snapshot}")
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+    assert "bad value for 'seed'" in capsys.readouterr().err
 
 
 def test_ablation_csv_shape(tiny_cfg, tmp_path):

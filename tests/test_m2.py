@@ -232,12 +232,3 @@ def test_consistency_improves_on_flip_corrupted_oracle():
                         np.full(fakes.n, "fake_m1"))
         _, report = filter_classification(teacher, fakes, 0.9)
         assert report.consistency_after > report.consistency_before
-
-
-def test_report_serializes_to_flat_text():
-    teacher = const_logits_teacher([1.0, 0.0])
-    ds = cls_dataset(np.tile([0, 1], 10))
-    _, report = filter_classification(teacher, ds, 0.5)
-    lines = report.to_lines()
-    assert any(ln.startswith("rho=") for ln in lines)
-    assert all("=" in ln for ln in lines)
