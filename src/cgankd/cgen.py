@@ -14,6 +14,7 @@ Sampling is pure in (handle, labels, seed, index): requesting a prefix of a
 stream yields a prefix of the longer stream.
 """
 
+import math
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from . import modelio, rng, synthdata
 from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
-    forward_batch, _forward_cache, _layer_views, init_params, one_hot
+    forward_batch, _forward_cache, _layer_views, init_params, \
+    input_gradient, one_hot
 from .synthdata import (BlobsConfig, Dataset, RingConfig, SynthConfig,
                         kv_lines, parse_kv)
 
@@ -169,18 +171,32 @@ def sample(handle: GeneratorHandle, labels, seed: int) -> Dataset:
     return Dataset(handle.task, feats, labels, prov)
 
 
-def _bce_logit_loss_and_grad(logits: np.ndarray, target: float):
-    """Mean logistic loss toward a constant 0/1 target and d/dlogit."""
+def _bce_logit_loss_and_grad(logits: np.ndarray, target: float,
+                             grad: np.ndarray) -> float:
+    """Mean logistic loss toward a constant 0/1 target; d/dlogit is
+    written into `grad`, shape (n, 1)."""
     l = logits[:, 0]
-    p = 1.0 / (1.0 + np.exp(-l))
-    # softplus written stably
-    loss = np.mean(np.logaddexp(0.0, l) - target * l)
-    grad = ((p - target) / len(l))[:, None]
-    return float(loss), grad
+    n = len(l)
+    # softplus written stably; 1.0 * l is exact, but 0.0 * l keeps the NaN
+    # that an infinite logit gives
+    terms = np.logaddexp(0.0, l)
+    terms -= l if target else 0.0 * l
+    p = np.negative(l, out=grad[:, 0])
+    np.exp(p, out=p)
+    p += 1.0
+    np.divide(1.0, p, out=p)
+    p -= target
+    p /= n
+    return float(np.add.reduce(terms)) / n
 
 
 def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
-    """Alternating non-saturating GAN updates; deterministic per seed."""
+    """Alternating non-saturating GAN updates; deterministic per seed.
+
+    Each network pass runs through a workspace kept for the whole loop,
+    and the generator and discriminator inputs are built in buffers whose
+    label columns are written once per iteration.
+    """
     if train_set.n == 0:
         raise ValueError("empty training set")
     task, d = train_set.task, train_set.dim
@@ -197,38 +213,44 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
     # The discriminator's fake-batch gradient, added to its real-batch one.
     d_fake = np.empty_like(opt_d.grad)
     d_fake_grads = _layer_views(d_spec, d_fake)
-    ws_real, ws_fake = (Workspace(d_spec, config.batch_size) for _ in range(2))
-    ws_gen = Workspace(g_spec, config.batch_size)
+    size, nz = config.batch_size, config.noise_dim
+    ws_real, ws_fake = (Workspace(d_spec, size) for _ in range(2))
+    ws_gen = Workspace(g_spec, size)
+    # Inputs: real (features, label) rows, generator (noise, label) rows and
+    # fake (generated features, label) rows; the logit gradient.
+    real_all = np.hstack([train_set.features,
+                          label_encoding(task, train_set.labels)])
+    xr, gin, xf = (np.empty((size, w)) for w in (d + enc_dim, nz + enc_dim,
+                                                  d + enc_dim))
+    grad = np.empty((size, 1))
     g = rng.generator(rng.derive_key("cgan-train", config.seed))
-    enc_all = label_encoding(task, train_set.labels)
     for it in range(config.iterations):
-        idx = g.integers(0, train_set.n, size=config.batch_size)
-        enc = enc_all[idx]
+        idx = g.integers(0, train_set.n, size=size)
+        np.take(real_all, idx, axis=0, out=xr)
+        gin[:, nz:] = xf[:, d:] = xr[:, d:]
         # discriminator step: real up, fake down
-        z = g.normal(size=(config.batch_size, config.noise_dim))
-        fake = forward_batch(opt_g.params, np.hstack([z, enc]))
-        xr = np.hstack([train_set.features[idx], enc])
-        xf = np.hstack([fake, enc])
+        gin[:, :nz] = g.normal(size=(size, nz))
+        fake, _ = _forward_cache(opt_g.params, gin, ws_gen)
+        xf[:, :d] = fake
         out_r, _ = _forward_cache(opt_d.params, xr, ws_real)
         out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
-        loss_r, grad_r = _bce_logit_loss_and_grad(out_r, 1.0)
-        loss_f, grad_f = _bce_logit_loss_and_grad(out_f, 0.0)
-        backward(opt_d.params, ws_real, grad_r, opt_d.grads, input_grad=False)
-        backward(opt_d.params, ws_fake, grad_f, d_fake_grads, input_grad=False)
+        loss_r = _bce_logit_loss_and_grad(out_r, 1.0, grad)
+        backward(opt_d.params, ws_real, grad, opt_d.grads)
+        loss_f = _bce_logit_loss_and_grad(out_f, 0.0, grad)
+        backward(opt_d.params, ws_fake, grad, d_fake_grads)
         opt_d.grad += d_fake
         opt_d.step(config.lr_d)
         # generator step: non-saturating, push D(G(z)) toward "real"
-        z = g.normal(size=(config.batch_size, config.noise_dim))
-        gin = np.hstack([z, enc])
+        gin[:, :nz] = g.normal(size=(size, nz))
         fake, _ = _forward_cache(opt_g.params, gin, ws_gen)
-        xf = np.hstack([fake, enc])
+        xf[:, :d] = fake
         out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
-        loss_g, grad_f = _bce_logit_loss_and_grad(out_f, 1.0)
-        _, _, d_input = backward(opt_d.params, ws_fake, grad_f, d_fake_grads)
-        backward(opt_g.params, ws_gen, d_input[:, :d], opt_g.grads,
-                 input_grad=False)
+        loss_g = _bce_logit_loss_and_grad(out_f, 1.0, grad)
+        d_input = input_gradient(opt_d.params, ws_fake, grad)
+        backward(opt_g.params, ws_gen, d_input[:, :d], opt_g.grads)
         opt_g.step(config.lr_g)
-        if not (np.isfinite(loss_r) and np.isfinite(loss_f) and np.isfinite(loss_g)):
+        if not (math.isfinite(loss_r) and math.isfinite(loss_f)
+                and math.isfinite(loss_g)):
             raise RuntimeError(
                 f"cgan training diverged at iteration {it}: non-finite loss "
                 f"(D real {loss_r}, D fake {loss_f}, G {loss_g})")
@@ -275,6 +297,8 @@ def load_generator(path) -> GeneratorHandle:
                    if modelio.MODEL_HEADER in lines else len(lines))
     kv = parse_kv(lines[1:model_start])
     if kv.get("kind") == "oracle":
+        if kv["family"] not in _FAMILIES:
+            raise ValueError(f"unknown oracle family {kv['family']!r}")
         base = _from_kv(_FAMILIES[kv["family"]], kv)
         return _from_kv(CorruptedOracle, kv, base=base)
     if kv.get("kind") == "cgan":

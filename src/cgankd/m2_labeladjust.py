@@ -147,9 +147,15 @@ def filter_fakes(teacher: NetParams, fakes: Dataset, rho: float):
     return filter_regression(teacher, fakes, rho)
 
 
+def adjust_labels(teacher: NetParams, kept: Dataset) -> Dataset:
+    """M2's label step: replacement for non-empty regression sets, no
+    change otherwise."""
+    if kept.task.kind == "regression" and kept.n:
+        return replace_labels(teacher, kept)
+    return kept
+
+
 def run_m2(teacher: NetParams, fakes: Dataset, rho: float):
     """Filter, then (regression only) replace labels."""
     kept, report = filter_fakes(teacher, fakes, rho)
-    if kept.task.kind == "regression" and kept.n:
-        kept = replace_labels(teacher, kept)
-    return kept, report
+    return adjust_labels(teacher, kept), report

@@ -300,10 +300,7 @@ def run_ablation(config: PipelineConfig) -> dict:
 
     def m2_stage():
         d_filtered, _ = m2_labeladjust.filter_fakes(teacher, d_m1, config.rho)
-        if d_filtered.task.kind == "regression" and d_filtered.n:
-            return d_filtered, m2_labeladjust.replace_labels(teacher,
-                                                             d_filtered)
-        return d_filtered, d_filtered
+        return d_filtered, m2_labeladjust.adjust_labels(teacher, d_filtered)
 
     d_raw = _stage("raw", timings, raw_stage)
     d_filtered, d_full = _stage("m2", timings, m2_stage)

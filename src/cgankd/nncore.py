@@ -165,7 +165,8 @@ class Workspace:
     (`acts[0]` is the input batch, and a head without a clamp outputs its
     pre-activations), `masks[l]` its ReLU masks, `deltas[l]` the loss
     gradient w.r.t. its pre-activations and `d_input` the one w.r.t. the
-    input.  `loss_grad`/`sq` hold the squared-error loss terms.
+    input.  `loss_grad` holds the loss gradient w.r.t. the outputs, and
+    `sq`, `probs`, `floored`, `terms`, `t_eff` and `col` the loss terms.
     """
 
     def __init__(self, spec: NetSpec, n: int):
@@ -180,6 +181,9 @@ class Workspace:
         self.d_input = np.empty((n, dims[0]))
         self.loss_grad = np.empty((n, dims[-1]))
         self.sq = np.empty(n)
+        self.probs, self.floored, self.terms, self.t_eff = (
+            np.empty((n, dims[-1])) for _ in range(4))
+        self.col = np.empty((n, 1))
         self.clamped = [True] * (n_layers - 1) + [clamped]
 
 
@@ -192,7 +196,13 @@ def _forward_cache(params: NetParams, X: np.ndarray, ws: Workspace = None):
         ws = Workspace(params.spec, X.shape[0])
     ws.acts[0] = a = X
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(a, w.T, out=ws.pre[l])
+        # np.dot, here and in backprop: on these 2-D operands it reaches the
+        # BLAS routines np.matmul reaches, with less dispatch overhead, except
+        # for the k = 1 outer product (backprop through a one-unit layer),
+        # which np.matmul computes in a slower loop of its own; both start
+        # each sum from +0.0, so the results are equal bit for bit, which
+        # tests/test_nncore.py checks against np.matmul references.
+        z = np.dot(a, w.T, out=ws.pre[l])
         np.add(z, b, out=z)
         a = np.maximum(z, 0.0, out=ws.acts[l + 1]) if ws.clamped[l] else z
     return a, ws
@@ -207,29 +217,39 @@ def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(params: NetParams, ws: Workspace, d_out: np.ndarray, grads,
-             input_grad: bool = True):
+def backward(params: NetParams, ws: Workspace, d_out: np.ndarray, grads):
     """Backprop a gradient w.r.t. the network output through `ws`.
 
     Writes the weight and bias gradients into `grads`, a (weights, biases)
-    pair of per-layer arrays, and returns (weight grads, bias grads,
-    gradient w.r.t. the input batch, or None without `input_grad`).  ReLU
-    masks multiply as booleans, which keeps signed zeros.
+    pair of per-layer arrays, and stops before the gradient w.r.t. the
+    input batch.  ReLU masks multiply as booleans, which keeps signed zeros.
     """
     gw, gb = grads
     delta = d_out
-    last = len(params.weights) - 1
-    for l in range(last, -1, -1):
+    for l in range(len(params.weights) - 1, -1, -1):
         if ws.clamped[l]:
             mask = np.greater(ws.pre[l], 0.0, out=ws.masks[l])
             delta = np.multiply(delta, mask, out=ws.deltas[l])
-        np.matmul(delta.T, ws.acts[l], out=gw[l])
+        np.dot(delta.T, ws.acts[l], out=gw[l])
         np.add.reduce(delta, axis=0, out=gb[l])
-        if l == 0 and not input_grad:
-            return gw, gb, None
-        delta = np.matmul(delta, params.weights[l],
-                          out=ws.deltas[l - 1] if l else ws.d_input)
-    return gw, gb, delta
+        if l:
+            delta = np.dot(delta, params.weights[l], out=ws.deltas[l - 1])
+
+
+def input_gradient(params: NetParams, ws: Workspace, d_out: np.ndarray):
+    """Gradient w.r.t. the input batch of `ws`, written into `ws.d_input`.
+
+    The delta chain of `backward`, one matrix product per layer and no
+    parameter gradients.
+    """
+    delta = d_out
+    for l in range(len(params.weights) - 1, -1, -1):
+        if ws.clamped[l]:
+            mask = np.greater(ws.pre[l], 0.0, out=ws.masks[l])
+            delta = np.multiply(delta, mask, out=ws.deltas[l])
+        delta = np.dot(delta, params.weights[l],
+                       out=ws.deltas[l - 1] if l else ws.d_input)
+    return delta
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -246,38 +266,52 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _ce_rows(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row cross entropy  -sum_c t_c log max(p_c, floor)."""
-    return -(targets * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=-1)
-
-
 def _batch_loss_and_dout(params, out, targets, loss: Loss, teacher_probs=None,
                          ws: Workspace = None):
     """Mean batch loss and its gradient w.r.t. the network output.
 
-    The squared-error terms are written into `ws` when one is given.
+    Every term is written into `ws` (fresh if None).  The cross entropy
+    keeps the operand order of `softmax` followed by the per-row
+    -sum_c t_c log max(p_c, PROB_FLOOR), so its figures match that
+    formula's bit for bit.
     """
     n = out.shape[0]
+    if ws is None:
+        ws = Workspace(params.spec, n)
     if loss.kind == "plain_se":
         # The scalar head has one output column, so d_out is 2 * diff / n.
-        d_out = np.empty_like(out) if ws is None else ws.loss_grad
+        d_out = ws.loss_grad
         diff = np.subtract(out[:, 0], targets, out=d_out[:, 0])
-        sq = np.multiply(diff, diff, out=None if ws is None else ws.sq)
+        sq = np.multiply(diff, diff, out=ws.sq)
         value = float(np.add.reduce(sq)) / n
         d_out *= 2.0
         d_out /= n
         return value, d_out
     T = loss.temperature
-    p = softmax(out, T)
+    p, col = ws.probs, ws.col
+    # Dividing by T = 1 is exact, so it is skipped.
+    z = out if T == 1.0 else np.divide(out, T, out=p)
+    np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
+    np.subtract(z, col, out=p)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True, out=col)
     if loss.kind == "plain_ce":
         t_eff = targets
     else:
-        t_eff = (1.0 - loss.lam) * targets + loss.lam * teacher_probs
-    value = float(np.mean(_ce_rows(p, t_eff)))
+        t_eff = np.multiply(1.0 - loss.lam, targets, out=ws.t_eff)
+        t_eff += np.multiply(loss.lam, teacher_probs, out=ws.terms)
+    floored = np.maximum(p, PROB_FLOOR, out=ws.floored)
+    terms = np.multiply(t_eff, np.log(floored, out=ws.terms), out=ws.terms)
+    rows = np.negative(np.add.reduce(terms, axis=-1, out=ws.sq), out=ws.sq)
+    value = float(np.add.reduce(rows)) / n
     # d/dp with the probability floor: clamped entries contribute nothing.
-    active = p > PROB_FLOOR
-    g = np.where(active, -t_eff / np.maximum(p, PROB_FLOOR), 0.0)
-    d_out = p * (g - (p * g).sum(axis=-1, keepdims=True)) / (T * n)
+    g = np.divide(np.negative(t_eff, out=ws.terms), floored, out=ws.terms)
+    if not p.min() > PROB_FLOOR:
+        g[~(p > PROB_FLOOR)] = 0.0
+    g -= np.add.reduce(np.multiply(p, g, out=ws.floored), axis=-1,
+                       keepdims=True, out=col)
+    d_out = np.multiply(p, g, out=ws.loss_grad)
+    d_out /= T * n
     return value, d_out
 
 
@@ -376,7 +410,7 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
             value, d_out = _batch_loss_and_dout(
                 state.params, out, ts[start:stop], loss,
                 tps[start:stop] if tps is not None else None, ws)
-            backward(state.params, ws, d_out, state.grads, input_grad=False)
+            backward(state.params, ws, d_out, state.grads)
             state.step(lr)
             total += value * (stop - start)
         if not np.isfinite(state.theta).all():

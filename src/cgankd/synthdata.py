@@ -17,6 +17,7 @@ from . import rng
 PROVENANCE_TAGS = ("real", "fake_raw", "fake_m1", "fake_m2")
 
 FORMAT_HEADER = "cgankd-dataset v1"
+_WRITE_BLOCK = 1024  # dataset rows converted and written at a time
 
 
 @dataclass(frozen=True)
@@ -270,10 +271,18 @@ def kv_lines(pairs) -> list:
     return [f"{key}={_kv_value(value)}" for key, value in pairs]
 
 
+class _KeyValues(dict):
+    """A parsed block; reading a key it lacks raises ValueError naming it."""
+
+    def __missing__(self, key):
+        raise ValueError(f"missing key {key!r}")
+
+
 def parse_kv(lines) -> dict:
     """Strict inverse of `kv_lines`: skips blank and '#' lines, rejects a
-    line without '=' or a repeated key with ValueError naming the line."""
-    out = {}
+    line without '=' or a repeated key with ValueError naming the line.
+    Reading a key the block lacks raises ValueError naming the key."""
+    out = _KeyValues()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -295,18 +304,21 @@ def task_line(task: Task) -> str:
 
 
 def write_dataset(dataset: Dataset, path) -> None:
+    """Header, then one `label,provenance,features...` row per sample.
+
+    Rows are built from the Python ints and floats of `tolist()`, written
+    with repr(), `_WRITE_BLOCK` rows per write so memory stays bounded.
+    """
     with open(path, "w") as f:
-        f.write(FORMAT_HEADER + "\n")
-        f.write(task_line(dataset.task) + "\n")
-        f.write(f"dim={dataset.dim}\n")
-        for i in range(dataset.n):
-            if dataset.task.kind == "classification":
-                lab = str(int(dataset.labels[i]))
-            else:
-                lab = repr(float(dataset.labels[i]))
-            row = [lab, str(dataset.provenance[i])]
-            row += [repr(float(v)) for v in dataset.features[i]]
-            f.write(",".join(row) + "\n")
+        f.write(f"{FORMAT_HEADER}\n{task_line(dataset.task)}\n"
+                f"dim={dataset.dim}\n")
+        for i in range(0, dataset.n, _WRITE_BLOCK):
+            part = slice(i, i + _WRITE_BLOCK)
+            rows = zip(map(repr, dataset.labels[part].tolist()),
+                       dataset.provenance[part].tolist(),
+                       dataset.features[part].tolist())
+            f.write("".join(",".join([lab, prov, *map(repr, feats)]) + "\n"
+                            for lab, prov, feats in rows))
 
 
 def read_dataset(path) -> Dataset:

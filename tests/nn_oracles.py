@@ -3,16 +3,24 @@
 The training loop never calls these: they restate a forward pass, the
 soft labels, the per-sample loss and the batch gradient one sample or one
 batch at a time, so tests can hold `nncore.train` and its batch arithmetic
-against them.
+against them.  `reference_backward` and `reference_train_cgan` keep the
+backprop with an optional input gradient and the cGAN training loop that
+`nncore.input_gradient` and the buffer-reusing `cgen.train_cgan` replaced,
+so the new code must match them bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from cgankd.nncore import (PROB_FLOOR, Loss, NetParams, _batch_loss_and_dout,
-                           _ce_rows, _forward_cache, _layer_views,
-                           _teacher_probs, backward, forward_batch, softmax)
+from cgankd import rng
+from cgankd.cgen import (GanTrainConfig, TrainedCgan, encoding_dim,
+                         label_encoding)
+from cgankd.nncore import (PROB_FLOOR, Loss, NetParams, NetSpec, SgdState,
+                           Workspace, _batch_loss_and_dout,
+                           _forward_cache, _layer_views, _teacher_probs,
+                           backward, forward_batch, init_params, softmax)
+from cgankd.synthdata import Dataset
 
 
 @dataclass(frozen=True)
@@ -26,6 +34,11 @@ class SoftLabel:
             raise ValueError("soft label entries must lie in (0, 1]")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("soft label must sum to 1")
+
+
+def ce_rows(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row cross entropy  -sum_c t_c log max(p_c, floor)."""
+    return -(targets * np.log(np.maximum(probs, PROB_FLOOR))).sum(axis=-1)
 
 
 def forward(params: NetParams, features):
@@ -61,12 +74,12 @@ def loss_value(loss: Loss, prediction, target, teacher_soft: SoftLabel = None) -
     logits = np.asarray(prediction, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     p = softmax(logits, loss.temperature)
-    hard = float(_ce_rows(p[None, :], t[None, :])[0])
+    hard = float(ce_rows(p[None, :], t[None, :])[0])
     if loss.kind == "plain_ce":
         return hard
     if teacher_soft is None:
         raise ValueError("blkd loss requires teacher_soft")
-    soft = float(_ce_rows(p[None, :], teacher_soft.probs[None, :])[0])
+    soft = float(ce_rows(p[None, :], teacher_soft.probs[None, :])[0])
     return (1.0 - loss.lam) * hard + loss.lam * soft
 
 
@@ -89,5 +102,96 @@ def gradients(params: NetParams, batch, loss: Loss, teacher: NetParams = None) -
     _, d_out = _batch_loss_and_dout(params, out, targets, loss, teacher_probs,
                                     ws)
     grads = _layer_views(params.spec, np.empty(params.spec.n_params))
-    gw, gb, _ = backward(params, ws, d_out, grads, input_grad=False)
-    return NetParams(params.spec, gw, gb)
+    backward(params, ws, d_out, grads)
+    return NetParams(params.spec, *grads)
+
+
+def reference_backward(params: NetParams, ws: Workspace, d_out: np.ndarray,
+                       grads, input_grad: bool = True):
+    """Backprop a gradient w.r.t. the network output through `ws`.
+
+    Writes the weight and bias gradients into `grads`, a (weights, biases)
+    pair of per-layer arrays, and returns (weight grads, bias grads,
+    gradient w.r.t. the input batch, or None without `input_grad`).  ReLU
+    masks multiply as booleans, which keeps signed zeros.
+    """
+    gw, gb = grads
+    delta = d_out
+    last = len(params.weights) - 1
+    for l in range(last, -1, -1):
+        if ws.clamped[l]:
+            mask = np.greater(ws.pre[l], 0.0, out=ws.masks[l])
+            delta = np.multiply(delta, mask, out=ws.deltas[l])
+        np.matmul(delta.T, ws.acts[l], out=gw[l])
+        np.add.reduce(delta, axis=0, out=gb[l])
+        if l == 0 and not input_grad:
+            return gw, gb, None
+        delta = np.matmul(delta, params.weights[l],
+                          out=ws.deltas[l - 1] if l else ws.d_input)
+    return gw, gb, delta
+
+
+def reference_bce_logit_loss_and_grad(logits: np.ndarray, target: float):
+    """Mean logistic loss toward a constant 0/1 target and d/dlogit."""
+    l = logits[:, 0]
+    p = 1.0 / (1.0 + np.exp(-l))
+    # softplus written stably
+    loss = np.mean(np.logaddexp(0.0, l) - target * l)
+    grad = ((p - target) / len(l))[:, None]
+    return float(loss), grad
+
+
+def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
+    """Alternating non-saturating GAN updates; deterministic per seed."""
+    if train_set.n == 0:
+        raise ValueError("empty training set")
+    task, d = train_set.task, train_set.dim
+    enc_dim = encoding_dim(task)
+    g_spec = NetSpec(config.noise_dim + enc_dim, config.hidden_g, "linear", d)
+    d_spec = NetSpec(d + enc_dim, config.hidden_d, "linear", 1)
+    gen = init_params(g_spec, rng.derive_key("cgan-g", config.seed))
+    dis = init_params(d_spec, rng.derive_key("cgan-d", config.seed))
+    if config.iterations == 0:
+        return TrainedCgan(gen, config.noise_dim, task, d)
+
+    opt_g = SgdState(gen, config.momentum)
+    opt_d = SgdState(dis, config.momentum)
+    # The discriminator's fake-batch gradient, added to its real-batch one.
+    d_fake = np.empty_like(opt_d.grad)
+    d_fake_grads = _layer_views(d_spec, d_fake)
+    ws_real, ws_fake = (Workspace(d_spec, config.batch_size) for _ in range(2))
+    ws_gen = Workspace(g_spec, config.batch_size)
+    g = rng.generator(rng.derive_key("cgan-train", config.seed))
+    enc_all = label_encoding(task, train_set.labels)
+    for it in range(config.iterations):
+        idx = g.integers(0, train_set.n, size=config.batch_size)
+        enc = enc_all[idx]
+        # discriminator step: real up, fake down
+        z = g.normal(size=(config.batch_size, config.noise_dim))
+        fake = forward_batch(opt_g.params, np.hstack([z, enc]))
+        xr = np.hstack([train_set.features[idx], enc])
+        xf = np.hstack([fake, enc])
+        out_r, _ = _forward_cache(opt_d.params, xr, ws_real)
+        out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
+        loss_r, grad_r = reference_bce_logit_loss_and_grad(out_r, 1.0)
+        loss_f, grad_f = reference_bce_logit_loss_and_grad(out_f, 0.0)
+        reference_backward(opt_d.params, ws_real, grad_r, opt_d.grads, input_grad=False)
+        reference_backward(opt_d.params, ws_fake, grad_f, d_fake_grads, input_grad=False)
+        opt_d.grad += d_fake
+        opt_d.step(config.lr_d)
+        # generator step: non-saturating, push D(G(z)) toward "real"
+        z = g.normal(size=(config.batch_size, config.noise_dim))
+        gin = np.hstack([z, enc])
+        fake, _ = _forward_cache(opt_g.params, gin, ws_gen)
+        xf = np.hstack([fake, enc])
+        out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
+        loss_g, grad_f = reference_bce_logit_loss_and_grad(out_f, 1.0)
+        _, _, d_input = reference_backward(opt_d.params, ws_fake, grad_f, d_fake_grads)
+        reference_backward(opt_g.params, ws_gen, d_input[:, :d], opt_g.grads,
+                           input_grad=False)
+        opt_g.step(config.lr_g)
+        if not (np.isfinite(loss_r) and np.isfinite(loss_f) and np.isfinite(loss_g)):
+            raise RuntimeError(
+                f"cgan training diverged at iteration {it}: non-finite loss "
+                f"(D real {loss_r}, D fake {loss_f}, G {loss_g})")
+    return TrainedCgan(opt_g.params, config.noise_dim, task, d)

@@ -6,6 +6,8 @@ from cgankd.cgen import (CorruptedOracle, GanTrainConfig, make_oracle, sample,
                          sample_features, sample_labels, train_cgan)
 from cgankd.synthdata import (BlobsConfig, RingConfig, blob_centers,
                               make_classification, make_regression)
+from nn_oracles import (reference_bce_logit_loss_and_grad,
+                        reference_train_cgan)
 
 
 BASE = BlobsConfig(3, 4.0, 0.5)
@@ -189,3 +191,71 @@ def test_generator_roundtrip_cgan(tmp_path):
                           sample(back, labels, 0).features)
     # one key in the generator head, one in the embedded model block
     _assert_rejects_malformed_lines(path, ("noise_dim", "W0"))
+
+
+def test_load_generator_names_a_missing_key(tmp_path):
+    path = tmp_path / "gen.txt"
+    path.write_text("cgankd-generator v1\nkind=oracle\nfamily=blobs\n")
+    with pytest.raises(ValueError, match="missing key 'n_classes'"):
+        cgen.load_generator(path)
+
+
+def test_load_generator_names_an_unknown_family(tmp_path):
+    path = tmp_path / "gen.txt"
+    cgen.save_generator(make_oracle(BASE), path)
+    path.write_text(path.read_text().replace("family=blobs", "family=moons"))
+    with pytest.raises(ValueError, match="unknown oracle family 'moons'"):
+        cgen.load_generator(path)
+
+
+def test_load_generator_names_a_missing_model_key(tmp_path):
+    ds = make_classification(BlobsConfig(2, 4.0, 0.25, n=100, seed=0))
+    path = tmp_path / "gen.txt"
+    cgen.save_generator(train_cgan(ds, GanTrainConfig(iterations=1)), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(ln for ln in lines
+                              if not ln.startswith("hidden=")) + "\n")
+    with pytest.raises(ValueError, match="missing key 'hidden'"):
+        cgen.load_generator(path)
+
+
+@pytest.mark.parametrize("ds", [
+    make_classification(BlobsConfig(3, 4.0, 0.5, n=150, seed=1)),
+    make_regression(RingConfig(n=150, seed=1))], ids=["blobs", "ring"])
+def test_train_cgan_matches_reference_loop_bit_for_bit(ds):
+    # batch 37 does not divide the 150 rows
+    cfg = GanTrainConfig(iterations=300, batch_size=37, seed=2)
+    got, want = train_cgan(ds, cfg), reference_train_cgan(ds, cfg)
+    for a, b in zip(got.generator.weights + got.generator.biases,
+                    want.generator.weights + want.generator.biases):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("target", [0.0, 1.0])
+def test_bce_loss_is_nonfinite_exactly_when_the_reference_is(target):
+    g = np.random.default_rng(0)
+    grad = np.empty((6, 1))
+    specials = (np.inf, -np.inf, np.nan, 800.0, -800.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for special in (None,) + specials:
+            logits = g.normal(size=(6, 1)) * 5.0
+            if special is not None:
+                logits[3, 0] = special
+            got = cgen._bce_logit_loss_and_grad(logits, target, grad)
+            want, want_grad = reference_bce_logit_loss_and_grad(logits, target)
+            assert np.isfinite(got) == np.isfinite(want), special
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(grad, want_grad, equal_nan=True)
+
+
+def test_train_cgan_diverges_at_the_reference_iteration():
+    ds = make_regression(RingConfig(n=150, seed=0))
+    # lr_d 1e20 blows the discriminator's logits past the float range by
+    # iteration 4, with D real inf and G NaN.
+    cfg = GanTrainConfig(iterations=200, lr_d=1e20, seed=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(RuntimeError) as want:
+            reference_train_cgan(ds, cfg)
+        with pytest.raises(RuntimeError, match="at iteration 4:") as got:
+            train_cgan(ds, cfg)
+    assert str(got.value) == str(want.value)

@@ -10,7 +10,8 @@ from cgankd.nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, make_classification,
                               make_dataset)
-from nn_oracles import SoftLabel, forward, gradients, loss_value, soft_labels
+from nn_oracles import (SoftLabel, ce_rows, forward, gradients, loss_value,
+                        reference_backward, soft_labels)
 
 
 def zero_net(spec):
@@ -408,7 +409,7 @@ def _reference_loss_and_dout(out, targets, loss, teacher_probs):
         t_eff = targets
     else:
         t_eff = (1.0 - loss.lam) * targets + loss.lam * teacher_probs
-    value = float(np.mean(nncore._ce_rows(p, t_eff)))
+    value = float(np.mean(ce_rows(p, t_eff)))
     active = p > nncore.PROB_FLOOR
     g = np.where(active, -t_eff / np.maximum(p, nncore.PROB_FLOOR), 0.0)
     d_out = p * (g - (p * g).sum(axis=-1, keepdims=True)) / (T * n)
@@ -488,3 +489,96 @@ def test_train_raises_on_nonfinite_parameters():
     with np.errstate(all="ignore"), pytest.raises(RuntimeError,
                                                   match="epoch 0: non-finite"):
         train(init_params(spec, 0), ds, TrainConfig(3, 16, 1e300))
+
+
+@pytest.mark.parametrize("kind, hidden", [("plain_se", (1, 8)),
+                                          ("plain_se", (8, 1)),
+                                          ("plain_ce", (1, 8))])
+def test_train_matches_reference_loop_on_degenerate_shapes(kind, hidden):
+    # One-unit layers give (n, 1) deltas, whose products with the weights
+    # are k = 1 outer products, and 129 rows at batch 64 end every epoch
+    # with a batch of one row; dead one-unit ReLUs also give signed zeros.
+    if kind == "plain_se":
+        ds = ring_dataset(n=129)
+        spec = NetSpec(ds.dim, hidden, "nonneg_scalar")
+    else:
+        ds = blob_dataset(n=129, sep=2.0, noise=1.0, classes=3)
+        spec = NetSpec(ds.dim, hidden, "logits", 3)
+    cfg = TrainConfig(5, 64, 0.05, seed=2, loss=Loss(kind))
+    for seed in range(4):
+        p0 = init_params(spec, seed)
+        got, got_hist = train(p0, ds, cfg)
+        want, want_hist = _reference_train(p0, ds, cfg)
+        assert got_hist == want_hist
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("kind", ["plain_ce", "blkd"])
+def test_train_matches_reference_loop_at_temperature_one(kind):
+    # At T = 1 the loss skips its division by T; the bytes must not move.
+    ds = blob_dataset(n=150, sep=2.0, noise=1.0, classes=3)
+    spec = NetSpec(ds.dim, (16, 8), "logits", 3)
+    teacher = None
+    if kind == "blkd":
+        teacher, _ = train(init_params(NetSpec(ds.dim, (8,), "logits", 3), 4),
+                           ds, TrainConfig(5, 32, 0.05, seed=4))
+    cfg = TrainConfig(4, 32, 0.05, seed=2, loss=Loss(kind, lam=0.3))
+    p0 = init_params(spec, 3)
+    got, got_hist = train(p0, ds, cfg, teacher=teacher)
+    want, want_hist = _reference_train(p0, ds, cfg, teacher=teacher)
+    assert got_hist == want_hist
+    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["plain_ce", "blkd"])
+@pytest.mark.parametrize("temperature", [1.0, 4.0])
+def test_ce_loss_matches_reference_at_the_floor_and_on_nan(kind, temperature):
+    # Spreads of 100 push probabilities below PROB_FLOOR, so the floor mask
+    # is built; a NaN row must come out NaN in the same places.
+    g = np.random.default_rng(0)
+    spec = NetSpec(2, (4,), "logits", 4)
+    params = init_params(spec, 0)
+    out = g.normal(size=(9, 4)) * np.array([[1.0], [100.0], [1.0], [300.0],
+                                            [1.0], [100.0], [1.0], [1.0],
+                                            [1.0]])
+    out[7, 2] = np.nan
+    targets = one_hot(g.integers(0, 4, size=9), 4)
+    tp = nncore.softmax(g.normal(size=(9, 4)), temperature)
+    loss = Loss(kind, lam=0.3, temperature=temperature)
+    with np.errstate(invalid="ignore"):
+        for rows in (slice(0, 7), slice(0, 9)):
+            value, d_out = nncore._batch_loss_and_dout(
+                params, out[rows], targets[rows], loss, tp[rows])
+            want_value, want_d_out = _reference_loss_and_dout(
+                out[rows], targets[rows], loss, tp[rows])
+            assert np.array_equal(value, want_value, equal_nan=True)
+            assert np.array_equal(d_out, want_d_out, equal_nan=True)
+    assert math.isnan(value)
+
+
+@pytest.mark.parametrize("rows", [37, 1])
+@pytest.mark.parametrize("hidden", [(16, 8), (1,)])
+@pytest.mark.parametrize("head", [("logits", 3), ("nonneg_scalar", 1),
+                                  ("linear", 2), ("linear", 1)])
+def test_backprop_matches_reference_backward(head, hidden, rows):
+    # With one hidden unit the last product is a k = 1 outer product, and
+    # rows where the unit is off feed it the -0.0 of a masked negative delta.
+    spec = NetSpec(5, hidden, *head)
+    params = init_params(spec, 1)
+    g = np.random.default_rng(1)
+    X = g.normal(size=(rows, 5))
+    d_out = g.normal(size=(rows, spec.n_outputs))
+    d_out[1::3] = -0.0  # signed zeros must come out as the reference's
+    _, ws = nncore._forward_cache(params, X)
+    got = nncore.input_gradient(params, ws, d_out).copy()
+    got_grads = nncore._layer_views(spec, np.empty(spec.n_params))
+    nncore.backward(params, ws, d_out, got_grads)
+    grads = nncore._layer_views(spec, np.empty(spec.n_params))
+    gw, gb, want = reference_backward(params, ws, d_out, grads)
+    for a, b in zip([got] + got_grads[0] + got_grads[1], [want] + gw + gb):
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+    assert not np.array_equal(got, np.zeros_like(got))

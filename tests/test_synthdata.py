@@ -151,3 +151,33 @@ def test_concat_requires_matching_task():
     b = make_regression(RingConfig(n=10, seed=0))
     with pytest.raises(ValueError):
         concat(a, b)
+
+
+def _reference_write_dataset(dataset, path):
+    """The per-element writer that `write_dataset` replaced."""
+    with open(path, "w") as f:
+        f.write(synthdata.FORMAT_HEADER + "\n")
+        f.write(synthdata.task_line(dataset.task) + "\n")
+        f.write(f"dim={dataset.dim}\n")
+        for i in range(dataset.n):
+            if dataset.task.kind == "classification":
+                lab = str(int(dataset.labels[i]))
+            else:
+                lab = repr(float(dataset.labels[i]))
+            row = [lab, str(dataset.provenance[i])]
+            row += [repr(float(v)) for v in dataset.features[i]]
+            f.write(",".join(row) + "\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, synthdata._WRITE_BLOCK,
+                               2 * synthdata._WRITE_BLOCK + 5])
+def test_write_dataset_bytes_match_per_element_writer(tmp_path, n):
+    tags = np.array(synthdata.PROVENANCE_TAGS)
+    for full in (make_classification(BlobsConfig(3, 2.0, 0.8, n=3000, seed=1)),
+                 make_regression(RingConfig(n=3000, seed=2))):
+        ds = full.subset(np.arange(n))
+        ds.provenance = tags[np.arange(n) % len(tags)]
+        write_dataset(ds, tmp_path / "got.txt")
+        _reference_write_dataset(ds, tmp_path / "want.txt")
+        assert (tmp_path / "got.txt").read_bytes() == \
+            (tmp_path / "want.txt").read_bytes()
