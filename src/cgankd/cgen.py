@@ -11,7 +11,9 @@ Two kinds of handle:
   against ground-truth defect rates.
 
 Sampling is pure in (handle, labels, seed, index): requesting a prefix of a
-stream yields a prefix of the longer stream.
+stream yields a prefix of the longer stream.  `save_generator` writes a
+handle for inspection; `cgankd run <manifest>` rebuilds it bit for bit, so
+nothing reads the file back.
 """
 
 import math
@@ -24,8 +26,7 @@ from . import modelio, rng, synthdata
 from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
     forward_batch, _forward_cache, _layer_views, init_params, \
     input_gradient, one_hot
-from .synthdata import (BlobsConfig, Dataset, RingConfig, SynthConfig,
-                        kv_lines, parse_kv)
+from .synthdata import BlobsConfig, Dataset, SynthConfig, kv_lines
 
 GENERATOR_HEADER = "cgankd-generator v1"
 
@@ -45,9 +46,10 @@ class GanTrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "hidden_g", tuple(self.hidden_g))
         object.__setattr__(self, "hidden_d", tuple(self.hidden_d))
-        if min(self.iterations, self.batch_size, self.noise_dim) < 0 or \
-                self.noise_dim < 1 or self.batch_size < 1:
+        if self.iterations < 0 or self.noise_dim < 1 or self.batch_size < 1:
             raise ValueError("GAN config values must be positive")
+        if self.noise_dim > rng.ROW_LANES:
+            raise ValueError(f"noise_dim must be at most {rng.ROW_LANES}")
         if self.lr_g <= 0 or self.lr_d <= 0:
             raise ValueError("GAN learning rates must be positive")
 
@@ -85,12 +87,6 @@ class CorruptedOracle:
 GeneratorHandle = Union[TrainedCgan, CorruptedOracle]
 
 
-def make_oracle(base: SynthConfig, flip_prob=0.0, label_gauss_std=0.0,
-                junk_prob=0.0, junk_spread=0.0) -> CorruptedOracle:
-    return CorruptedOracle(base, flip_prob, label_gauss_std, junk_prob,
-                           junk_spread)
-
-
 def label_encoding(task, labels: np.ndarray) -> np.ndarray:
     """(n, enc_dim) conditioning block: one-hot classes or raw scalar."""
     if task.kind == "classification":
@@ -102,23 +98,27 @@ def encoding_dim(task) -> int:
     return task.n_classes if task.kind == "classification" else 1
 
 
+def empirical_draw(pool: np.ndarray, key: int, counters) -> np.ndarray:
+    """One entry of the sorted label `pool` per counter, each equally
+    likely; pure in (key, counter)."""
+    u = rng.uniforms(key, np.asarray(counters, dtype=np.uint64))
+    return pool[np.minimum((u * len(pool)).astype(np.int64), len(pool) - 1)]
+
+
 def sample_labels(train_set: Dataset, n: int, seed: int) -> np.ndarray:
     """Draw n labels from the empirical label distribution (with replacement)."""
     if train_set.n == 0:
         raise ValueError("empty training set")
     if n <= 0:
         raise ValueError("n must be positive")
-    key = rng.derive_key("labels", seed)
-    u = rng.uniforms(key, np.arange(n, dtype=np.uint64))
-    pool = np.sort(train_set.labels)
-    return pool[np.minimum((u * len(pool)).astype(np.int64), len(pool) - 1)]
+    return empirical_draw(np.sort(train_set.labels),
+                          rng.derive_key("labels", seed), np.arange(n))
 
 
 def _oracle_features(handle: CorruptedOracle, labels: np.ndarray, seed: int,
                      indices: np.ndarray) -> np.ndarray:
     base = handle.base
     idx = np.asarray(indices, dtype=np.uint64)
-    d = handle.dim
     if base.task.kind == "classification":
         C = base.n_classes
         u_flip = rng.uniforms(rng.derive_key("oracle-flip", seed), idx)
@@ -135,19 +135,16 @@ def _oracle_features(handle: CorruptedOracle, labels: np.ndarray, seed: int,
                                         rng.derive_key("oracle-x", seed), idx)
     if handle.junk_prob > 0.0:
         u_junk = rng.uniforms(rng.derive_key("oracle-junk", seed), idx)
-        lanes = idx[:, None] * np.uint64(64) + np.arange(d, dtype=np.uint64)
-        junk = handle.junk_spread * rng.normals(
-            rng.derive_key("oracle-junk-x", seed), lanes)
+        junk = handle.junk_spread * rng.row_normals(
+            rng.derive_key("oracle-junk-x", seed), idx, handle.dim)
         feats = np.where((u_junk < handle.junk_prob)[:, None], junk, feats)
     return feats
 
 
 def _cgan_features(handle: TrainedCgan, labels: np.ndarray, seed: int,
                    indices: np.ndarray) -> np.ndarray:
-    idx = np.asarray(indices, dtype=np.uint64)
-    lanes = idx[:, None] * np.uint64(64) + np.arange(handle.noise_dim,
-                                                     dtype=np.uint64)
-    z = rng.normals(rng.derive_key("cgan-noise", seed), lanes)
+    z = rng.row_normals(rng.derive_key("cgan-noise", seed), indices,
+                        handle.noise_dim)
     enc = label_encoding(handle.task, labels)
     return forward_batch(handle.generator, np.hstack([z, enc]))
 
@@ -257,23 +254,18 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
     return TrainedCgan(opt_g.params, config.noise_dim, task, d)
 
 
-_FAMILIES = {"blobs": BlobsConfig, "ring": RingConfig}
 # Fields an oracle file leaves out: the dataset size and seed of the base
 # family are not part of the generator, and `base` is written field by field.
 _UNSAVED = ("n", "seed", "base")
 
 
-def _saved_fields(config):
-    return [f for f in fields(config) if f.name not in _UNSAVED]
-
-
 def save_generator(handle: GeneratorHandle, path) -> None:
     if isinstance(handle, CorruptedOracle):
-        family = next(name for name, cls in _FAMILIES.items()
-                      if isinstance(handle.base, cls))
+        family = "blobs" if isinstance(handle.base, BlobsConfig) else "ring"
         lines = kv_lines([("kind", "oracle"), ("family", family)] + [
             (f.name, getattr(config, f.name))
-            for config in (handle.base, handle) for f in _saved_fields(config)])
+            for config in (handle.base, handle) for f in fields(config)
+            if f.name not in _UNSAVED])
     else:
         lines = kv_lines([("kind", "cgan"), ("noise_dim", handle.noise_dim),
                           ("dim", handle.dim)])
@@ -282,27 +274,3 @@ def save_generator(handle: GeneratorHandle, path) -> None:
     with open(path, "w") as f:
         f.write("\n".join([GENERATOR_HEADER] + lines) + "\n")
 
-
-def _from_kv(cls, kv: dict, **given):
-    return cls(**given,
-               **{f.name: f.type(kv[f.name]) for f in _saved_fields(cls)})
-
-
-def load_generator(path) -> GeneratorHandle:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    if not lines or lines[0] != GENERATOR_HEADER:
-        raise ValueError("malformed generator header")
-    model_start = (lines.index(modelio.MODEL_HEADER)
-                   if modelio.MODEL_HEADER in lines else len(lines))
-    kv = parse_kv(lines[1:model_start])
-    if kv.get("kind") == "oracle":
-        if kv["family"] not in _FAMILIES:
-            raise ValueError(f"unknown oracle family {kv['family']!r}")
-        base = _from_kv(_FAMILIES[kv["family"]], kv)
-        return _from_kv(CorruptedOracle, kv, base=base)
-    if kv.get("kind") == "cgan":
-        task = synthdata.parse_task_line("task=" + kv["task"])
-        gen = modelio.netparams_from_lines(lines[model_start:])
-        return TrainedCgan(gen, int(kv["noise_dim"]), task, int(kv["dim"]))
-    raise ValueError("unknown generator kind")

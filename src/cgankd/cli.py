@@ -118,37 +118,37 @@ def _train_config(r: _Reader, prefix: str, defaults) -> TrainConfig:
 def build_pipeline_config(kv: dict, seed_override=None) -> PipelineConfig:
     r = _Reader(kv)
     task = r.get("task", str, required=True)
-    if task == "classification":
-        data = BlobsConfig(
-            n_classes=r.get("data.classes", int, required=True),
-            separation=r.get("data.separation", float, required=True),
-            noise_std=r.get("data.noise_std", float, required=True),
-            n=r.get("data.n", int, required=True))
-        default_rho = 0.9
-    elif task == "regression":
-        data = RingConfig(
-            radius_base=r.get("data.radius_base", float, 2.0),
-            radius_slope=r.get("data.radius_slope", float, 1.5),
-            noise_std=r.get("data.noise_std", float, required=True),
-            n=r.get("data.n", int, required=True))
-        default_rho = 0.7
-    else:
-        raise ConfigError(f"unknown task {task!r}")
-
-    generator = r.get("generator", str, "oracle")
-    gan = None
-    if generator == "cgan":
-        gan = GanTrainConfig(
-            iterations=r.get("gan.iterations", int, required=True),
-            batch_size=r.get("gan.batch_size", int, 64),
-            lr_g=r.get("gan.lr_g", float, 0.02),
-            lr_d=r.get("gan.lr_d", float, 0.05),
-            noise_dim=r.get("gan.noise_dim", int, 4))
-
-    seed = r.get("seed", int, 0)
-    if seed_override is not None:
-        seed = seed_override
     try:
+        if task == "classification":
+            data = BlobsConfig(
+                n_classes=r.get("data.classes", int, required=True),
+                separation=r.get("data.separation", float, required=True),
+                noise_std=r.get("data.noise_std", float, required=True),
+                n=r.get("data.n", int, required=True))
+            default_rho = 0.9
+        elif task == "regression":
+            data = RingConfig(
+                radius_base=r.get("data.radius_base", float, 2.0),
+                radius_slope=r.get("data.radius_slope", float, 1.5),
+                noise_std=r.get("data.noise_std", float, required=True),
+                n=r.get("data.n", int, required=True))
+            default_rho = 0.7
+        else:
+            raise ConfigError(f"unknown task {task!r}")
+
+        generator = r.get("generator", str, "oracle")
+        gan = None
+        if generator == "cgan":
+            gan = GanTrainConfig(
+                iterations=r.get("gan.iterations", int, required=True),
+                batch_size=r.get("gan.batch_size", int, 64),
+                lr_g=r.get("gan.lr_g", float, 0.02),
+                lr_d=r.get("gan.lr_d", float, 0.05),
+                noise_dim=r.get("gan.noise_dim", int, 4))
+
+        seed = r.get("seed", int, 0)
+        if seed_override is not None:
+            seed = seed_override
         config = PipelineConfig(
             data=data,
             train_fraction=r.get("train_fraction", float, 0.5),

@@ -7,8 +7,8 @@ accepts a candidate with probability min(ratio / M_max, 1), where the ceiling
 M_max is calibrated as gamma * max ratio over a batch of fresh fakes.
 """
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,15 +24,12 @@ _COLLAPSE_WINDOW = 200_000
 @dataclass(frozen=True)
 class SubsampleConfig:
     dr_train: TrainConfig
-    n_target: int
     dr_hidden: tuple = (32,)
     gamma: float = 1.2
     seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "dr_hidden", tuple(self.dr_hidden))
-        if self.n_target <= 0:
-            raise ValueError("n_target must be positive")
         if self.gamma < 1.0:
             raise ValueError("gamma must be >= 1")
 
@@ -90,10 +87,6 @@ def ratio_batch(model: DensityRatioModel, features: np.ndarray,
     return np.exp(odds_log) * model.prior_correction
 
 
-def model_ratio_fn(model: DensityRatioModel):
-    return lambda features, labels: ratio_batch(model, features, labels)
-
-
 def constant_labels(label):
     def source(indices):
         return np.full(len(indices), label)
@@ -101,13 +94,8 @@ def constant_labels(label):
 
 
 def empirical_labels(train_set: Dataset, seed: int):
-    pool = np.sort(train_set.labels)
-    key = rng.derive_key("reject-labels", seed)
-
-    def source(indices):
-        u = rng.uniforms(key, np.asarray(indices, dtype=np.uint64))
-        return pool[np.minimum((u * len(pool)).astype(np.int64), len(pool) - 1)]
-    return source
+    return partial(cgen.empirical_draw, np.sort(train_set.labels),
+                   rng.derive_key("reject-labels", seed))
 
 
 def rejection_sample(generator, ratio_fn, m_max: float, label_source,

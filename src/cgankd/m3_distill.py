@@ -12,17 +12,17 @@ surviving fakes the two students coincide exactly.
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from . import cgen, m1_subsample, m2_labeladjust, modelio, nncore, rng
-from .cgen import GanTrainConfig
+from .cgen import CorruptedOracle, GanTrainConfig
 from .m1_subsample import SubsampleConfig
 from .m2_labeladjust import FilterReport
 from .nncore import Loss, Metrics, NetParams, NetSpec, TrainConfig
-from .synthdata import (Dataset, SynthConfig, concat, make_dataset, split,
-                        write_dataset)
+from .synthdata import (Dataset, SynthConfig, class_budgets, concat,
+                        make_dataset, split, write_dataset)
 
 STUDENT_LOSS_MODES = ("plain", "blkd")
 GENERATOR_KINDS = ("oracle", "cgan")
@@ -54,21 +54,34 @@ class PipelineConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        """Rejects, before any stage runs, the values a stage would reject,
+        calling the constructor that owns a rule rather than restating it.
+        Only a data size too small to split is left to the data stage."""
         object.__setattr__(self, "teacher_hidden", tuple(self.teacher_hidden))
         object.__setattr__(self, "student_hidden", tuple(self.student_hidden))
         object.__setattr__(self, "dr_hidden", tuple(self.dr_hidden))
+        task = self.data.task
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError("train_fraction must be in (0, 1)")
         if self.n_fake <= 0:
             raise ValueError("n_fake must be positive")
+        if task.kind == "classification" and self.n_fake < task.n_classes:
+            raise ValueError("n_fake must cover every class at least once")
         if self.generator_kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.generator_kind!r}")
-        if self.student_loss not in STUDENT_LOSS_MODES:
-            raise ValueError(f"unknown student loss {self.student_loss!r}")
+        if self.generator_kind == "oracle":
+            _oracle(self)
         if self.generator_kind == "cgan" and self.gan is None:
             raise ValueError("cgan generator requires a GanTrainConfig")
         if self.fake_cap < 0:
             raise ValueError("fake_cap must be nonnegative")
+        _student_loss(task, self.student_loss, self.lam_kd, self.temperature)
+        for hidden in (self.teacher_hidden, self.student_hidden,
+                       self.dr_hidden):
+            NetSpec(self.data.dim, hidden, "linear")
+        SubsampleConfig(self.dr_train, self.dr_hidden, self.dr_gamma)
 
 
 @dataclass
@@ -132,30 +145,38 @@ def augment(real: Dataset, fakes: Dataset) -> Dataset:
     return concat(real, fakes)
 
 
+def _student_loss(task, mode: str, lam_kd: float, temperature: float) -> Loss:
+    if mode not in STUDENT_LOSS_MODES:
+        raise ValueError(f"unknown student loss {mode!r}")
+    if mode == "plain":
+        return _plain_loss(task)
+    if task.kind != "classification":
+        raise ValueError("distillation loss applies to classification only")
+    return Loss("blkd", lam=lam_kd, temperature=temperature)
+
+
 def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, mode: str,
                   seed: int, teacher: NetParams = None,
                   lam_kd: float = 0.5, temperature: float = 5.0) -> NetParams:
     """Train the student on the (augmented) set, plain loss or distillation."""
-    if mode not in STUDENT_LOSS_MODES:
-        raise ValueError(f"unknown student loss {mode!r}")
-    if mode == "blkd":
-        if teacher is None:
-            raise ValueError("distillation mode requires a teacher")
-        if d_aug.task.kind != "classification":
-            raise ValueError("distillation loss applies to classification only")
-        loss = Loss("blkd", lam=lam_kd, temperature=temperature)
-    else:
-        loss, teacher = _plain_loss(d_aug.task), None
+    loss = _student_loss(d_aug.task, mode, lam_kd, temperature)
+    if mode == "plain":
+        teacher = None
+    elif teacher is None:
+        raise ValueError("distillation mode requires a teacher")
     return _train_net(hidden, train_cfg, d_aug, seed, loss, teacher)
+
+
+def _oracle(config: PipelineConfig) -> CorruptedOracle:
+    return CorruptedOracle(config.data, flip_prob=config.oracle_flip,
+                           label_gauss_std=config.oracle_label_std,
+                           junk_prob=config.oracle_junk,
+                           junk_spread=config.oracle_junk_spread)
 
 
 def _prepare_generator(config: PipelineConfig, real_train: Dataset, seed: int):
     if config.generator_kind == "oracle":
-        return cgen.make_oracle(
-            config.data, flip_prob=config.oracle_flip,
-            label_gauss_std=config.oracle_label_std,
-            junk_prob=config.oracle_junk,
-            junk_spread=config.oracle_junk_spread)
+        return _oracle(config)
     return cgen.train_cgan(real_train, replace(config.gan, seed=seed))
 
 
@@ -167,24 +188,17 @@ def _subsample_fakes(config: PipelineConfig, generator, real_train: Dataset,
     fake_train = cgen.sample(generator, fake_labels, seed=seed_of("m1-fakes"))
     scfg = SubsampleConfig(
         dr_train=replace(config.dr_train, seed=seed_of("m1-dr")),
-        n_target=config.n_fake, dr_hidden=config.dr_hidden,
-        gamma=config.dr_gamma, seed=seed_of("m1"))
+        dr_hidden=config.dr_hidden, gamma=config.dr_gamma, seed=seed_of("m1"))
     model = m1_subsample.train_dr(real_train, fake_train, scfg)
-    ratio_fn = m1_subsample.model_ratio_fn(model)
+    ratio_fn = partial(m1_subsample.ratio_batch, model)
     task = real_train.task
     if task.kind == "classification":
-        if config.n_fake < task.n_classes:
-            raise ValueError("n_fake must cover every class at least once")
-        budgets = np.full(task.n_classes, config.n_fake // task.n_classes)
-        budgets[: config.n_fake % task.n_classes] += 1
+        budgets = class_budgets(config.n_fake, task.n_classes)
         parts = [m1_subsample.rejection_sample(
             generator, ratio_fn, model.m_max,
             m1_subsample.constant_labels(c), int(budgets[c]),
             seed=seed_of("m1-reject", c)) for c in range(task.n_classes)]
-        out = parts[0]
-        for part in parts[1:]:
-            out = concat(out, part)
-        return out
+        return reduce(concat, parts)
     labels = m1_subsample.empirical_labels(real_train,
                                            seed=seed_of("m1-labels"))
     return m1_subsample.rejection_sample(generator, ratio_fn, model.m_max,

@@ -8,7 +8,8 @@ Two layers are provided:
 * counter-based draws: ``uniforms``/``normals`` apply the SplitMix64
   finalizer (constants below) to (key, counter) pairs.  Each draw is a pure
   function of its arguments, which gives vectorized, order-independent,
-  prefix-stable streams.
+  prefix-stable streams.  ``row_normals`` gives each row of a batch its own
+  block of ``ROW_LANES`` counters.
 
 For sequential loops (shuffles, GAN training) ``generator`` returns a numpy
 Philox generator keyed the same way; Philox is itself counter-based and
@@ -25,6 +26,8 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 # xor-ed into the key to get a second independent lane for Box-Muller.
 _LANE2 = 0xD1B54A32D192ED03
+# Counters reserved per row by `row_normals`; wider rows would overlap.
+ROW_LANES = 64
 
 
 def derive_key(*parts) -> int:
@@ -73,3 +76,14 @@ def normals(key: int, counters) -> np.ndarray:
     u1 = _uniforms_open(key, c)
     u2 = uniforms(key ^ _LANE2, c)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def row_normals(key: int, counters, width: int) -> np.ndarray:
+    """(len(counters), width) standard normals; row i draws counters
+    counters[i] * ROW_LANES + (0, ..., width - 1)."""
+    if width > ROW_LANES:
+        raise ValueError(f"row width {width} exceeds {ROW_LANES} lanes")
+    c = np.asarray(counters, dtype=np.uint64)
+    lanes = c[:, None] * np.uint64(ROW_LANES) + np.arange(width,
+                                                          dtype=np.uint64)
+    return normals(key, lanes)

@@ -1,13 +1,16 @@
-"""Synthetic conditional dataset families, a bit-exact dataset file format
-and the key=value line codec that every cgankd text file shares.
+"""Synthetic conditional dataset families, the dataset file writer and the
+key=value line codec that every cgankd text file shares.
 
 Two families stand in for real data: Gaussian blobs on a circle (classification)
 and a spiral "ring" curve with uniform scalar labels (regression).  Regression
 labels live in [0, 1] internally; the task carries (lo, hi) metadata used only
 when reporting MAE in original label units.
+
+Dataset files are written for inspection; `cgankd run <manifest>` rewrites
+them bit for bit, so nothing reads them back.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -173,18 +176,22 @@ def blob_centers(cfg: BlobsConfig) -> np.ndarray:
 def blob_features(cfg: BlobsConfig, classes: np.ndarray, key: int,
                   counters: np.ndarray) -> np.ndarray:
     """Class-conditional blob draws, pure in (key, counter)."""
-    n = len(classes)
-    lanes = counters[:, None] * np.uint64(64) + np.arange(cfg.dim, dtype=np.uint64)
-    noise = rng.normals(key, lanes)
+    noise = rng.row_normals(key, counters, cfg.dim)
     return blob_centers(cfg)[classes] + cfg.noise_std * noise
+
+
+def class_budgets(n: int, n_classes: int) -> np.ndarray:
+    """n split over the classes: n // C each, one more for the first n % C."""
+    counts = np.full(n_classes, n // n_classes)
+    counts[: n % n_classes] += 1
+    return counts
 
 
 def make_classification(cfg: BlobsConfig) -> Dataset:
     if cfg.n <= 0:
         raise ValueError("n must be positive")
-    counts = np.full(cfg.n_classes, cfg.n // cfg.n_classes)
-    counts[: cfg.n % cfg.n_classes] += 1
-    labels = np.repeat(np.arange(cfg.n_classes), counts)
+    labels = np.repeat(np.arange(cfg.n_classes),
+                       class_budgets(cfg.n, cfg.n_classes))
     key = rng.derive_key("blobs", cfg.seed)
     feats = blob_features(cfg, labels, key, np.arange(cfg.n, dtype=np.uint64))
     prov = np.full(cfg.n, "real", dtype="U8")
@@ -199,15 +206,8 @@ def ring_point(cfg: RingConfig, y: np.ndarray) -> np.ndarray:
 
 def ring_features(cfg: RingConfig, y: np.ndarray, key: int,
                   counters: np.ndarray) -> np.ndarray:
-    lanes = counters[:, None] * np.uint64(64) + np.arange(2, dtype=np.uint64)
-    noise = rng.normals(key, lanes)
+    noise = rng.row_normals(key, counters, 2)
     return ring_point(cfg, y) + cfg.noise_std * noise
-
-
-def ring_true_label(features: np.ndarray) -> np.ndarray:
-    """Invert the noiseless ring map: label from the point's angle."""
-    angle = np.arctan2(features[..., 1], features[..., 0])
-    return np.mod(angle / (2.0 * np.pi), 1.0)
 
 
 def make_regression(cfg: RingConfig) -> Dataset:
@@ -271,18 +271,10 @@ def kv_lines(pairs) -> list:
     return [f"{key}={_kv_value(value)}" for key, value in pairs]
 
 
-class _KeyValues(dict):
-    """A parsed block; reading a key it lacks raises ValueError naming it."""
-
-    def __missing__(self, key):
-        raise ValueError(f"missing key {key!r}")
-
-
 def parse_kv(lines) -> dict:
     """Strict inverse of `kv_lines`: skips blank and '#' lines, rejects a
-    line without '=' or a repeated key with ValueError naming the line.
-    Reading a key the block lacks raises ValueError naming the key."""
-    out = _KeyValues()
+    line without '=' or a repeated key with ValueError naming the line."""
+    out = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -320,43 +312,3 @@ def write_dataset(dataset: Dataset, path) -> None:
             f.write("".join(",".join([lab, prov, *map(repr, feats)]) + "\n"
                             for lab, prov, feats in rows))
 
-
-def read_dataset(path) -> Dataset:
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    if len(lines) < 3 or lines[0] != FORMAT_HEADER:
-        raise ValueError("malformed dataset header")
-    task = parse_task_line(lines[1])
-    if not lines[2].startswith("dim="):
-        raise ValueError("malformed dim line")
-    dim = int(lines[2][4:])
-    feats, labels, prov = [], [], []
-    for ln in lines[3:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != 2 + dim:
-            raise ValueError(f"row arity mismatch: expected {2 + dim} fields")
-        if task.kind == "classification":
-            lab = int(parts[0])
-            if not 0 <= lab < task.n_classes:
-                raise ValueError(f"class label {lab} out of range")
-        else:
-            lab = float(parts[0])
-            if not 0.0 <= lab <= 1.0:
-                raise ValueError(f"regression label {lab} outside [0, 1]")
-        labels.append(lab)
-        prov.append(parts[1])
-        feats.append([float(v) for v in parts[2:]])
-    feats = np.asarray(feats, dtype=np.float64).reshape(len(labels), dim)
-    return Dataset(task, feats, np.asarray(labels), np.asarray(prov, dtype="U8"))
-
-
-def parse_task_line(line: str) -> Task:
-    parts = line.split()
-    kv = dict(p.split("=", 1) for p in parts if "=" in p)
-    if kv.get("task") == "classification" and "C" in kv:
-        return ClassificationTask(int(kv["C"]))
-    if kv.get("task") == "regression" and "lo" in kv and "hi" in kv:
-        return RegressionTask(float(kv["lo"]), float(kv["hi"]))
-    raise ValueError("malformed task line")

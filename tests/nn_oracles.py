@@ -6,7 +6,9 @@ batch at a time, so tests can hold `nncore.train` and its batch arithmetic
 against them.  `reference_backward` and `reference_train_cgan` keep the
 backprop with an optional input gradient and the cGAN training loop that
 `nncore.input_gradient` and the buffer-reusing `cgen.train_cgan` replaced,
-so the new code must match them bit for bit.
+so the new code must match them bit for bit.  `ring_true_label` inverts
+the noiseless ring map, the ground truth that regression samples are held
+against.
 """
 
 from dataclasses import dataclass
@@ -21,6 +23,12 @@ from cgankd.nncore import (PROB_FLOOR, Loss, NetParams, NetSpec, SgdState,
                            _forward_cache, _layer_views, _teacher_probs,
                            backward, forward_batch, init_params, softmax)
 from cgankd.synthdata import Dataset
+
+
+def ring_true_label(features: np.ndarray) -> np.ndarray:
+    """Invert the noiseless ring map: label from the point's angle."""
+    angle = np.arctan2(features[..., 1], features[..., 0])
+    return np.mod(angle / (2.0 * np.pi), 1.0)
 
 
 @dataclass(frozen=True)

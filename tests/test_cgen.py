@@ -1,20 +1,22 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from cgankd import cgen, rng
-from cgankd.cgen import (CorruptedOracle, GanTrainConfig, make_oracle, sample,
+from cgankd import cgen, modelio, rng
+from cgankd.cgen import (CorruptedOracle, GanTrainConfig, sample,
                          sample_features, sample_labels, train_cgan)
 from cgankd.synthdata import (BlobsConfig, RingConfig, blob_centers,
-                              make_classification, make_regression)
+                              make_classification, make_regression, parse_kv)
 from nn_oracles import (reference_bce_logit_loss_and_grad,
-                        reference_train_cgan)
+                        reference_train_cgan, ring_true_label)
 
 
 BASE = BlobsConfig(3, 4.0, 0.5)
 
 
 def test_oracle_clean_matches_base_family_moments():
-    handle = make_oracle(BASE)
+    handle = CorruptedOracle(BASE)
     labels = np.repeat(np.arange(3), 2000)
     ds = sample(handle, labels, seed=0)
     mu = blob_centers(BASE)
@@ -27,7 +29,8 @@ def test_oracle_clean_matches_base_family_moments():
 
 
 def test_oracle_assigned_label_fidelity():
-    handle = make_oracle(BASE, flip_prob=0.5, junk_prob=0.5, junk_spread=50.0)
+    handle = CorruptedOracle(BASE, flip_prob=0.5, junk_prob=0.5,
+                             junk_spread=50.0)
     labels = np.array([0, 2, 1, 1])
     ds = sample(handle, labels, seed=1)
     assert np.array_equal(ds.labels, labels)
@@ -37,7 +40,7 @@ def test_oracle_assigned_label_fidelity():
 def test_oracle_flip_rate_recoverable():
     # measured flip rate within a 99% binomial interval over 10,000 draws
     flip = 0.2
-    handle = make_oracle(BASE, flip_prob=flip)
+    handle = CorruptedOracle(BASE, flip_prob=flip)
     n = 10_000
     labels = np.repeat(np.arange(3), n // 3 + 1)[:n]
     ds = sample(handle, labels, seed=2)
@@ -52,7 +55,8 @@ def test_oracle_flip_rate_recoverable():
 def test_oracle_junk_everything_off_manifold():
     # Gaussian tail: with spread 25*separation, P(radius > 5*separation)
     # = exp(-(5*sep)^2 / (2*spread^2)) = exp(-0.02) = 0.98
-    handle = make_oracle(BASE, junk_prob=1.0, junk_spread=25 * BASE.separation)
+    handle = CorruptedOracle(BASE, junk_prob=1.0,
+                             junk_spread=25 * BASE.separation)
     labels = np.zeros(500, dtype=np.int64)
     ds = sample(handle, labels, seed=3)
     mu = blob_centers(BASE)
@@ -62,10 +66,9 @@ def test_oracle_junk_everything_off_manifold():
 
 def test_oracle_regression_label_noise():
     base = RingConfig(noise_std=0.0)
-    handle = make_oracle(base, label_gauss_std=0.1)
+    handle = CorruptedOracle(base, label_gauss_std=0.1)
     labels = np.full(5000, 0.5)
     ds = sample(handle, labels, seed=4)
-    from cgankd.synthdata import ring_true_label
     y_true = ring_true_label(ds.features)
     err = y_true - 0.5
     assert abs(err.std() - 0.1) < 0.01
@@ -73,7 +76,8 @@ def test_oracle_regression_label_noise():
 
 
 def test_sample_prefix_property():
-    handle = make_oracle(BASE, flip_prob=0.3, junk_prob=0.2, junk_spread=30.0)
+    handle = CorruptedOracle(BASE, flip_prob=0.3, junk_prob=0.2,
+                             junk_spread=30.0)
     labels = np.arange(100) % 3
     full = sample(handle, labels, seed=5)
     short = sample(handle, labels[:10], seed=5)
@@ -81,7 +85,7 @@ def test_sample_prefix_property():
 
 
 def test_sample_deterministic():
-    handle = make_oracle(BASE, flip_prob=0.3)
+    handle = CorruptedOracle(BASE, flip_prob=0.3)
     labels = np.arange(50) % 3
     a = sample(handle, labels, seed=6)
     b = sample(handle, labels, seed=6)
@@ -138,6 +142,12 @@ def test_cgan_output_dim_matches_data():
     assert out.features.shape == (7, 2)
 
 
+def test_gan_noise_fits_in_one_rng_row():
+    GanTrainConfig(iterations=1, noise_dim=rng.ROW_LANES)
+    with pytest.raises(ValueError, match="noise_dim must be at most 64"):
+        GanTrainConfig(iterations=1, noise_dim=rng.ROW_LANES + 1)
+
+
 def test_cgan_learns_blob_means():
     # moment-matching oracle: per-class generated mean close to the true one
     base = BlobsConfig(2, 4.0, 0.25, n=400, seed=3)
@@ -151,33 +161,30 @@ def test_cgan_learns_blob_means():
         assert np.linalg.norm(got - mu[c]) < 3 * base.noise_std
 
 
-def _assert_rejects_malformed_lines(path, keys):
-    """Each repeated `key=` line, and a line without '=', fails to load."""
-    lines = path.read_text().splitlines()
-    for key in keys:
-        i = next(i for i, ln in enumerate(lines) if ln.startswith(f"{key}="))
-        path.write_text("\n".join(lines[:i + 1] + lines[i:]) + "\n")
-        with pytest.raises(ValueError, match=f"duplicate key '{key}'"):
-            cgen.load_generator(path)
-    path.write_text("\n".join(lines + ["nonsense"]) + "\n")
-    with pytest.raises(ValueError, match="expected key=value"):
-        cgen.load_generator(path)
-
-
 def test_generator_roundtrip_oracle(tmp_path):
     ring = RingConfig(radius_base=1.5, radius_slope=2.0, noise_std=0.2,
                       label_hi=90.0)
-    for base in (BASE, ring):
-        handle = make_oracle(base, flip_prob=0.1, label_gauss_std=0.05,
-                             junk_prob=0.2, junk_spread=30.0)
+    for base, family in ((BASE, "blobs"), (ring, "ring")):
+        handle = CorruptedOracle(base, flip_prob=0.1, label_gauss_std=0.05,
+                                 junk_prob=0.2, junk_spread=30.0)
         path = tmp_path / "gen.txt"
         cgen.save_generator(handle, path)
-        back = cgen.load_generator(path)
-        assert back == handle
-        labels = np.arange(20) % 3 if base is BASE else np.linspace(0, 1, 20)
-        assert np.array_equal(sample(handle, labels, 0).features,
-                              sample(back, labels, 0).features)
-        _assert_rejects_malformed_lines(path, ("kind", "flip_prob"))
+        lines = path.read_text().splitlines()
+        assert lines[0] == cgen.GENERATOR_HEADER
+        kv = parse_kv(lines[1:])
+        # every field but the base family's dataset size and seed
+        want = {"kind": "oracle", "family": family}
+        for config in (base, handle):
+            want.update((f.name, getattr(config, f.name))
+                        for f in fields(config)
+                        if f.name not in ("n", "seed", "base"))
+        assert list(kv) == list(want)
+        for key, value in want.items():
+            assert type(value)(kv[key]) == value, key
+
+
+def _floats(text):
+    return np.array([float(v) for v in text.split(",")])
 
 
 def test_generator_roundtrip_cgan(tmp_path):
@@ -185,38 +192,24 @@ def test_generator_roundtrip_cgan(tmp_path):
     handle = train_cgan(ds, GanTrainConfig(iterations=10, seed=0))
     path = tmp_path / "gen.txt"
     cgen.save_generator(handle, path)
-    back = cgen.load_generator(path)
-    labels = np.arange(10) % 2
-    assert np.array_equal(sample(handle, labels, 0).features,
-                          sample(back, labels, 0).features)
-    # one key in the generator head, one in the embedded model block
-    _assert_rejects_malformed_lines(path, ("noise_dim", "W0"))
-
-
-def test_load_generator_names_a_missing_key(tmp_path):
-    path = tmp_path / "gen.txt"
-    path.write_text("cgankd-generator v1\nkind=oracle\nfamily=blobs\n")
-    with pytest.raises(ValueError, match="missing key 'n_classes'"):
-        cgen.load_generator(path)
-
-
-def test_load_generator_names_an_unknown_family(tmp_path):
-    path = tmp_path / "gen.txt"
-    cgen.save_generator(make_oracle(BASE), path)
-    path.write_text(path.read_text().replace("family=blobs", "family=moons"))
-    with pytest.raises(ValueError, match="unknown oracle family 'moons'"):
-        cgen.load_generator(path)
-
-
-def test_load_generator_names_a_missing_model_key(tmp_path):
-    ds = make_classification(BlobsConfig(2, 4.0, 0.25, n=100, seed=0))
-    path = tmp_path / "gen.txt"
-    cgen.save_generator(train_cgan(ds, GanTrainConfig(iterations=1)), path)
     lines = path.read_text().splitlines()
-    path.write_text("\n".join(ln for ln in lines
-                              if not ln.startswith("hidden=")) + "\n")
-    with pytest.raises(ValueError, match="missing key 'hidden'"):
-        cgen.load_generator(path)
+    assert lines[0] == cgen.GENERATOR_HEADER
+    start = lines.index(modelio.MODEL_HEADER)
+    assert parse_kv(lines[1:start]) == {
+        "kind": "cgan", "noise_dim": "4", "dim": "2",
+        "task": "classification C=2"}
+    model, net = parse_kv(lines[start + 1:]), handle.generator
+    spec = net.spec
+    assert list(model)[:4] == ["input_dim", "hidden", "output_kind",
+                               "n_outputs"]
+    assert int(model["input_dim"]) == spec.input_dim == 6
+    assert tuple(map(int, model["hidden"].split(","))) == spec.hidden_widths
+    assert model["output_kind"] == spec.output_kind
+    assert int(model["n_outputs"]) == spec.n_outputs
+    assert len(model) == 4 + 2 * len(net.weights)
+    for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+        assert _floats(model[f"W{l}"]).tobytes() == w.tobytes()
+        assert _floats(model[f"b{l}"]).tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("ds", [

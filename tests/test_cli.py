@@ -180,11 +180,15 @@ def test_ablation_csv_shape(tiny_cfg, tmp_path):
     assert len(rows) == 4 * 2 + 4 * 2
 
 
-def _tiny_with(tmp_path, key, value):
+def _tiny_with(tmp_path, edits):
+    """TINY_CFG with each key of `edits` set to its value, or dropped
+    where the value is None."""
     lines = [ln for ln in TINY_CFG.splitlines()
-             if not ln.startswith(f"{key}=")]
+             if ln.partition("=")[0] not in edits]
+    lines += [f"{key}={value}" for key, value in edits.items()
+              if value is not None]
     path = tmp_path / "tiny-edit.cfg"
-    path.write_text("\n".join(lines + [f"{key}={value}"]) + "\n")
+    path.write_text("\n".join(lines) + "\n")
     return str(path)
 
 
@@ -193,15 +197,46 @@ def _tiny_with(tmp_path, key, value):
                                        ("rho", "-inf"),
                                        ("dr.momentum", "NaN")])
 def test_nonfinite_float_exits_2(tmp_path, capsys, key, value):
-    path = _tiny_with(tmp_path, key, value)
+    path = _tiny_with(tmp_path, {key: value})
     with pytest.raises(ConfigError, match="non-finite"):
         build_pipeline_config(load_config(path)[0])
     assert main(["run", path, "--out-dir", str(tmp_path)]) == 2
     assert "non-finite" in capsys.readouterr().err
 
 
+CGAN = {"generator": "cgan", "gan.iterations": "10"}
+BLKD = {"student.loss": "blkd"}
+# Values that a constructor or a stage rejects, with the message naming why.
+BAD_VALUES = [
+    ({**CGAN, "gan.iterations": "-1"}, "GAN config values must be positive"),
+    ({"data.classes": "1"}, "n_classes >= 2"),
+    ({"data.noise_std": "-1"}, "noise_std must be nonnegative"),
+    ({**CGAN, "gan.noise_dim": "65"}, "noise_dim must be at most 64"),
+    ({**BLKD, "task": "regression", "data.classes": None,
+      "data.separation": None}, "classification only"),
+    ({"train_fraction": "1.5"}, "train_fraction must be in (0, 1)"),
+    ({"dr.gamma": "0.5"}, "gamma must be >= 1"),
+    ({**BLKD, "student.lam_kd": "2"}, "lam must lie in [0, 1]"),
+    ({**BLKD, "student.temperature": "0"}, "temperature must be positive"),
+    ({"oracle.flip": "2"}, "probabilities must lie in [0, 1]"),
+    ({"data.classes": "4", "n_fake": "3"}, "cover every class"),
+    ({"teacher.hidden": "0"}, "hidden_widths must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("edits,message", BAD_VALUES, ids=[
+    ",".join(f"{k}={v}" for k, v in edits.items()) for edits, _ in BAD_VALUES])
+def test_bad_config_value_exits_2_before_any_stage(
+        tmp_path, monkeypatch, capsys, edits, message):
+    monkeypatch.setattr(m3_distill, "_stage", _no_training)
+    path = _tiny_with(tmp_path, edits)
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
 def test_diverged_training_exits_3(tmp_path, capsys):
-    path = _tiny_with(tmp_path, "teacher.lr", "1e300")
+    path = _tiny_with(tmp_path, {"teacher.lr": "1e300"})
     with np.errstate(all="ignore"):
         assert main(["run", path, "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err

@@ -4,8 +4,8 @@ import pytest
 from cgankd import cgen, m1_subsample, nncore
 from cgankd.m1_subsample import (CallableGenerator, DensityRatioModel,
                                  SubsampleConfig, constant_labels,
-                                 empirical_labels, model_ratio_fn,
-                                 ratio_batch, rejection_sample, train_dr)
+                                 empirical_labels, ratio_batch,
+                                 rejection_sample, train_dr)
 from cgankd.nncore import NetParams, NetSpec, TrainConfig
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               make_classification)
@@ -45,17 +45,17 @@ def test_ratio_prior_correction():
     assert ratio(model, (np.zeros(3), 0)) == pytest.approx(2.5)
 
 
-def dr_config(n_target=100, seed=0, epochs=60):
+def dr_config(seed=0, epochs=60):
     return SubsampleConfig(
         dr_train=TrainConfig(epochs, 64, 0.05, seed=seed),
-        n_target=n_target, dr_hidden=(16,), seed=seed)
+        dr_hidden=(16,), seed=seed)
 
 
 def make_blob_sets(seed, n=600, flip=0.0, junk=0.0):
     base = BlobsConfig(2, 4.0, 0.6, n=n, seed=seed)
     real = make_classification(base)
-    oracle = cgen.make_oracle(BlobsConfig(2, 4.0, 0.6), flip_prob=flip,
-                              junk_prob=junk, junk_spread=40.0)
+    oracle = cgen.CorruptedOracle(BlobsConfig(2, 4.0, 0.6), flip_prob=flip,
+                                  junk_prob=junk, junk_spread=40.0)
     labels = np.arange(n) % 2
     fake = cgen.sample(oracle, labels, seed=seed + 1000)
     return real, fake, oracle
@@ -113,7 +113,7 @@ def test_trained_ratio_matches_closed_form_on_two_point_space():
     fake = Dataset(task, fake_x, labels, np.full(n, "fake_raw"))
     cfg = SubsampleConfig(
         dr_train=TrainConfig(300, 64, 0.02, lr_decay_epochs=(200,), seed=4),
-        n_target=10, dr_hidden=(16,), seed=4)
+        dr_hidden=(16,), seed=4)
     model = train_dr(real, fake, cfg)
     r0 = ratio(model, (pts[0], 0))
     r1 = ratio(model, (pts[1], 0))

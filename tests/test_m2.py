@@ -225,7 +225,7 @@ def test_consistency_improves_on_flip_corrupted_oracle():
         teacher, _ = train(init_params(spec, seed), train_set,
                            TrainConfig(150, 64, 0.05, seed=seed))
         assert nncore.evaluate(teacher, train_set).top1 > 0.95
-        oracle = cgen.make_oracle(base, flip_prob=0.2)
+        oracle = cgen.CorruptedOracle(base, flip_prob=0.2)
         labels = np.arange(3000) % 3
         fakes = cgen.sample(oracle, labels, seed=seed + 50)
         fakes = Dataset(fakes.task, fakes.features, fakes.labels,

@@ -3,10 +3,10 @@ import pytest
 
 from cgankd import synthdata
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
-                              RegressionTask, RingConfig, blob_centers, concat,
-                              make_classification, make_regression,
-                              read_dataset, ring_point, ring_true_label, split,
-                              write_dataset)
+                              RegressionTask, RingConfig, blob_centers,
+                              class_budgets, concat, make_classification,
+                              make_regression, parse_kv, split, write_dataset)
+from nn_oracles import ring_true_label
 
 
 def test_blobs_zero_noise_hits_centers():
@@ -20,6 +20,11 @@ def test_blobs_uniform_allocation():
     ds = make_classification(BlobsConfig(4, 2.0, 0.5, n=400, seed=0))
     counts = np.bincount(ds.labels, minlength=4)
     assert np.array_equal(counts, [100, 100, 100, 100])
+
+
+def test_class_budgets_give_the_remainder_to_the_first_classes():
+    assert class_budgets(10, 4).tolist() == [3, 3, 2, 2]
+    assert class_budgets(3, 4).tolist() == [1, 1, 1, 0]
 
 
 def test_blobs_separable_by_nearest_centroid():
@@ -92,52 +97,49 @@ def test_split_rejects_tiny_class():
         split(ds, 0.5, seed=0)
 
 
+def _parse_written(path):
+    """(header line, task and dim fields, label texts, provenance tags,
+    features) of a written dataset file."""
+    lines = path.read_text().splitlines()
+    fields = parse_kv(lines[1].split() + [lines[2]])
+    rows = [line.split(",") for line in lines[3:]]
+    features = np.array([[float(v) for v in row[2:]] for row in rows])
+    return (lines[0], fields, [row[0] for row in rows],
+            [row[1] for row in rows], features)
+
+
 def test_roundtrip_classification(tmp_path):
     ds = make_classification(BlobsConfig(3, 2.0, 0.8, n=60, seed=6))
     path = tmp_path / "ds.txt"
     write_dataset(ds, path)
-    back = read_dataset(path)
-    assert back.task == ds.task
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
-    assert np.array_equal(back.provenance, ds.provenance)
+    header, fields, labels, prov, features = _parse_written(path)
+    assert header == synthdata.FORMAT_HEADER
+    assert fields == {"task": "classification", "C": "3", "dim": "2"}
+    assert [int(v) for v in labels] == ds.labels.tolist()
+    assert prov == ds.provenance.tolist()
+    assert np.array_equal(features, ds.features)
 
 
 def test_roundtrip_regression(tmp_path):
     ds = make_regression(RingConfig(label_lo=0.0, label_hi=90.0, n=40, seed=7))
     path = tmp_path / "ds.txt"
     write_dataset(ds, path)
-    back = read_dataset(path)
-    assert back.task == ds.task
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
+    header, fields, labels, prov, features = _parse_written(path)
+    assert header == synthdata.FORMAT_HEADER
+    assert fields == {"task": "regression", "lo": "0.0", "hi": "90.0",
+                      "dim": "2"}
+    assert [float(v) for v in labels] == ds.labels.tolist()
+    assert prov == ["real"] * ds.n
+    assert np.array_equal(features, ds.features)
 
 
-def test_read_rejects_label_out_of_range(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("cgankd-dataset v1\ntask=classification C=3\ndim=1\n"
-                    "3,real,0.5\n")
-    with pytest.raises(ValueError, match="out of range"):
-        read_dataset(path)
-
-
-def test_read_rejects_scalar_above_one(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("cgankd-dataset v1\ntask=regression lo=0.0 hi=1.0\ndim=1\n"
-                    "1.0000001,real,0.5\n")
+def test_dataset_rejects_labels_out_of_range():
+    with pytest.raises(ValueError, match="class label out of range"):
+        Dataset(ClassificationTask(3), np.zeros((1, 1)), np.array([3]),
+                np.array(["real"]))
     with pytest.raises(ValueError, match="outside"):
-        read_dataset(path)
-
-
-def test_read_rejects_bad_header_and_arity(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("something else\n")
-    with pytest.raises(ValueError, match="header"):
-        read_dataset(path)
-    path.write_text("cgankd-dataset v1\ntask=classification C=2\ndim=2\n"
-                    "0,real,0.5\n")
-    with pytest.raises(ValueError, match="arity"):
-        read_dataset(path)
+        Dataset(RegressionTask(0.0, 1.0), np.zeros((1, 1)),
+                np.array([1.0000001]), np.array(["real"]))
 
 
 def test_dataset_rejects_bad_provenance():
