@@ -106,7 +106,9 @@ def rejection_sample(generator, ratio_fn, m_max: float, label_source,
     features; `ratio_fn` maps (features, labels) -> ratios (a trained model's
     estimate or an injected exact function); `label_source` maps stream
     indices -> labels.  The acceptance decision at stream position i is a
-    pure function of (ratio_i, m_max, uniform draw i).
+    pure function of (ratio_i, m_max, uniform draw i).  ratio_i (and a
+    trained generator's features) come from a `chunk`-row batch, and BLAS
+    row results vary with the batch size, so `chunk` is part of the output.
     """
     if n_target <= 0:
         raise ValueError("n_target must be positive")

@@ -71,11 +71,6 @@ def quantile_threshold(errors: np.ndarray, rho: float) -> float:
     return float(np.sort(errors)[k - 1])
 
 
-def _consistency(teacher: NetParams, ds: Dataset) -> float:
-    logits = nncore.forward_batch(teacher, ds.features)
-    return float(np.mean(logits.argmax(axis=1) == ds.labels))
-
-
 def _error_summary(errors: np.ndarray) -> dict:
     qs = np.percentile(errors, [0, 25, 50, 75, 100])
     return {"min": float(qs[0]), "q25": float(qs[1]), "q50": float(qs[2]),
@@ -104,11 +99,15 @@ def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
     counts_in["total"] = fakes.n
     counts_out["total"] = int(keep.sum())
     kept = fakes.subset(keep).with_provenance("fake_m2")
+    # One teacher pass over all fakes gives both consistencies; the kept
+    # set's reads its rows through the keep mask.
+    logits = nncore.forward_batch(teacher, fakes.features)
+    agree = logits.argmax(axis=1) == fakes.labels
     report = FilterReport(
         rho=rho, thresholds=thresholds, counts_in=counts_in,
         counts_out=counts_out,
-        consistency_before=_consistency(teacher, fakes),
-        consistency_after=_consistency(teacher, kept) if kept.n else 0.0,
+        consistency_before=float(np.mean(agree)),
+        consistency_after=float(np.mean(agree[keep])) if kept.n else 0.0,
         error_quantiles=_error_summary(errors))
     return kept, report
 

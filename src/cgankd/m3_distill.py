@@ -21,8 +21,8 @@ from .cgen import CorruptedOracle, GanTrainConfig
 from .m1_subsample import SubsampleConfig
 from .m2_labeladjust import FilterReport
 from .nncore import Loss, Metrics, NetParams, NetSpec, TrainConfig
-from .synthdata import (Dataset, SynthConfig, class_budgets, concat,
-                        make_dataset, split, write_dataset)
+from .synthdata import (Dataset, SynthConfig, check_splittable, class_budgets,
+                        concat, make_dataset, split, write_dataset)
 
 STUDENT_LOSS_MODES = ("plain", "blkd")
 GENERATOR_KINDS = ("oracle", "cgan")
@@ -55,8 +55,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         """Rejects, before any stage runs, the values a stage would reject,
-        calling the constructor that owns a rule rather than restating it.
-        Only a data size too small to split is left to the data stage."""
+        calling the constructor or check that owns a rule rather than
+        restating it."""
         object.__setattr__(self, "teacher_hidden", tuple(self.teacher_hidden))
         object.__setattr__(self, "student_hidden", tuple(self.student_hidden))
         object.__setattr__(self, "dr_hidden", tuple(self.dr_hidden))
@@ -65,6 +65,8 @@ class PipelineConfig:
             raise ValueError("rho must lie in [0, 1]")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        check_splittable(task, class_budgets(self.data.n, task.n_classes)
+                         if task.kind == "classification" else [self.data.n])
         if self.n_fake <= 0:
             raise ValueError("n_fake must be positive")
         if task.kind == "classification" and self.n_fake < task.n_classes:

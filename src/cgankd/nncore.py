@@ -158,6 +158,13 @@ def _layer_views(spec: NetSpec, flat: np.ndarray):
     return weights, biases
 
 
+def _clamped_layers(spec: NetSpec) -> list:
+    """Per layer, whether a ReLU clamps its output: every hidden layer,
+    and the head of a nonnegative scalar."""
+    return [True] * len(spec.hidden_widths) + [
+        spec.output_kind == "nonneg_scalar"]
+
+
 class Workspace:
     """Forward and backward buffers of one network for one batch size.
 
@@ -171,11 +178,10 @@ class Workspace:
 
     def __init__(self, spec: NetSpec, n: int):
         dims = spec.layer_dims
-        n_layers = len(dims) - 1
+        self.clamped = _clamped_layers(spec)
         self.pre = [np.empty((n, d)) for d in dims[1:]]
-        clamped = spec.output_kind == "nonneg_scalar"
         self.acts = [None] + [np.empty((n, d)) for d in dims[1:-1]] + \
-            [np.empty((n, dims[-1])) if clamped else self.pre[-1]]
+            [np.empty((n, dims[-1])) if self.clamped[-1] else self.pre[-1]]
         self.masks = [np.empty((n, d), dtype=bool) for d in dims[1:]]
         self.deltas = [np.empty((n, d)) for d in dims[1:]]
         self.d_input = np.empty((n, dims[0]))
@@ -184,7 +190,6 @@ class Workspace:
         self.probs, self.floored, self.terms, self.t_eff = (
             np.empty((n, dims[-1])) for _ in range(4))
         self.col = np.empty((n, 1))
-        self.clamped = [True] * (n_layers - 1) + [clamped]
 
 
 def _forward_cache(params: NetParams, X: np.ndarray, ws: Workspace = None):
@@ -209,12 +214,23 @@ def _forward_cache(params: NetParams, X: np.ndarray, ws: Workspace = None):
 
 
 def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
-    """Network outputs for a batch, shape (n, n_outputs)."""
+    """Network outputs for a batch, shape (n, n_outputs).
+
+    Inference only: one array per layer, biased and clamped in place, by
+    the operations of `_forward_cache`, whose outputs it equals bit for bit.
+    The batch runs whole, as a BLAS row result can vary with the row count.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
         raise ValueError("input dimension mismatch")
-    out, _ = _forward_cache(params, X)
-    return out
+    a = X
+    for w, b, clamp in zip(params.weights, params.biases,
+                           _clamped_layers(params.spec)):
+        a = np.dot(a, w.T)
+        np.add(a, b, out=a)
+        if clamp:
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
 def backward(params: NetParams, ws: Workspace, d_out: np.ndarray, grads):

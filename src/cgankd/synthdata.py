@@ -188,8 +188,6 @@ def class_budgets(n: int, n_classes: int) -> np.ndarray:
 
 
 def make_classification(cfg: BlobsConfig) -> Dataset:
-    if cfg.n <= 0:
-        raise ValueError("n must be positive")
     labels = np.repeat(np.arange(cfg.n_classes),
                        class_budgets(cfg.n, cfg.n_classes))
     key = rng.derive_key("blobs", cfg.seed)
@@ -211,8 +209,6 @@ def ring_features(cfg: RingConfig, y: np.ndarray, key: int,
 
 
 def make_regression(cfg: RingConfig) -> Dataset:
-    if cfg.n <= 0:
-        raise ValueError("n must be positive")
     key_y = rng.derive_key("ring-labels", cfg.seed)
     key_x = rng.derive_key("ring-feats", cfg.seed)
     y = rng.uniforms(key_y, np.arange(cfg.n, dtype=np.uint64))
@@ -227,16 +223,28 @@ def make_dataset(cfg: SynthConfig) -> Dataset:
     return make_regression(cfg)
 
 
+def check_splittable(task: Task, sizes) -> None:
+    """Raises ValueError unless every group has the 2 rows `split` needs to
+    put one on each side.  `sizes` holds the row count of each class, or of
+    the whole set for regression."""
+    for group, size in enumerate(sizes):
+        if size < 2:
+            name = (f"class {group}" if task.kind == "classification"
+                    else "the dataset")
+            raise ValueError(f"{name} has too few rows to split ({size} < 2)")
+
+
 def split(dataset: Dataset, train_fraction: float, seed: int):
     """Disjoint (train, test) partition; stratified per class for classification."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    if dataset.task.kind == "classification":
+    task = dataset.task
+    check_splittable(task, np.bincount(dataset.labels, minlength=task.n_classes)
+                     if task.kind == "classification" else [dataset.n])
+    if task.kind == "classification":
         train_idx, test_idx = [], []
-        for c in range(dataset.task.n_classes):
+        for c in range(task.n_classes):
             idx = np.flatnonzero(dataset.labels == c)
-            if len(idx) < 2:
-                raise ValueError(f"class {c} has fewer than 2 samples")
             g = rng.generator(rng.derive_key("split", seed, c))
             idx = idx[g.permutation(len(idx))]
             k = int(round(train_fraction * len(idx)))

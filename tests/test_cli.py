@@ -221,6 +221,10 @@ BAD_VALUES = [
     ({"oracle.flip": "2"}, "probabilities must lie in [0, 1]"),
     ({"data.classes": "4", "n_fake": "3"}, "cover every class"),
     ({"teacher.hidden": "0"}, "hidden_widths must be non-empty"),
+    ({"data.n": "0"}, "class 0 has too few rows to split (0 < 2)"),
+    ({"data.n": "4"}, "class 1 has too few rows to split (1 < 2)"),
+    ({"task": "regression", "data.classes": None, "data.separation": None,
+      "data.n": "1"}, "the dataset has too few rows to split (1 < 2)"),
 ]
 
 

@@ -232,3 +232,48 @@ def test_consistency_improves_on_flip_corrupted_oracle():
                         np.full(fakes.n, "fake_m1"))
         _, report = filter_classification(teacher, fakes, 0.9)
         assert report.consistency_after > report.consistency_before
+
+
+def test_filter_classification_matches_separate_passes():
+    # Overlapping blobs: the trained teacher disagrees with some fakes.
+    train_set = make_classification(BlobsConfig(3, 1.5, 1.0, n=600, seed=3))
+    teacher, _ = train(init_params(NetSpec(2, (16,), "logits", 3), 3),
+                       train_set, TrainConfig(30, 64, 0.05, seed=3))
+    real = make_classification(BlobsConfig(3, 1.5, 1.0, n=2000, seed=4))
+    fakes = real.with_provenance("fake_m1")
+    rows = []
+    forward = nncore.forward_batch
+
+    def counted(params, X):
+        rows.append(len(X))
+        return forward(params, X)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nncore, "forward_batch", counted)
+        kept, report = filter_classification(teacher, fakes, 0.8)
+    assert sum(rows) <= 2 * fakes.n  # errors, then both consistencies
+
+    errors = sample_errors(teacher, fakes)
+    keep = np.zeros(fakes.n, dtype=bool)
+    thresholds = {}
+    for c in range(3):
+        mask = fakes.labels == c
+        thresholds[c] = quantile_threshold(errors[mask], 0.8)
+        keep[mask] = errors[mask] <= thresholds[c]
+    want = fakes.subset(keep)
+
+    def consistency(ds):
+        logits = nncore.forward_batch(teacher, ds.features)
+        return float(np.mean(logits.argmax(axis=1) == ds.labels))
+
+    assert report.thresholds == thresholds
+    assert report.counts_in == {**{c: int(np.sum(fakes.labels == c))
+                                   for c in range(3)}, "total": fakes.n}
+    assert report.counts_out == {**{c: int(np.sum(want.labels == c))
+                                    for c in range(3)}, "total": want.n}
+    assert report.consistency_before == consistency(fakes)
+    assert report.consistency_after == consistency(want)
+    assert 0.5 < report.consistency_before < report.consistency_after < 1.0
+    assert np.array_equal(kept.features, want.features)
+    assert np.array_equal(kept.labels, want.labels)
+    assert set(kept.provenance.tolist()) == {"fake_m2"}

@@ -129,11 +129,21 @@ def test_pipeline_regression_runs():
     assert report.m_fake == 630  # 0.7 of 900
 
 
-def test_pipeline_stage_error_names_stage():
-    bad = cls_config(seed=16, data=BlobsConfig(3, 4.0, 0.8, n=3))
+def test_pipeline_stage_error_names_stage(monkeypatch):
+    def broken(dataset, train_fraction, seed):
+        raise ValueError("split exploded")
+    monkeypatch.setattr(m3_distill, "split", broken)
+    config = cls_config(seed=16)
     with pytest.raises(StageError, match="'data'"):
-        run_pipeline(bad)
-    assert "timings" not in bad.__dict__  # config untouched
+        run_pipeline(config)
+    assert "timings" not in config.__dict__  # config untouched
+
+
+def test_config_rejects_data_too_small_to_split():
+    with pytest.raises(ValueError, match="class 2 has too few rows"):
+        cls_config(data=BlobsConfig(3, 4.0, 0.8, n=5))
+    with pytest.raises(ValueError, match="the dataset has too few rows"):
+        reg_config(data=RingConfig(n=1))
 
 
 def test_pipeline_checkpoints(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -582,3 +583,40 @@ def test_backprop_matches_reference_backward(head, hidden, rows):
         assert np.array_equal(a, b)
         assert np.array_equal(np.signbit(a), np.signbit(b))
     assert not np.array_equal(got, np.zeros_like(got))
+
+
+@pytest.mark.parametrize("nonfinite", [False, True])
+@pytest.mark.parametrize("rows", [1, 64, 8000])
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("head", [("logits", 3), ("nonneg_scalar", 1),
+                                  ("linear", 2)])
+def test_forward_batch_matches_training_forward_bit_for_bit(
+        head, hidden, rows, nonfinite):
+    spec = NetSpec(5, hidden, *head)
+    params = init_params(spec, 2)
+    X = 3.0 * np.random.default_rng(rows).normal(size=(rows, 5))
+    if nonfinite:
+        X[0, 1] = np.nan
+        X[-1, 2] = np.inf
+        X[rows // 2, 3] = -np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf in the products
+        want, _ = nncore._forward_cache(params, X, nncore.Workspace(spec, rows))
+        got = forward_batch(params, X)
+    assert got.shape == (rows, spec.n_outputs)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.isnan(got).any() == nonfinite
+
+
+def test_forward_batch_keeps_no_backprop_buffers():
+    params = init_params(NetSpec(2, (64, 64), "logits", 4), 0)
+    X = np.random.default_rng(0).normal(size=(8000, 2))
+    tracemalloc.start()
+    try:
+        forward_batch(params, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Two 8000 x 64 hidden outputs and the 8000 x 4 logits take 8.4 MB; a
+    # training workspace adds pre-activations, masks, deltas and loss terms.
+    assert peak <= 9e6
