@@ -29,6 +29,10 @@ from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
 from .synthdata import BlobsConfig, Dataset, SynthConfig, kv_lines
 
 GENERATOR_HEADER = "cgankd-generator v1"
+# Generator and discriminator hidden widths, and the SGD momentum of both.
+GAN_HIDDEN_G = (32, 32)
+GAN_HIDDEN_D = (32, 32)
+GAN_MOMENTUM = 0.5
 
 
 @dataclass(frozen=True)
@@ -38,14 +42,9 @@ class GanTrainConfig:
     lr_g: float = 0.02
     lr_d: float = 0.05
     noise_dim: int = 4
-    hidden_g: tuple = (32, 32)
-    hidden_d: tuple = (32, 32)
-    momentum: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_g", tuple(self.hidden_g))
-        object.__setattr__(self, "hidden_d", tuple(self.hidden_d))
         if self.iterations < 0 or self.noise_dim < 1 or self.batch_size < 1:
             raise ValueError("GAN config values must be positive")
         if self.noise_dim > rng.ROW_LANES:
@@ -198,15 +197,15 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
         raise ValueError("empty training set")
     task, d = train_set.task, train_set.dim
     enc_dim = encoding_dim(task)
-    g_spec = NetSpec(config.noise_dim + enc_dim, config.hidden_g, "linear", d)
-    d_spec = NetSpec(d + enc_dim, config.hidden_d, "linear", 1)
+    g_spec = NetSpec(config.noise_dim + enc_dim, GAN_HIDDEN_G, "linear", d)
+    d_spec = NetSpec(d + enc_dim, GAN_HIDDEN_D, "linear", 1)
     gen = init_params(g_spec, rng.derive_key("cgan-g", config.seed))
     dis = init_params(d_spec, rng.derive_key("cgan-d", config.seed))
     if config.iterations == 0:
         return TrainedCgan(gen, config.noise_dim, task, d)
 
-    opt_g = SgdState(gen, config.momentum)
-    opt_d = SgdState(dis, config.momentum)
+    opt_g = SgdState(gen, GAN_MOMENTUM)
+    opt_d = SgdState(dis, GAN_MOMENTUM)
     # The discriminator's fake-batch gradient, added to its real-batch one.
     d_fake = np.empty_like(opt_d.grad)
     d_fake_grads = _layer_views(d_spec, d_fake)

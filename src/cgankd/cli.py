@@ -1,5 +1,5 @@
-"""Command-line harness: config loading, pipeline runs, sweeps, ablations,
-bound verification, and plot-data extraction.
+"""Command-line harness: config loading, pipeline runs, sweeps, ablations
+and bound verification.
 
 Configs are flat ``section.key=value`` text files (see README for the full
 schema).  Every command writes its CSV artifacts plus a manifest under
@@ -35,7 +35,6 @@ SWEEP_COLUMNS = ("param", "value", "seed", "teacher_metric",
                  "theta")
 ABLATION_COLUMNS = ("variant", "seed", "metric")
 BOUND_COLUMNS = ("trial", "lhs", "rhs", "holds", "holds_fraction")
-PLOT_COLUMNS = ("x", "series", "mean", "stddev")
 
 SWEEP_PARAMS = ("mg", "rho", "teacher-epochs")
 
@@ -223,14 +222,6 @@ def write_csv(path, columns, rows):
             w.writerow([_fmt(v) for v in row])
 
 
-def read_csv(path):
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    if not rows:
-        raise ConfigError(f"empty CSV {path}")
-    return rows[0], rows[1:]
-
-
 def write_manifest(out_dir, command, config_path, snapshot, seed, artifacts):
     lines = [MANIFEST_HEADER] + kv_lines([
         ("command", command), ("config_path", config_path), ("seed", seed),
@@ -344,11 +335,8 @@ def cmd_ablation(args) -> int:
 def cmd_verify_bound(args) -> int:
     kv, snapshot, _ = load_config(args.setup)
     setup, extras = build_bound_setup(kv)
-    trials = args.trials if args.trials is not None else extras["trials"]
-    delta = args.delta if args.delta is not None else extras["delta"]
     try:
-        report = verify_bound(setup, trials=trials, delta=delta,
-                              seed=extras["seed"], n_mc=extras["n_mc"])
+        report = verify_bound(setup, **extras)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     frac = report.holds_fraction
@@ -358,40 +346,6 @@ def cmd_verify_bound(args) -> int:
     return _write_result(args, args.setup, snapshot, extras["seed"],
                          "bound.csv", BOUND_COLUMNS, rows,
                          note=f" holds_fraction={frac!r}")
-
-
-def _plot_rows(header, rows, key, series, order=None):
-    """(x, series, mean, stddev) over the per-seed rows, one x per distinct
-    `key` column value, in first-seen order or sorted by `order`."""
-    i_key, i_seed = header.index(key), header.index("seed")
-    columns = [(name, header.index(name)) for name in series]
-    groups = {}
-    for row in rows:
-        if row[i_seed] not in ("mean", "stddev"):
-            groups.setdefault(row[i_key], []).append(row)
-    xs = sorted(groups, key=order) if order else groups
-    return [(x, name) + _mean_std([float(r[i]) for r in groups[x]])
-            for x in xs for name, i in columns]
-
-
-def cmd_plotdata(args) -> int:
-    try:
-        header, rows = read_csv(args.report)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.report}: {exc}") from exc
-    try:
-        if args.kind == "sweep":
-            out = _plot_rows(header, rows, "value",
-                             ("teacher_metric", "student_nokd_metric",
-                              "student_cgankd_metric"), order=float)
-        else:
-            out = _plot_rows(header, rows, "variant", ("metric",))
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"unrecognized {args.kind} schema: {exc}") from exc
-    path = f"{args.out_dir}/plot.csv"
-    write_csv(path, PLOT_COLUMNS, out)
-    print(path)
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -429,16 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vb = sub.add_parser("verify-bound", help="numerical bound verification")
     vb.add_argument("setup")
-    vb.add_argument("--trials", type=int, default=None)
-    vb.add_argument("--delta", type=float, default=None)
     common(vb)
     vb.set_defaults(fn=cmd_verify_bound)
-
-    plot = sub.add_parser("plotdata", help="tidy plot-ready aggregation")
-    plot.add_argument("report")
-    plot.add_argument("--kind", required=True, choices=("sweep", "ablation"))
-    common(plot)
-    plot.set_defaults(fn=cmd_plotdata)
     return p
 
 

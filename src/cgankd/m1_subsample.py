@@ -19,6 +19,10 @@ from .synthdata import ClassificationTask, Dataset
 _LOGIT_CLIP = 30.0  # keeps exp() finite; equivalent to the probability floor
 _COLLAPSE_RATE = 1e-4
 _COLLAPSE_WINDOW = 200_000
+# Candidates per rejection batch.  A ratio (and a trained generator's
+# features) comes from a _CHUNK-row matrix product, and BLAS row results
+# vary with the batch size, so this constant is part of the output.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -98,38 +102,31 @@ def empirical_labels(train_set: Dataset, seed: int):
                    rng.derive_key("reject-labels", seed))
 
 
-def rejection_sample(generator, ratio_fn, m_max: float, label_source,
-                     n_target: int, seed: int, chunk: int = 4096) -> Dataset:
+def rejection_sample(sample_fn, task, ratio_fn, m_max: float, label_source,
+                     n_target: int, seed: int) -> Dataset:
     """Accept-reject until n_target accepted; provenance fake_m1.
 
-    `generator` is a GeneratorHandle or a callable (labels, indices) ->
-    features; `ratio_fn` maps (features, labels) -> ratios (a trained model's
-    estimate or an injected exact function); `label_source` maps stream
-    indices -> labels.  The acceptance decision at stream position i is a
-    pure function of (ratio_i, m_max, uniform draw i).  ratio_i (and a
-    trained generator's features) come from a `chunk`-row batch, and BLAS
-    row results vary with the batch size, so `chunk` is part of the output.
+    `sample_fn` maps (labels, seed, indices) -> features of `task`, such as
+    `partial(cgen.sample_features, handle)`; `ratio_fn` maps (features,
+    labels) -> ratios (a trained model's estimate or an injected exact
+    function); `label_source` maps stream indices -> labels.  The acceptance
+    decision at stream position i is a pure function of (ratio_i, m_max,
+    uniform draw i).
     """
     if n_target <= 0:
         raise ValueError("n_target must be positive")
     if m_max <= 0.0:
         raise ValueError("m_max must be positive")
-    task = generator.task
-    if isinstance(generator, CallableGenerator):
-        sample_fn = generator.sample_features
-    else:
-        def sample_fn(labels, idx):
-            return cgen.sample_features(generator, labels, seed, idx)
     accept_key = rng.derive_key("reject-accept", seed)
     feats_out, labels_out = [], []
     accepted = 0
     start = 0
     window_candidates = window_accepts = 0
     while accepted < n_target:
-        idx = np.arange(start, start + chunk)
-        start += chunk
+        idx = np.arange(start, start + _CHUNK)
+        start += _CHUNK
         labels = np.asarray(label_source(idx))
-        feats = sample_fn(labels, idx)
+        feats = sample_fn(labels, seed, idx)
         r = np.asarray(ratio_fn(feats, labels), dtype=np.float64)
         p = np.minimum(r / m_max, 1.0)
         u = rng.uniforms(accept_key, idx.astype(np.uint64))
@@ -137,7 +134,7 @@ def rejection_sample(generator, ratio_fn, m_max: float, label_source,
         feats_out.append(feats[keep])
         labels_out.append(labels[keep])
         accepted += int(keep.sum())
-        window_candidates += chunk
+        window_candidates += _CHUNK
         window_accepts += int(keep.sum())
         if window_candidates >= _COLLAPSE_WINDOW:
             if window_accepts / window_candidates < _COLLAPSE_RATE:
@@ -150,15 +147,3 @@ def rejection_sample(generator, ratio_fn, m_max: float, label_source,
     labels = np.concatenate(labels_out)[:n_target]
     prov = np.full(n_target, "fake_m1", dtype="U8")
     return Dataset(task, feats, labels, prov)
-
-
-class CallableGenerator:
-    """Adapter giving a bare (labels, indices) -> features callable the
-    GeneratorHandle surface; used to inject exact test generators."""
-
-    def __init__(self, fn, task):
-        self._fn = fn
-        self.task = task
-
-    def sample_features(self, labels, indices):
-        return self._fn(labels, indices)

@@ -31,24 +31,34 @@ class FilterReport:
     error_quantiles: dict = field(default_factory=dict)
 
 
-def sample_errors(teacher: NetParams, samples: Dataset) -> np.ndarray:
-    """Per-sample teacher-vs-assigned-label error, order-preserving.
+def _teacher_outputs(teacher: NetParams, samples: Dataset) -> np.ndarray:
+    """The teacher's outputs on the samples, after checking that its head
+    matches their task."""
+    want = ("logits" if samples.task.kind == "classification"
+            else "nonneg_scalar")
+    if teacher.spec.output_kind != want:
+        raise ValueError(
+            f"teacher head does not match a {samples.task.kind} task")
+    return nncore.forward_batch(teacher, samples.features)
+
+
+def _errors(outputs: np.ndarray, samples: Dataset) -> np.ndarray:
+    """Per-sample teacher-vs-assigned-label error from the teacher's outputs.
 
     Classification: cross entropy of the assigned one-hot label against the
     teacher's soft prediction, -log p_t[assigned].  Regression: absolute
     error |f_t(x) - y|.
     """
     if samples.task.kind == "classification":
-        if teacher.spec.output_kind != "logits":
-            raise ValueError("teacher head does not match a classification task")
-        logits = nncore.forward_batch(teacher, samples.features)
-        probs = softmax(logits)  # soft predicted labels at T=1
+        probs = softmax(outputs)  # soft predicted labels at T=1
         picked = probs[np.arange(samples.n), samples.labels]
         return -np.log(np.maximum(picked, nncore.PROB_FLOOR))
-    if teacher.spec.output_kind != "nonneg_scalar":
-        raise ValueError("teacher head does not match a regression task")
-    preds = nncore.forward_batch(teacher, samples.features)[:, 0]
-    return np.abs(preds - samples.labels)
+    return np.abs(outputs[:, 0] - samples.labels)
+
+
+def sample_errors(teacher: NetParams, samples: Dataset) -> np.ndarray:
+    """Per-sample teacher-vs-assigned-label error, order-preserving."""
+    return _errors(_teacher_outputs(teacher, samples), samples)
 
 
 def quantile_threshold(errors: np.ndarray, rho: float) -> float:
@@ -86,7 +96,10 @@ def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
     missing = np.flatnonzero(present == 0)
     if missing.size:
         raise ValueError(f"classes absent from the fake set: {missing.tolist()}")
-    errors = sample_errors(teacher, fakes)
+    # One teacher pass gives the errors and both consistencies; the kept
+    # set's consistency reads its rows through the keep mask.
+    logits = _teacher_outputs(teacher, fakes)
+    errors = _errors(logits, fakes)
     keep = np.zeros(fakes.n, dtype=bool)
     thresholds, counts_in, counts_out = {}, {}, {}
     for c in range(n_classes):
@@ -99,9 +112,6 @@ def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
     counts_in["total"] = fakes.n
     counts_out["total"] = int(keep.sum())
     kept = fakes.subset(keep).with_provenance("fake_m2")
-    # One teacher pass over all fakes gives both consistencies; the kept
-    # set's reads its rows through the keep mask.
-    logits = nncore.forward_batch(teacher, fakes.features)
     agree = logits.argmax(axis=1) == fakes.labels
     report = FilterReport(
         rho=rho, thresholds=thresholds, counts_in=counts_in,

@@ -140,11 +140,7 @@ def _train_net(hidden, train_cfg, dataset, seed, loss, teacher=None):
 
 def augment(real: Dataset, fakes: Dataset) -> Dataset:
     """Union of the real training set and processed fakes."""
-    if fakes.n == 0:
-        return real
-    if real.task != fakes.task or real.dim != fakes.dim:
-        raise ValueError("real and fake sets disagree on task or dimension")
-    return concat(real, fakes)
+    return concat(real, fakes) if fakes.n else real
 
 
 def _student_loss(task, mode: str, lam_kd: float, temperature: float) -> Loss:
@@ -192,20 +188,19 @@ def _subsample_fakes(config: PipelineConfig, generator, real_train: Dataset,
         dr_train=replace(config.dr_train, seed=seed_of("m1-dr")),
         dr_hidden=config.dr_hidden, gamma=config.dr_gamma, seed=seed_of("m1"))
     model = m1_subsample.train_dr(real_train, fake_train, scfg)
-    ratio_fn = partial(m1_subsample.ratio_batch, model)
     task = real_train.task
+    reject = partial(m1_subsample.rejection_sample,
+                     partial(cgen.sample_features, generator), task,
+                     partial(m1_subsample.ratio_batch, model), model.m_max)
     if task.kind == "classification":
         budgets = class_budgets(config.n_fake, task.n_classes)
-        parts = [m1_subsample.rejection_sample(
-            generator, ratio_fn, model.m_max,
-            m1_subsample.constant_labels(c), int(budgets[c]),
-            seed=seed_of("m1-reject", c)) for c in range(task.n_classes)]
+        parts = [reject(m1_subsample.constant_labels(c), int(budgets[c]),
+                        seed=seed_of("m1-reject", c))
+                 for c in range(task.n_classes)]
         return reduce(concat, parts)
     labels = m1_subsample.empirical_labels(real_train,
                                            seed=seed_of("m1-labels"))
-    return m1_subsample.rejection_sample(generator, ratio_fn, model.m_max,
-                                         labels, config.n_fake,
-                                         seed=seed_of("m1-reject"))
+    return reject(labels, config.n_fake, seed=seed_of("m1-reject"))
 
 
 def _cap_fakes(fakes: Dataset, cap: int, seed: int) -> Dataset:

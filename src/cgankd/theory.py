@@ -77,8 +77,6 @@ class BoundReport:
     gap_term: float
     approx_term: float
     rhs: float
-    lhs: float = None
-    holds: bool = None
 
 
 def tv_distance(p: DiscreteJoint, q: DiscreteJoint) -> float:
@@ -98,12 +96,10 @@ def mixture(p: DiscreteJoint, q: DiscreteJoint, theta: float) -> DiscreteJoint:
     return DiscreteJoint(tuple(keys), tuple(probs))
 
 
-def _predict(f, x):
-    if isinstance(f, dict):
-        if x not in f:
-            raise ValueError(f"predictor is not total: missing x={x!r}")
-        return f[x]
-    return f(x)
+def _predict(f: dict, x):
+    if x not in f:
+        raise ValueError(f"predictor is not total: missing x={x!r}")
+    return f[x]
 
 
 def exact_risk(f, joint: DiscreteJoint, loss, c_l: float) -> float:
@@ -261,10 +257,6 @@ class VerifyReport:
     r_hat_stderr: float
     lhs_values: list = field(default_factory=list)
     holds_flags: list = field(default_factory=list)
-
-    @property
-    def trials(self) -> int:
-        return len(self.lhs_values)
 
     @property
     def holds_fraction(self) -> float:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cgankd import rng
-from cgankd.cgen import (GanTrainConfig, TrainedCgan, encoding_dim,
+from cgankd.cgen import (GAN_HIDDEN_D, GAN_HIDDEN_G, GAN_MOMENTUM,
+                         GanTrainConfig, TrainedCgan, encoding_dim,
                          label_encoding)
 from cgankd.nncore import (PROB_FLOOR, Loss, NetParams, NetSpec, SgdState,
                            Workspace, _batch_loss_and_dout,
@@ -155,15 +156,15 @@ def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedC
         raise ValueError("empty training set")
     task, d = train_set.task, train_set.dim
     enc_dim = encoding_dim(task)
-    g_spec = NetSpec(config.noise_dim + enc_dim, config.hidden_g, "linear", d)
-    d_spec = NetSpec(d + enc_dim, config.hidden_d, "linear", 1)
+    g_spec = NetSpec(config.noise_dim + enc_dim, GAN_HIDDEN_G, "linear", d)
+    d_spec = NetSpec(d + enc_dim, GAN_HIDDEN_D, "linear", 1)
     gen = init_params(g_spec, rng.derive_key("cgan-g", config.seed))
     dis = init_params(d_spec, rng.derive_key("cgan-d", config.seed))
     if config.iterations == 0:
         return TrainedCgan(gen, config.noise_dim, task, d)
 
-    opt_g = SgdState(gen, config.momentum)
-    opt_d = SgdState(dis, config.momentum)
+    opt_g = SgdState(gen, GAN_MOMENTUM)
+    opt_d = SgdState(dis, GAN_MOMENTUM)
     # The discriminator's fake-batch gradient, added to its real-batch one.
     d_fake = np.empty_like(opt_d.grad)
     d_fake_grads = _layer_views(d_spec, d_fake)

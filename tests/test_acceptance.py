@@ -15,8 +15,7 @@ import pytest
 
 from cgankd import cgen, m1_subsample, m2_labeladjust, nncore, rng, theory
 from cgankd.cli import build_pipeline_config, load_config, main
-from cgankd.m1_subsample import CallableGenerator, constant_labels, \
-    rejection_sample
+from cgankd.m1_subsample import constant_labels, rejection_sample
 from cgankd.m3_distill import run_ablation, run_pipeline
 from cgankd.nncore import Loss, NetSpec, TrainConfig, init_params, one_hot
 from cgankd.synthdata import ClassificationTask
@@ -176,7 +175,7 @@ def test_criterion_04_rejection_sampling_oracle():
     task = ClassificationTask(2)
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
 
-    def gen_fn(labels, indices):
+    def gen_fn(labels, seed, indices):
         u = rng.uniforms(rng.derive_key("accept-reject-gen"),
                          np.asarray(indices, dtype=np.uint64))
         return pts[(u > 0.5).astype(int)]
@@ -184,7 +183,7 @@ def test_criterion_04_rejection_sampling_oracle():
     def exact_ratio(feats, labels):
         return np.where(feats[:, 0] == 0.0, 1.8, 0.2)
 
-    out = rejection_sample(CallableGenerator(gen_fn, task), exact_ratio,
+    out = rejection_sample(gen_fn, task, exact_ratio,
                            m_max=1.8, label_source=constant_labels(0),
                            n_target=50_000, seed=0)
     tv = abs(float(np.mean(out.features[:, 0] == 0.0)) - 0.9)

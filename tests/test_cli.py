@@ -274,45 +274,6 @@ def test_verify_bound_csv(tmp_path):
     assert len(fracs) == 1 and 0.0 <= fracs.pop() <= 1.0
 
 
-def test_plotdata_roundtrip_sweep(tiny_cfg, tmp_path):
-    out = tmp_path / "p"
-    out.mkdir()
-    assert main(["sweep", tiny_cfg, "--param", "rho", "--values", "0.5,0.9",
-                 "--seeds", "0,1", "--out-dir", str(out)]) == 0
-    assert main(["plotdata", str(out / "sweep.csv"), "--kind", "sweep",
-                 "--out-dir", str(out)]) == 0
-    rows = read(out / "plot.csv")
-    assert rows[0] == ["x", "series", "mean", "stddev"]
-    assert len(rows) == 1 + 2 * 3  # two x values, three series
-    # recompute one mean from the sweep rows as an independent check
-    sweep = read(out / "sweep.csv")
-    header, body = sweep[0], sweep[1:]
-    i_kd = header.index("student_cgankd_metric")
-    vals = [float(r[i_kd]) for r in body
-            if r[1] == "0.5" and r[2] not in ("mean", "stddev")]
-    want = sum(vals) / len(vals)
-    got = [float(r[2]) for r in rows[1:]
-           if r[0] == "0.5" and r[1] == "student_cgankd_metric"]
-    assert got and got[0] == pytest.approx(want)
-
-
-def test_plotdata_empty_input(tmp_path):
-    src = tmp_path / "empty.csv"
-    src.write_text("param,value,seed,teacher_metric,student_nokd_metric,"
-                   "student_cgankd_metric,m_fake,theta\n")
-    assert main(["plotdata", str(src), "--kind", "sweep",
-                 "--out-dir", str(tmp_path)]) == 0
-    rows = read(tmp_path / "plot.csv")
-    assert rows == [["x", "series", "mean", "stddev"]]
-
-
-def test_plotdata_schema_mismatch_exits_2(tmp_path):
-    src = tmp_path / "odd.csv"
-    src.write_text("foo,bar\n1,2\n")
-    assert main(["plotdata", str(src), "--kind", "sweep",
-                 "--out-dir", str(tmp_path)]) == 2
-
-
 def test_build_pipeline_config_ships_bench_files():
     import pathlib
     configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -325,3 +286,15 @@ def test_build_pipeline_config_ships_bench_files():
     assert cls_cfg.rho == 0.9 and cls_cfg.data.n_classes == 4
     reg_cfg = build_pipeline_config(load_config(configs / "bench_reg.cfg")[0])
     assert reg_cfg.rho == 0.7
+
+
+def test_readme_usage_lists_every_subcommand():
+    import argparse
+    import pathlib
+    import re
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    documented = set(re.findall(r"^cgankd ([\w-]+)", readme.read_text(),
+                                re.MULTILINE))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cgankd import cgen, m1_subsample, nncore
-from cgankd.m1_subsample import (CallableGenerator, DensityRatioModel,
-                                 SubsampleConfig, constant_labels,
+from cgankd.m1_subsample import (DensityRatioModel, SubsampleConfig,
+                                 constant_labels,
                                  empirical_labels, ratio_batch,
                                  rejection_sample, train_dr)
 from cgankd.nncore import NetParams, NetSpec, TrainConfig
@@ -121,21 +121,18 @@ def test_trained_ratio_matches_closed_form_on_two_point_space():
     assert abs(r1 - 0.2) / 0.2 < 0.10
 
 
-def two_point_generator(task):
+def two_point_generator(labels, seed, indices):
+    from cgankd import rng
     pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-
-    def fn(labels, indices):
-        from cgankd import rng
-        u = rng.uniforms(rng.derive_key("twopoint-gen"),
-                         np.asarray(indices, dtype=np.uint64))
-        return pts[(u > 0.5).astype(int)]
-    return CallableGenerator(fn, task)
+    u = rng.uniforms(rng.derive_key("twopoint-gen"),
+                     np.asarray(indices, dtype=np.uint64))
+    return pts[(u > 0.5).astype(int)]
 
 
 def test_rejection_constant_ratio_passes_through():
     task = ClassificationTask(2)
-    gen = two_point_generator(task)
-    out = rejection_sample(gen, lambda f, l: np.full(len(l), 2.0), m_max=2.0,
+    out = rejection_sample(two_point_generator, task,
+                           lambda f, l: np.full(len(l), 2.0), m_max=2.0,
                            label_source=constant_labels(0), n_target=5000,
                            seed=0)
     # constant ratio: acceptance uniform, output matches generator (50/50)
@@ -149,12 +146,11 @@ def test_rejection_two_point_exact_ratios_recover_target():
     # brute-force arithmetic: ratios {1.8, 0.2}, M=1.8 -> acceptance {1, 1/9};
     # accepted distribution should be {0.9, 0.1} within TV 0.02
     task = ClassificationTask(2)
-    gen = two_point_generator(task)
 
     def exact_ratio(feats, labels):
         return np.where(feats[:, 0] == 0.0, 1.8, 0.2)
 
-    out = rejection_sample(gen, exact_ratio, m_max=1.8,
+    out = rejection_sample(two_point_generator, task, exact_ratio, m_max=1.8,
                            label_source=constant_labels(0), n_target=50_000,
                            seed=1)
     p0 = np.mean(out.features[:, 0] == 0.0)
@@ -164,16 +160,16 @@ def test_rejection_two_point_exact_ratios_recover_target():
 
 def test_rejection_acceptance_collapse_aborts():
     task = ClassificationTask(2)
-    gen = two_point_generator(task)
     with pytest.raises(RuntimeError, match="acceptance rate collapsed"):
-        rejection_sample(gen, lambda f, l: np.full(len(l), 1e-7), m_max=1.0,
+        rejection_sample(two_point_generator, task,
+                         lambda f, l: np.full(len(l), 1e-7), m_max=1.0,
                          label_source=constant_labels(0), n_target=10, seed=2)
 
 
 def test_rejection_label_sources():
     task = ClassificationTask(4)
-    gen = two_point_generator(task)
-    out = rejection_sample(gen, lambda f, l: np.ones(len(l)), m_max=1.0,
+    out = rejection_sample(two_point_generator, task,
+                           lambda f, l: np.ones(len(l)), m_max=1.0,
                            label_source=constant_labels(3), n_target=100,
                            seed=3)
     assert np.all(out.labels == 3)

@@ -59,6 +59,16 @@ def test_sample_errors_uniform_teacher_log_c():
     assert sample_errors(teacher, ds)[0] == pytest.approx(math.log(4.0))
 
 
+@pytest.mark.parametrize("teacher, fakes, task", [
+    (const_scalar_teacher(0.5), cls_dataset([0, 1, 1]), "classification"),
+    (const_logits_teacher([0.0, 1.0]), reg_dataset([0.2, 0.4]), "regression"),
+], ids=["classification", "regression"])
+def test_m2_rejects_teacher_head_of_other_task(teacher, fakes, task):
+    with pytest.raises(ValueError,
+                       match=f"teacher head does not match a {task} task"):
+        run_m2(teacher, fakes, 0.5)
+
+
 def test_quantile_nearest_rank():
     errors = np.arange(1.0, 11.0)
     alpha = quantile_threshold(errors, 0.7)
@@ -251,7 +261,7 @@ def test_filter_classification_matches_separate_passes():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nncore, "forward_batch", counted)
         kept, report = filter_classification(teacher, fakes, 0.8)
-    assert sum(rows) <= 2 * fakes.n  # errors, then both consistencies
+    assert sum(rows) == fakes.n  # one pass: errors and both consistencies
 
     errors = sample_errors(teacher, fakes)
     keep = np.zeros(fakes.n, dtype=bool)
