@@ -24,8 +24,8 @@ import numpy as np
 
 from . import modelio, rng, synthdata
 from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
-    forward_batch, _forward_cache, _layer_views, init_params, \
-    input_gradient, one_hot
+    forward_batch, _forward, _layer_views, init_params, input_gradient, \
+    one_hot
 from .synthdata import BlobsConfig, Dataset, SynthConfig, kv_lines
 
 GENERATOR_HEADER = "cgankd-generator v1"
@@ -226,10 +226,10 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
         gin[:, nz:] = xf[:, d:] = xr[:, d:]
         # discriminator step: real up, fake down
         gin[:, :nz] = g.normal(size=(size, nz))
-        fake, _ = _forward_cache(opt_g.params, gin, ws_gen)
+        fake = _forward(opt_g.params, gin, ws_gen)
         xf[:, :d] = fake
-        out_r, _ = _forward_cache(opt_d.params, xr, ws_real)
-        out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
+        out_r = _forward(opt_d.params, xr, ws_real)
+        out_f = _forward(opt_d.params, xf, ws_fake)
         loss_r = _bce_logit_loss_and_grad(out_r, 1.0, grad)
         backward(opt_d.params, ws_real, grad, opt_d.grads)
         loss_f = _bce_logit_loss_and_grad(out_f, 0.0, grad)
@@ -238,9 +238,9 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
         opt_d.step(config.lr_d)
         # generator step: non-saturating, push D(G(z)) toward "real"
         gin[:, :nz] = g.normal(size=(size, nz))
-        fake, _ = _forward_cache(opt_g.params, gin, ws_gen)
+        fake = _forward(opt_g.params, gin, ws_gen)
         xf[:, :d] = fake
-        out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
+        out_f = _forward(opt_d.params, xf, ws_fake)
         loss_g = _bce_logit_loss_and_grad(out_f, 1.0, grad)
         d_input = input_gradient(opt_d.params, ws_fake, grad)
         backward(opt_g.params, ws_gen, d_input[:, :d], opt_g.grads)

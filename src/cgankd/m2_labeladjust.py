@@ -34,11 +34,7 @@ class FilterReport:
 def _teacher_outputs(teacher: NetParams, samples: Dataset) -> np.ndarray:
     """The teacher's outputs on the samples, after checking that its head
     matches their task."""
-    want = ("logits" if samples.task.kind == "classification"
-            else "nonneg_scalar")
-    if teacher.spec.output_kind != want:
-        raise ValueError(
-            f"teacher head does not match a {samples.task.kind} task")
+    nncore.check_head(teacher.spec, samples.task, "teacher")
     return nncore.forward_batch(teacher, samples.features)
 
 

@@ -119,19 +119,12 @@ def _stage(name, timings, fn):
     return out
 
 
-def _head(task):
-    if task.kind == "classification":
-        return "logits", task.n_classes
-    return "nonneg_scalar", 1
-
-
 def _plain_loss(task):
     return Loss("plain_ce" if task.kind == "classification" else "plain_se")
 
 
 def _train_net(hidden, train_cfg, dataset, seed, loss, teacher=None):
-    kind, n_out = _head(dataset.task)
-    spec = NetSpec(dataset.dim, hidden, kind, n_out)
+    spec = NetSpec(dataset.dim, hidden, *nncore.task_head(dataset.task))
     cfg = replace(train_cfg, seed=seed, loss=loss)
     params, _ = nncore.train(nncore.init_params(spec, seed), dataset, cfg,
                              teacher=teacher)

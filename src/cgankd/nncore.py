@@ -5,7 +5,8 @@ ReLU hidden layers; output heads: "logits" (C >= 2 classification scores),
 used internally by the GAN generator and single-logit heads).  Losses:
 plain cross entropy, squared error, and the blended hard/soft distillation
 loss  L = (1 - lam) * CE(y, p_s) + lam * CE(p_t, p_s)  with both soft-label
-sides computed at the same temperature.
+sides computed at the same temperature; it is the cross entropy against the
+targets (1 - lam) * y + lam * p_t, which training blends once.
 
 Softmax probabilities are floored at PROB_FLOOR before any log so the loss
 stays bounded; the analytic gradients account for the floor exactly.
@@ -51,10 +52,23 @@ class NetSpec:
     def layer_dims(self):
         return (self.input_dim,) + self.hidden_widths + (self.n_outputs,)
 
-    @property
-    def n_params(self) -> int:
-        dims = self.layer_dims
-        return sum((dims[l] + 1) * dims[l + 1] for l in range(len(dims) - 1))
+
+def task_head(task) -> tuple:
+    """(output_kind, n_outputs) of a network for `task`: C logits for
+    classification, one nonnegative scalar for regression."""
+    if task.kind == "classification":
+        return "logits", task.n_classes
+    return "nonneg_scalar", 1
+
+
+def check_head(spec: NetSpec, task, role: str):
+    """Raise unless `spec` has the output kind `task_head` gives `task`.
+
+    The width is not compared: a teacher may score more classes than a set
+    of samples holds.
+    """
+    if spec.output_kind != task_head(task)[0]:
+        raise ValueError(f"{role} head does not match a {task.kind} task")
 
 
 @dataclass
@@ -168,38 +182,38 @@ def _clamped_layers(spec: NetSpec) -> list:
 class Workspace:
     """Forward and backward buffers of one network for one batch size.
 
-    `pre[l]`/`acts[l + 1]` are layer l's pre-activations and outputs
-    (`acts[0]` is the input batch, and a head without a clamp outputs its
-    pre-activations), `masks[l]` its ReLU masks, `deltas[l]` the loss
-    gradient w.r.t. its pre-activations and `d_input` the one w.r.t. the
-    input.  `loss_grad` holds the loss gradient w.r.t. the outputs, and
-    `sq`, `probs`, `floored`, `terms`, `t_eff` and `col` the loss terms.
+    `acts[l + 1]` holds layer l's outputs (`acts[0]` is the input batch),
+    `masks[l]` its ReLU masks, `deltas[l]` the loss gradient w.r.t. its
+    pre-activations and `d_input` the one w.r.t. the input.  `loss_grad`
+    holds the loss gradient w.r.t. the outputs, and `sq`, `probs`,
+    `floored`, `terms` and `col` the loss terms.
     """
 
     def __init__(self, spec: NetSpec, n: int):
         dims = spec.layer_dims
         self.clamped = _clamped_layers(spec)
-        self.pre = [np.empty((n, d)) for d in dims[1:]]
-        self.acts = [None] + [np.empty((n, d)) for d in dims[1:-1]] + \
-            [np.empty((n, dims[-1])) if self.clamped[-1] else self.pre[-1]]
+        self.acts = [None] + [np.empty((n, d)) for d in dims[1:]]
         self.masks = [np.empty((n, d), dtype=bool) for d in dims[1:]]
         self.deltas = [np.empty((n, d)) for d in dims[1:]]
         self.d_input = np.empty((n, dims[0]))
         self.loss_grad = np.empty((n, dims[-1]))
         self.sq = np.empty(n)
-        self.probs, self.floored, self.terms, self.t_eff = (
-            np.empty((n, dims[-1])) for _ in range(4))
+        self.probs, self.floored, self.terms = (
+            np.empty((n, dims[-1])) for _ in range(3))
         self.col = np.empty((n, 1))
 
 
-def _forward_cache(params: NetParams, X: np.ndarray, ws: Workspace = None):
-    """Forward pass into `ws` (fresh if None), keeping it for backprop.
+def _forward(params: NetParams, X: np.ndarray, ws: Workspace = None):
+    """The layer loop of training and inference; returns the outputs.
 
-    Returns (outputs, workspace); the outputs are a view into the workspace.
+    Each layer's product is biased and clamped in place: into `ws.acts`,
+    kept for backprop, or without `ws` into one fresh array per layer.
     """
     if ws is None:
-        ws = Workspace(params.spec, X.shape[0])
-    ws.acts[0] = a = X
+        clamped = _clamped_layers(params.spec)
+    else:
+        clamped, ws.acts[0] = ws.clamped, X
+    a = X
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         # np.dot, here and in backprop: on these 2-D operands it reaches the
         # BLAS routines np.matmul reaches, with less dispatch overhead, except
@@ -207,30 +221,23 @@ def _forward_cache(params: NetParams, X: np.ndarray, ws: Workspace = None):
         # which np.matmul computes in a slower loop of its own; both start
         # each sum from +0.0, so the results are equal bit for bit, which
         # tests/test_nncore.py checks against np.matmul references.
-        z = np.dot(a, w.T, out=ws.pre[l])
-        np.add(z, b, out=z)
-        a = np.maximum(z, 0.0, out=ws.acts[l + 1]) if ws.clamped[l] else z
-    return a, ws
+        a = np.dot(a, w.T, out=None if ws is None else ws.acts[l + 1])
+        np.add(a, b, out=a)
+        if clamped[l]:
+            np.maximum(a, 0.0, out=a)
+    return a
 
 
 def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
     """Network outputs for a batch, shape (n, n_outputs).
 
-    Inference only: one array per layer, biased and clamped in place, by
-    the operations of `_forward_cache`, whose outputs it equals bit for bit.
-    The batch runs whole, as a BLAS row result can vary with the row count.
+    Inference only: the layer loop of training without its buffers.  The
+    batch runs whole, as a BLAS row result can vary with the row count.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
         raise ValueError("input dimension mismatch")
-    a = X
-    for w, b, clamp in zip(params.weights, params.biases,
-                           _clamped_layers(params.spec)):
-        a = np.dot(a, w.T)
-        np.add(a, b, out=a)
-        if clamp:
-            np.maximum(a, 0.0, out=a)
-    return a
+    return _forward(params, X)
 
 
 def backward(params: NetParams, ws: Workspace, d_out: np.ndarray, grads):
@@ -238,13 +245,15 @@ def backward(params: NetParams, ws: Workspace, d_out: np.ndarray, grads):
 
     Writes the weight and bias gradients into `grads`, a (weights, biases)
     pair of per-layer arrays, and stops before the gradient w.r.t. the
-    input batch.  ReLU masks multiply as booleans, which keeps signed zeros.
+    input batch.  ReLU masks are read from the layer outputs: max(z, 0) > 0
+    is z > 0 for every z, NaN and signed zeros included.  They multiply as
+    booleans, which keeps signed zeros.
     """
     gw, gb = grads
     delta = d_out
     for l in range(len(params.weights) - 1, -1, -1):
         if ws.clamped[l]:
-            mask = np.greater(ws.pre[l], 0.0, out=ws.masks[l])
+            mask = np.greater(ws.acts[l + 1], 0.0, out=ws.masks[l])
             delta = np.multiply(delta, mask, out=ws.deltas[l])
         np.dot(delta.T, ws.acts[l], out=gw[l])
         np.add.reduce(delta, axis=0, out=gb[l])
@@ -261,7 +270,7 @@ def input_gradient(params: NetParams, ws: Workspace, d_out: np.ndarray):
     delta = d_out
     for l in range(len(params.weights) - 1, -1, -1):
         if ws.clamped[l]:
-            mask = np.greater(ws.pre[l], 0.0, out=ws.masks[l])
+            mask = np.greater(ws.acts[l + 1], 0.0, out=ws.masks[l])
             delta = np.multiply(delta, mask, out=ws.deltas[l])
         delta = np.dot(delta, params.weights[l],
                        out=ws.deltas[l - 1] if l else ws.d_input)
@@ -282,18 +291,15 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _batch_loss_and_dout(params, out, targets, loss: Loss, teacher_probs=None,
-                         ws: Workspace = None):
+def _batch_loss_and_dout(out, targets, loss: Loss, ws: Workspace):
     """Mean batch loss and its gradient w.r.t. the network output.
 
-    Every term is written into `ws` (fresh if None).  The cross entropy
-    keeps the operand order of `softmax` followed by the per-row
+    Every term is written into `ws`.  The cross entropy keeps the operand
+    order of `softmax` followed by the per-row
     -sum_c t_c log max(p_c, PROB_FLOOR), so its figures match that
     formula's bit for bit.
     """
     n = out.shape[0]
-    if ws is None:
-        ws = Workspace(params.spec, n)
     if loss.kind == "plain_se":
         # The scalar head has one output column, so d_out is 2 * diff / n.
         d_out = ws.loss_grad
@@ -311,17 +317,12 @@ def _batch_loss_and_dout(params, out, targets, loss: Loss, teacher_probs=None,
     np.subtract(z, col, out=p)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True, out=col)
-    if loss.kind == "plain_ce":
-        t_eff = targets
-    else:
-        t_eff = np.multiply(1.0 - loss.lam, targets, out=ws.t_eff)
-        t_eff += np.multiply(loss.lam, teacher_probs, out=ws.terms)
     floored = np.maximum(p, PROB_FLOOR, out=ws.floored)
-    terms = np.multiply(t_eff, np.log(floored, out=ws.terms), out=ws.terms)
+    terms = np.multiply(targets, np.log(floored, out=ws.terms), out=ws.terms)
     rows = np.negative(np.add.reduce(terms, axis=-1, out=ws.sq), out=ws.sq)
     value = float(np.add.reduce(rows)) / n
     # d/dp with the probability floor: clamped entries contribute nothing.
-    g = np.divide(np.negative(t_eff, out=ws.terms), floored, out=ws.terms)
+    g = np.divide(np.negative(targets, out=ws.terms), floored, out=ws.terms)
     if not p.min() > PROB_FLOOR:
         g[~(p > PROB_FLOOR)] = 0.0
     g -= np.add.reduce(np.multiply(p, g, out=ws.floored), axis=-1,
@@ -331,19 +332,26 @@ def _batch_loss_and_dout(params, out, targets, loss: Loss, teacher_probs=None,
     return value, d_out
 
 
-def _teacher_probs(teacher: NetParams, X: np.ndarray, temperature: float) -> np.ndarray:
-    logits = forward_batch(teacher, X)
-    return softmax(logits, temperature)
-
-
-def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss):
+def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss,
+                     teacher: NetParams = None):
+    """Per-sample targets of one training run: scalar labels (plain_se),
+    one-hot rows (plain_ce), or for blkd the cross-entropy targets
+    (1 - lam) * one_hot + lam * p_t, the teacher's soft labels p_t taken at
+    the loss temperature, so the blended loss is plain cross entropy."""
+    task = dataset.task
+    check_head(spec, task, "network")
+    if (loss.kind == "plain_se") != (task.kind == "regression"):
+        raise ValueError(f"{loss.kind} loss does not fit a {task.kind} task")
     if loss.kind == "plain_se":
-        if spec.output_kind != "nonneg_scalar" or dataset.task.kind != "regression":
-            raise ValueError("plain_se needs a scalar head and regression data")
         return dataset.labels.astype(np.float64)
-    if spec.output_kind != "logits" or dataset.task.kind != "classification":
-        raise ValueError("cross-entropy losses need a logits head and class data")
-    return one_hot(dataset.labels, spec.n_outputs)
+    targets = one_hot(dataset.labels, spec.n_outputs)
+    if loss.kind == "blkd":
+        check_head(teacher.spec, task, "teacher")
+        probs = softmax(forward_batch(teacher, dataset.features),
+                        loss.temperature)
+        targets *= 1.0 - loss.lam
+        targets += np.multiply(loss.lam, probs, out=probs)
+    return targets
 
 
 class SgdState:
@@ -387,23 +395,20 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
           teacher: NetParams = None):
     """SGD training; deterministic per config.seed.
 
-    Returns (trained params, per-epoch mean-loss history).  The teacher's
-    soft labels (blkd mode) are computed once on every training sample.
-    Each epoch gathers its shuffled copy of the data once and trains on
-    slices of it, through one workspace per batch size.  Raises
-    RuntimeError when an epoch ends with non-finite parameters.
+    Returns (trained params, per-epoch mean-loss history).  The targets,
+    blended with the teacher's soft labels in blkd mode, are computed once
+    (see `_prepare_targets`).  Each epoch gathers its shuffled copy of the
+    data once and trains on slices of it, through one workspace per batch
+    size.  Raises RuntimeError when an epoch ends with non-finite
+    parameters.
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
     loss = config.loss
     if (teacher is not None) != (loss.kind == "blkd"):
         raise ValueError("teacher is required exactly for blkd loss")
-    targets = _prepare_targets(dataset, params.spec, loss)
+    targets = _prepare_targets(dataset, params.spec, loss, teacher)
     X = dataset.features
-    teacher_probs = None
-    if loss.kind == "blkd":
-        teacher_probs = _teacher_probs(teacher, X, loss.temperature)
-
     state = SgdState(params, config.momentum, config.weight_decay)
     n, size = dataset.n, config.batch_size
     spaces = {}
@@ -415,17 +420,14 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
         g = rng.generator(rng.derive_key("shuffle", config.seed, epoch))
         order = g.permutation(n)
         Xs, ts = X[order], targets[order]
-        tps = teacher_probs[order] if teacher_probs is not None else None
         total = 0.0
         for start in range(0, n, size):
             stop = min(start + size, n)
             ws = spaces.get(stop - start)
             if ws is None:
                 ws = spaces[stop - start] = Workspace(params.spec, stop - start)
-            out, _ = _forward_cache(state.params, Xs[start:stop], ws)
-            value, d_out = _batch_loss_and_dout(
-                state.params, out, ts[start:stop], loss,
-                tps[start:stop] if tps is not None else None, ws)
+            out = _forward(state.params, Xs[start:stop], ws)
+            value, d_out = _batch_loss_and_dout(out, ts[start:stop], loss, ws)
             backward(state.params, ws, d_out, state.grads)
             state.step(lr)
             total += value * (stop - start)
@@ -440,14 +442,11 @@ def evaluate(params: NetParams, dataset: Dataset) -> Metrics:
     """Top-1 accuracy, or MAE in original (unnormalized) label units."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
+    check_head(params.spec, dataset.task, "network")
     out = forward_batch(params, dataset.features)
     if dataset.task.kind == "classification":
-        if params.spec.output_kind != "logits":
-            raise ValueError("task/head mismatch")
         top1 = float(np.mean(out.argmax(axis=1) == dataset.labels))
         return Metrics(n=dataset.n, top1=top1)
-    if params.spec.output_kind != "nonneg_scalar":
-        raise ValueError("task/head mismatch")
     scale = dataset.task.label_hi - dataset.task.label_lo
     mae = float(np.mean(np.abs(out[:, 0] - dataset.labels)) * scale)
     return Metrics(n=dataset.n, mae=mae)

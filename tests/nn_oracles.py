@@ -20,10 +20,37 @@ from cgankd.cgen import (GAN_HIDDEN_D, GAN_HIDDEN_G, GAN_MOMENTUM,
                          GanTrainConfig, TrainedCgan, encoding_dim,
                          label_encoding)
 from cgankd.nncore import (PROB_FLOOR, Loss, NetParams, NetSpec, SgdState,
-                           Workspace, _batch_loss_and_dout,
-                           _forward_cache, _layer_views, _teacher_probs,
-                           backward, forward_batch, init_params, softmax)
+                           Workspace, _batch_loss_and_dout, _clamped_layers,
+                           _forward, _layer_views, backward, forward_batch,
+                           init_params, softmax)
 from cgankd.synthdata import Dataset
+
+
+def n_params(spec: NetSpec) -> int:
+    """Number of weights and biases of a network."""
+    dims = spec.layer_dims
+    return sum((dims[l] + 1) * dims[l + 1] for l in range(len(dims) - 1))
+
+
+def pre_activations(params: NetParams, X: np.ndarray) -> list:
+    """Every layer's pre-activations on the batch X, by np.matmul."""
+    pre, a = [], X
+    for w, b, clamp in zip(params.weights, params.biases,
+                           _clamped_layers(params.spec)):
+        pre.append(np.matmul(a, w.T) + b)
+        a = np.maximum(pre[-1], 0.0) if clamp else pre[-1]
+    return pre
+
+
+def blended_targets(targets, loss: Loss, teacher: NetParams, X) -> np.ndarray:
+    """Cross-entropy targets of a batch: the hard targets, blended with the
+    teacher's soft labels at the loss temperature for blkd."""
+    if loss.kind != "blkd":
+        return targets
+    if teacher is None:
+        raise ValueError("blkd loss requires a teacher")
+    probs = softmax(forward_batch(teacher, X), loss.temperature)
+    return (1.0 - loss.lam) * targets + loss.lam * probs
 
 
 def ring_true_label(features: np.ndarray) -> np.ndarray:
@@ -102,17 +129,20 @@ def gradients(params: NetParams, batch, loss: Loss, teacher: NetParams = None) -
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] == 0:
         raise ValueError("empty batch")
-    teacher_probs = None
-    if loss.kind == "blkd":
-        if teacher is None:
-            raise ValueError("blkd loss requires a teacher")
-        teacher_probs = _teacher_probs(teacher, X, loss.temperature)
-    out, ws = _forward_cache(params, X)
-    _, d_out = _batch_loss_and_dout(params, out, targets, loss, teacher_probs,
-                                    ws)
-    grads = _layer_views(params.spec, np.empty(params.spec.n_params))
+    ws = Workspace(params.spec, X.shape[0])
+    out = _forward(params, X, ws)
+    _, d_out = _batch_loss_and_dout(
+        out, blended_targets(targets, loss, teacher, X), loss, ws)
+    grads = _layer_views(params.spec, np.empty(n_params(params.spec)))
     backward(params, ws, d_out, grads)
     return NetParams(params.spec, *grads)
+
+
+def batch_loss(params: NetParams, X: np.ndarray, targets, loss: Loss) -> float:
+    """Mean batch loss through the training forward pass, against targets
+    already blended (see `blended_targets`)."""
+    ws = Workspace(params.spec, X.shape[0])
+    return _batch_loss_and_dout(_forward(params, X, ws), targets, loss, ws)[0]
 
 
 def reference_backward(params: NetParams, ws: Workspace, d_out: np.ndarray,
@@ -122,15 +152,16 @@ def reference_backward(params: NetParams, ws: Workspace, d_out: np.ndarray,
     Writes the weight and bias gradients into `grads`, a (weights, biases)
     pair of per-layer arrays, and returns (weight grads, bias grads,
     gradient w.r.t. the input batch, or None without `input_grad`).  ReLU
-    masks multiply as booleans, which keeps signed zeros.
+    masks come from pre-activations recomputed from `ws.acts` and multiply
+    as booleans, which keeps signed zeros.
     """
     gw, gb = grads
     delta = d_out
     last = len(params.weights) - 1
     for l in range(last, -1, -1):
         if ws.clamped[l]:
-            mask = np.greater(ws.pre[l], 0.0, out=ws.masks[l])
-            delta = np.multiply(delta, mask, out=ws.deltas[l])
+            pre = np.matmul(ws.acts[l], params.weights[l].T) + params.biases[l]
+            delta = np.multiply(delta, pre > 0.0, out=ws.deltas[l])
         np.matmul(delta.T, ws.acts[l], out=gw[l])
         np.add.reduce(delta, axis=0, out=gb[l])
         if l == 0 and not input_grad:
@@ -180,8 +211,8 @@ def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedC
         fake = forward_batch(opt_g.params, np.hstack([z, enc]))
         xr = np.hstack([train_set.features[idx], enc])
         xf = np.hstack([fake, enc])
-        out_r, _ = _forward_cache(opt_d.params, xr, ws_real)
-        out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
+        out_r = _forward(opt_d.params, xr, ws_real)
+        out_f = _forward(opt_d.params, xf, ws_fake)
         loss_r, grad_r = reference_bce_logit_loss_and_grad(out_r, 1.0)
         loss_f, grad_f = reference_bce_logit_loss_and_grad(out_f, 0.0)
         reference_backward(opt_d.params, ws_real, grad_r, opt_d.grads, input_grad=False)
@@ -191,9 +222,9 @@ def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedC
         # generator step: non-saturating, push D(G(z)) toward "real"
         z = g.normal(size=(config.batch_size, config.noise_dim))
         gin = np.hstack([z, enc])
-        fake, _ = _forward_cache(opt_g.params, gin, ws_gen)
+        fake = _forward(opt_g.params, gin, ws_gen)
         xf = np.hstack([fake, enc])
-        out_f, _ = _forward_cache(opt_d.params, xf, ws_fake)
+        out_f = _forward(opt_d.params, xf, ws_fake)
         loss_g, grad_f = reference_bce_logit_loss_and_grad(out_f, 1.0)
         _, _, d_input = reference_backward(opt_d.params, ws_fake, grad_f, d_fake_grads)
         reference_backward(opt_g.params, ws_gen, d_input[:, :d], opt_g.grads,

@@ -13,13 +13,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgankd import cgen, m1_subsample, m2_labeladjust, nncore, rng, theory
+from cgankd import cgen, m1_subsample, m2_labeladjust, rng, theory
 from cgankd.cli import build_pipeline_config, load_config, main
 from cgankd.m1_subsample import constant_labels, rejection_sample
 from cgankd.m3_distill import run_ablation, run_pipeline
 from cgankd.nncore import Loss, NetSpec, TrainConfig, init_params, one_hot
 from cgankd.synthdata import ClassificationTask
-from nn_oracles import gradients, loss_value, soft_labels
+from nn_oracles import (batch_loss, blended_targets, gradients, loss_value,
+                        pre_activations, soft_labels)
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SEEDS = (0, 1, 2, 3, 4)
@@ -52,7 +53,7 @@ def reg_reports():
 # --- criterion 1: analytic gradients against central finite differences ---
 
 def _kink_margin(params, X):
-    pre = nncore._forward_cache(params, X)[1].pre
+    pre = pre_activations(params, X)
     layers = pre[:-1]
     if params.spec.output_kind == "nonneg_scalar":
         layers = pre
@@ -74,13 +75,7 @@ def _fd_worst_error(spec, loss, teacher, seed, n=5, h=1e-5):
         targets = one_hot(g.integers(0, spec.n_outputs, size=n),
                           spec.n_outputs)
 
-    def batch_loss(p):
-        out, _ = nncore._forward_cache(p, X)
-        tp = None
-        if loss.kind == "blkd":
-            tp = nncore._teacher_probs(teacher, X, loss.temperature)
-        val, _ = nncore._batch_loss_and_dout(p, out, targets, loss, tp)
-        return val
+    blended = blended_targets(targets, loss, teacher, X)
 
     grads = gradients(params, (X, targets), loss, teacher)
     worst = 0.0
@@ -91,9 +86,9 @@ def _fd_worst_error(spec, loss, teacher, seed, n=5, h=1e-5):
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + h
-                up = batch_loss(params)
+                up = batch_loss(params, X, blended, loss)
                 flat[k] = orig - h
-                down = batch_loss(params)
+                down = batch_loss(params, X, blended, loss)
                 flat[k] = orig
                 numeric = (up - down) / (2 * h)
                 denom = max(abs(gflat[k]), abs(numeric), 1e-8)

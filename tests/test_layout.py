@@ -1,5 +1,6 @@
-"""Every public module-level function and class in src/cgankd has a caller
-in src/cgankd itself: a name that only tests reach belongs in the tests."""
+"""Every public module-level function and class in src/cgankd, and every
+public method and property of those classes, has a caller in src/cgankd
+itself: a name that only tests reach belongs in the tests."""
 
 import ast
 import pathlib
@@ -53,4 +54,36 @@ def test_every_public_name_is_used_in_src():
     unused = [f"{module}.{definition.name}"
               for module, definition in _public_definitions()
               if not _is_referenced(module, definition)]
+    assert unused == [], "reached only from outside src/cgankd"
+
+
+def _public_members():
+    """Public methods and properties of the classes in src/cgankd; names
+    that start with an underscore, dunders included, are left out."""
+    return [(mod, cls.name, node) for mod, tree in MODULES.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")]
+
+
+def _is_read_as_attribute(definition):
+    """Whether src/cgankd reads `.name` anywhere outside the definition:
+    the receiver's class is not resolved, so any attribute of that name
+    counts."""
+    for tree in MODULES.values():
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if node is definition:
+                continue
+            if isinstance(node, ast.Attribute) and node.attr == definition.name:
+                return True
+            stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def test_every_public_method_is_used_in_src():
+    unused = [f"{module}.{cls}.{definition.name}"
+              for module, cls, definition in _public_members()
+              if not _is_read_as_attribute(definition)]
     assert unused == [], "reached only from outside src/cgankd"

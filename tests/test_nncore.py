@@ -11,8 +11,9 @@ from cgankd.nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, make_classification,
                               make_dataset)
-from nn_oracles import (SoftLabel, ce_rows, forward, gradients, loss_value,
-                        reference_backward, soft_labels)
+from nn_oracles import (SoftLabel, batch_loss, blended_targets, ce_rows,
+                        forward, gradients, loss_value, n_params,
+                        pre_activations, reference_backward, soft_labels)
 
 
 def zero_net(spec):
@@ -174,7 +175,7 @@ def relative_grad_error(analytic, numeric):
 def _kink_margin(params, X):
     # smallest |pre-activation| over all ReLU layers; central differences are
     # only valid away from the kinks
-    pre = nncore._forward_cache(params, X)[1].pre
+    pre = pre_activations(params, X)
     layers = pre[:-1]
     if params.spec.output_kind == "nonneg_scalar":
         layers = pre
@@ -195,13 +196,7 @@ def finite_difference_check(spec, loss, seed, teacher=None, n=6):
     else:
         targets = one_hot(g.integers(0, spec.n_outputs, size=n), spec.n_outputs)
 
-    def batch_loss(p):
-        out, _ = nncore._forward_cache(p, X)
-        tp = None
-        if loss.kind == "blkd":
-            tp = nncore._teacher_probs(teacher, X, loss.temperature)
-        val, _ = nncore._batch_loss_and_dout(p, out, targets, loss, tp)
-        return val
+    blended = blended_targets(targets, loss, teacher, X)
 
     grads = gradients(params, (X, targets), loss, teacher)
     h = 1e-5
@@ -214,9 +209,9 @@ def finite_difference_check(spec, loss, seed, teacher=None, n=6):
             for k in range(flat.size):
                 orig = flat[k]
                 flat[k] = orig + h
-                up = batch_loss(params)
+                up = batch_loss(params, X, blended, loss)
                 flat[k] = orig - h
-                down = batch_loss(params)
+                down = batch_loss(params, X, blended, loss)
                 flat[k] = orig
                 worst = max(worst, relative_grad_error(gflat[k], (up - down) / (2 * h)))
     return worst
@@ -331,6 +326,21 @@ def test_train_rejects_empty_dataset():
         train(init_params(spec, 0), ds, TrainConfig(1, 8, 0.1))
 
 
+def test_train_and_evaluate_reject_head_of_other_task():
+    ds = blob_dataset(n=40)
+    scalar = init_params(NetSpec(2, (4,), "nonneg_scalar"), 0)
+    logits = init_params(NetSpec(2, (4,), "logits", 2), 0)
+    with pytest.raises(ValueError, match="network head does not match"):
+        train(scalar, ds, TrainConfig(1, 8, 0.1))
+    with pytest.raises(ValueError, match="network head does not match"):
+        evaluate(scalar, ds)
+    with pytest.raises(ValueError, match="teacher head does not match"):
+        train(logits, ds, TrainConfig(1, 8, 0.1, loss=Loss("blkd")),
+              teacher=scalar)
+    with pytest.raises(ValueError, match="plain_se loss does not fit"):
+        train(logits, ds, TrainConfig(1, 8, 0.1, loss=Loss("plain_se")))
+
+
 def test_evaluate_perfect_and_constant_predictors():
     # perfect classifier
     ds = blob_dataset(n=100, sep=6.0, noise=0.2)
@@ -419,11 +429,15 @@ def _reference_loss_and_dout(out, targets, loss, teacher_probs):
 
 def _reference_train(params, dataset, config, teacher=None):
     loss = config.loss
-    targets = nncore._prepare_targets(dataset, params.spec, loss)
     X = dataset.features
+    if loss.kind == "plain_se":
+        targets = dataset.labels.astype(np.float64)
+    else:
+        targets = np.eye(params.spec.n_outputs)[dataset.labels]
     teacher_probs = None
     if loss.kind == "blkd":
-        teacher_probs = nncore._teacher_probs(teacher, X, loss.temperature)
+        teacher_probs = nncore.softmax(forward_batch(teacher, X),
+                                       loss.temperature)
     p = NetParams(params.spec, [w.copy() for w in params.weights],
                   [b.copy() for b in params.biases])
     vw = [np.zeros_like(w) for w in p.weights]
@@ -541,7 +555,6 @@ def test_ce_loss_matches_reference_at_the_floor_and_on_nan(kind, temperature):
     # is built; a NaN row must come out NaN in the same places.
     g = np.random.default_rng(0)
     spec = NetSpec(2, (4,), "logits", 4)
-    params = init_params(spec, 0)
     out = g.normal(size=(9, 4)) * np.array([[1.0], [100.0], [1.0], [300.0],
                                             [1.0], [100.0], [1.0], [1.0],
                                             [1.0]])
@@ -549,10 +562,13 @@ def test_ce_loss_matches_reference_at_the_floor_and_on_nan(kind, temperature):
     targets = one_hot(g.integers(0, 4, size=9), 4)
     tp = nncore.softmax(g.normal(size=(9, 4)), temperature)
     loss = Loss(kind, lam=0.3, temperature=temperature)
+    t_eff = targets if kind == "plain_ce" else \
+        (1.0 - loss.lam) * targets + loss.lam * tp
     with np.errstate(invalid="ignore"):
         for rows in (slice(0, 7), slice(0, 9)):
             value, d_out = nncore._batch_loss_and_dout(
-                params, out[rows], targets[rows], loss, tp[rows])
+                out[rows], t_eff[rows], loss,
+                nncore.Workspace(spec, rows.stop))
             want_value, want_d_out = _reference_loss_and_dout(
                 out[rows], targets[rows], loss, tp[rows])
             assert np.array_equal(value, want_value, equal_nan=True)
@@ -560,29 +576,46 @@ def test_ce_loss_matches_reference_at_the_floor_and_on_nan(kind, temperature):
     assert math.isnan(value)
 
 
-@pytest.mark.parametrize("rows", [37, 1])
+@pytest.mark.parametrize("rows", [37, 1, 3])
 @pytest.mark.parametrize("hidden", [(16, 8), (1,)])
 @pytest.mark.parametrize("head", [("logits", 3), ("nonneg_scalar", 1),
                                   ("linear", 2), ("linear", 1)])
 def test_backprop_matches_reference_backward(head, hidden, rows):
     # With one hidden unit the last product is a k = 1 outer product, and
     # rows where the unit is off feed it the -0.0 of a masked negative delta.
+    # The batch of three holds a row of zeros, whose first-layer
+    # pre-activations are exactly +0.0 (those biases start at zero), and a
+    # row holding NaN, whose pre-activations are all NaN.
     spec = NetSpec(5, hidden, *head)
     params = init_params(spec, 1)
     g = np.random.default_rng(1)
     X = g.normal(size=(rows, 5))
+    if rows == 3:
+        X[1] = 0.0
+        X[2, 0] = np.nan
     d_out = g.normal(size=(rows, spec.n_outputs))
     d_out[1::3] = -0.0  # signed zeros must come out as the reference's
-    _, ws = nncore._forward_cache(params, X)
-    got = nncore.input_gradient(params, ws, d_out).copy()
-    got_grads = nncore._layer_views(spec, np.empty(spec.n_params))
-    nncore.backward(params, ws, d_out, got_grads)
-    grads = nncore._layer_views(spec, np.empty(spec.n_params))
-    gw, gb, want = reference_backward(params, ws, d_out, grads)
+    ws = nncore.Workspace(spec, rows)
+    with np.errstate(invalid="ignore"):
+        nncore._forward(params, X, ws)
+        got = nncore.input_gradient(params, ws, d_out).copy()
+        got_grads = nncore._layer_views(spec, np.empty(n_params(spec)))
+        nncore.backward(params, ws, d_out, got_grads)
+        grads = nncore._layer_views(spec, np.empty(n_params(spec)))
+        gw, gb, want = reference_backward(params, ws, d_out, grads)
     for a, b in zip([got] + got_grads[0] + got_grads[1], [want] + gw + gb):
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, b, equal_nan=True)
         assert np.array_equal(np.signbit(a), np.signbit(b))
     assert not np.array_equal(got, np.zeros_like(got))
+
+
+def test_relu_mask_of_outputs_equals_mask_of_pre_activations():
+    # backward reads max(z, 0) > 0 where the reference reads z > 0; the two
+    # agree on signed zeros, NaN, infinities and subnormals.
+    z = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                  -5e-324, 1.0, -1.0])
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
 
 
 @pytest.mark.parametrize("nonfinite", [False, True])
@@ -600,7 +633,7 @@ def test_forward_batch_matches_training_forward_bit_for_bit(
         X[-1, 2] = np.inf
         X[rows // 2, 3] = -np.inf
     with np.errstate(invalid="ignore"):  # inf - inf in the products
-        want, _ = nncore._forward_cache(params, X, nncore.Workspace(spec, rows))
+        want = nncore._forward(params, X, nncore.Workspace(spec, rows))
         got = forward_batch(params, X)
     assert got.shape == (rows, spec.n_outputs)
     assert np.array_equal(got, want, equal_nan=True)
