@@ -158,13 +158,12 @@ def sample_features(handle: GeneratorHandle, labels: np.ndarray, seed: int,
 
 
 def sample(handle: GeneratorHandle, labels, seed: int) -> Dataset:
-    """One fake sample per requested label, provenance fake_raw."""
+    """One fake sample per requested label."""
     labels = np.asarray(labels)
     if len(labels) == 0:
         raise ValueError("labels must be non-empty")
     feats = sample_features(handle, labels, seed, np.arange(len(labels)))
-    prov = np.full(len(labels), "fake_raw", dtype="U8")
-    return Dataset(handle.task, feats, labels, prov)
+    return Dataset(handle.task, feats, labels)
 
 
 def _bce_logit_loss_and_grad(logits: np.ndarray, target: float,

@@ -37,6 +37,10 @@ ABLATION_COLUMNS = ("variant", "seed", "metric")
 BOUND_COLUMNS = ("trial", "lhs", "rhs", "holds", "holds_fraction")
 
 SWEEP_PARAMS = ("mg", "rho", "teacher-epochs")
+# Bound-setup keys passed on only when set: theory owns their defaults.
+SETUP_KEYS = {"n_real": int, "n_fake": int, "rho": float, "m1_mode": str,
+              "real_label_noise": float, "gen_label_noise": float,
+              "gen_skew": float}
 
 
 class ConfigError(Exception):
@@ -184,22 +188,16 @@ def build_bound_setup(kv: dict):
     if r.get("kind", str, required=True) != "bound":
         raise ConfigError("bound setups need kind=bound")
     try:
-        setup = standard_setup(
-            n_real=r.get("n_real", int, 100),
-            n_fake=r.get("n_fake", int, 300),
-            rho=r.get("rho", float, 0.9),
-            m1_mode=r.get("m1_mode", str, "none"),
-            real_label_noise=r.get("real_label_noise", float, 0.15),
-            gen_label_noise=r.get("gen_label_noise", float, 0.35),
-            gen_skew=r.get("gen_skew", float, 0.7))
+        setup = standard_setup(**{key: r.get(key, cast)
+                                  for key, cast in SETUP_KEYS.items()
+                                  if key in kv})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    extras = {
-        "trials": r.get("trials", int, 200),
-        "delta": r.get("delta", float, 0.1),
-        "seed": r.get("seed", int, 0),
-        "n_mc": r.get("n_mc", int, 2000),
-    }
+    extras = {"trials": r.get("trials", int, 200),
+              "delta": r.get("delta", float, 0.1),
+              "seed": r.get("seed", int, 0)}
+    if "n_mc" in kv:
+        extras["n_mc"] = r.get("n_mc", int)
     r.finish()
     return setup, extras
 

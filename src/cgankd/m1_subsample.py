@@ -70,8 +70,7 @@ def train_dr(real: Dataset, fake: Dataset, config: SubsampleConfig,
                    _dr_inputs(task, fake.features, fake.labels)])
     y = np.concatenate([np.ones(real.n, dtype=np.int64),
                         np.zeros(fake.n, dtype=np.int64)])
-    prov = np.full(len(y), "real", dtype="U8")
-    dr_set = Dataset(ClassificationTask(2), X, y, prov)
+    dr_set = Dataset(ClassificationTask(2), X, y)
     spec = NetSpec(X.shape[1], config.dr_hidden, "logits", 2)
     params = nncore.init_params(spec, rng.derive_key("dr-init", config.seed))
     net, _ = nncore.train(params, dr_set, config.dr_train)
@@ -104,7 +103,7 @@ def empirical_labels(train_set: Dataset, seed: int):
 
 def rejection_sample(sample_fn, task, ratio_fn, m_max: float, label_source,
                      n_target: int, seed: int) -> Dataset:
-    """Accept-reject until n_target accepted; provenance fake_m1.
+    """Accept-reject until n_target accepted.
 
     `sample_fn` maps (labels, seed, indices) -> features of `task`, such as
     `partial(cgen.sample_features, handle)`; `ratio_fn` maps (features,
@@ -145,5 +144,4 @@ def rejection_sample(sample_fn, task, ratio_fn, m_max: float, label_source,
             window_candidates = window_accepts = 0
     feats = np.vstack(feats_out)[:n_target]
     labels = np.concatenate(labels_out)[:n_target]
-    prov = np.full(n_target, "fake_m1", dtype="U8")
-    return Dataset(task, feats, labels, prov)
+    return Dataset(task, feats, labels)

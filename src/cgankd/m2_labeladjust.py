@@ -107,7 +107,7 @@ def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
         counts_out[c] = int(keep[mask].sum())
     counts_in["total"] = fakes.n
     counts_out["total"] = int(keep.sum())
-    kept = fakes.subset(keep).with_provenance("fake_m2")
+    kept = fakes.subset(keep)
     agree = logits.argmax(axis=1) == fakes.labels
     report = FilterReport(
         rho=rho, thresholds=thresholds, counts_in=counts_in,
@@ -127,7 +127,7 @@ def filter_regression(teacher: NetParams, fakes: Dataset, rho: float):
     errors = sample_errors(teacher, fakes)
     alpha = quantile_threshold(errors, rho)
     keep = errors <= alpha
-    kept = fakes.subset(keep).with_provenance("fake_m2")
+    kept = fakes.subset(keep)
     report = FilterReport(
         rho=rho, thresholds={"global": alpha},
         counts_in={"total": fakes.n}, counts_out={"total": int(keep.sum())},
@@ -141,8 +141,7 @@ def replace_labels(teacher: NetParams, fakes: Dataset) -> Dataset:
         raise ValueError("label replacement is enabled for regression only")
     preds = nncore.forward_batch(teacher, fakes.features)[:, 0]
     labels = np.clip(preds, 0.0, 1.0)
-    prov = np.full(fakes.n, "fake_m2", dtype="U8")
-    return Dataset(fakes.task, fakes.features, labels, prov)
+    return Dataset(fakes.task, fakes.features, labels)
 
 
 def filter_fakes(teacher: NetParams, fakes: Dataset, rho: float):

@@ -204,9 +204,9 @@ def _cap_fakes(fakes: Dataset, cap: int, seed: int) -> Dataset:
     return fakes.subset(idx)
 
 
-def _save(checkpoint_dir, name, writer, obj):
+def _save(checkpoint_dir, name, writer, obj, *args):
     if checkpoint_dir is not None:
-        writer(obj, f"{checkpoint_dir}/{name}")
+        writer(obj, f"{checkpoint_dir}/{name}", *args)
 
 
 def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
@@ -219,8 +219,8 @@ def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
         return split(full, config.train_fraction, seed_of("split"))
 
     real_train, eval_set = _stage("data", timings, data_stage)
-    _save(checkpoint_dir, "train.txt", write_dataset, real_train)
-    _save(checkpoint_dir, "eval.txt", write_dataset, eval_set)
+    _save(checkpoint_dir, "train.txt", write_dataset, real_train, "real")
+    _save(checkpoint_dir, "eval.txt", write_dataset, eval_set, "real")
 
     teacher = _stage("teacher", timings, lambda: _train_net(
         config.teacher_hidden, config.teacher_train, real_train,
@@ -233,7 +233,7 @@ def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
 
     d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
         config, generator, real_train, seed_of))
-    _save(checkpoint_dir, "fakes_m1.txt", write_dataset, d_m1)
+    _save(checkpoint_dir, "fakes_m1.txt", write_dataset, d_m1, "fake_m1")
     return real_train, eval_set, teacher, generator, d_m1
 
 
@@ -254,14 +254,13 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
         teacher, d_m1, config.rho))
     d_m2 = _cap_fakes(d_m2, config.fake_cap, seed_of("fake-cap"))
     if d_m2.n:
-        _save(checkpoint_dir, "fakes_m2.txt", write_dataset, d_m2)
+        _save(checkpoint_dir, "fakes_m2.txt", write_dataset, d_m2, "fake_m2")
 
     def student_stage():
         d_aug = augment(real_train, d_m2)
         return train_student(d_aug, config.student_hidden,
                              config.student_train, config.student_loss,
-                             seed_of("student"), teacher=teacher
-                             if config.student_loss == "blkd" else None,
+                             seed_of("student"), teacher=teacher,
                              lam_kd=config.lam_kd,
                              temperature=config.temperature)
 

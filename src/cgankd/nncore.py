@@ -21,6 +21,7 @@ from . import rng
 from .synthdata import Dataset
 
 PROB_FLOOR = 1e-12
+LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each lr_decay_epochs entry
 
 OUTPUT_KINDS = ("logits", "nonneg_scalar", "linear")
 LOSS_KINDS = ("plain_ce", "plain_se", "blkd")
@@ -109,7 +110,6 @@ class TrainConfig:
     batch_size: int
     lr: float
     lr_decay_epochs: tuple = ()
-    lr_decay_factor: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0
     seed: int = 0
@@ -216,11 +216,14 @@ def _forward(params: NetParams, X: np.ndarray, ws: Workspace = None):
     a = X
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
         # np.dot, here and in backprop: on these 2-D operands it reaches the
-        # BLAS routines np.matmul reaches, with less dispatch overhead, except
-        # for the k = 1 outer product (backprop through a one-unit layer),
-        # which np.matmul computes in a slower loop of its own; both start
-        # each sum from +0.0, so the results are equal bit for bit, which
-        # tests/test_nncore.py checks against np.matmul references.
+        # BLAS routines np.matmul reaches, with less dispatch overhead (for
+        # the k = 1 outer product of backprop through a one-unit layer,
+        # np.matmul runs a slower loop of its own).  Both start each sum from
+        # +0.0 and agree bit for bit, as tests/test_nncore.py checks, except
+        # on a 1x1 by 1x1 product, where np.dot keeps -0.0 * 1.0 as -0.0 and
+        # np.matmul gives +0.0.  That needs a one-row batch through a layer
+        # with one input and one output; no bench config has a layer input
+        # narrower than 2.
         a = np.dot(a, w.T, out=None if ws is None else ws.acts[l + 1])
         np.add(a, b, out=a)
         if clamped[l]:
@@ -416,7 +419,7 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
     history = []
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
-            lr *= config.lr_decay_factor
+            lr *= LR_DECAY_FACTOR
         g = rng.generator(rng.derive_key("shuffle", config.seed, epoch))
         order = g.permutation(n)
         Xs, ts = X[order], targets[order]

@@ -17,8 +17,6 @@ import numpy as np
 
 from . import rng
 
-PROVENANCE_TAGS = ("real", "fake_raw", "fake_m1", "fake_m2")
-
 FORMAT_HEADER = "cgankd-dataset v1"
 _WRITE_BLOCK = 1024  # dataset rows converted and written at a time
 
@@ -54,7 +52,6 @@ class Dataset:
     task: Task
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray    # (n,) int64 or float64
-    provenance: np.ndarray  # (n,) strings from PROVENANCE_TAGS
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -65,16 +62,12 @@ class Dataset:
             self.labels = np.asarray(self.labels, dtype=np.int64)
         else:
             self.labels = np.asarray(self.labels, dtype=np.float64)
-        self.provenance = np.asarray(self.provenance, dtype="U8")
-        if self.labels.shape != (n,) or self.provenance.shape != (n,):
-            raise ValueError("labels/provenance length mismatch")
+        if self.labels.shape != (n,):
+            raise ValueError("labels/features length mismatch")
         if n and not np.all(np.isfinite(self.features)):
             raise ValueError("non-finite features")
         if n:
             self._check_labels()
-        bad = set(self.provenance.tolist()) - set(PROVENANCE_TAGS)
-        if bad:
-            raise ValueError(f"unknown provenance tags: {sorted(bad)}")
 
     def _check_labels(self):
         if self.task.kind == "classification":
@@ -88,20 +81,12 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def __len__(self):
-        return self.n
-
     @property
     def dim(self) -> int:
         return self.features.shape[1]
 
     def subset(self, idx) -> "Dataset":
-        return Dataset(self.task, self.features[idx], self.labels[idx],
-                       self.provenance[idx])
-
-    def with_provenance(self, tag: str) -> "Dataset":
-        return Dataset(self.task, self.features, self.labels,
-                       np.full(self.n, tag, dtype="U8"))
+        return Dataset(self.task, self.features[idx], self.labels[idx])
 
 
 def concat(a: Dataset, b: Dataset) -> Dataset:
@@ -109,8 +94,7 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
         raise ValueError("datasets disagree on task or dimension")
     return Dataset(a.task,
                    np.vstack([a.features, b.features]),
-                   np.concatenate([a.labels, b.labels]),
-                   np.concatenate([a.provenance, b.provenance]))
+                   np.concatenate([a.labels, b.labels]))
 
 
 @dataclass(frozen=True)
@@ -192,8 +176,7 @@ def make_classification(cfg: BlobsConfig) -> Dataset:
                        class_budgets(cfg.n, cfg.n_classes))
     key = rng.derive_key("blobs", cfg.seed)
     feats = blob_features(cfg, labels, key, np.arange(cfg.n, dtype=np.uint64))
-    prov = np.full(cfg.n, "real", dtype="U8")
-    return Dataset(cfg.task, feats, labels, prov)
+    return Dataset(cfg.task, feats, labels)
 
 
 def ring_point(cfg: RingConfig, y: np.ndarray) -> np.ndarray:
@@ -213,8 +196,7 @@ def make_regression(cfg: RingConfig) -> Dataset:
     key_x = rng.derive_key("ring-feats", cfg.seed)
     y = rng.uniforms(key_y, np.arange(cfg.n, dtype=np.uint64))
     feats = ring_features(cfg, y, key_x, np.arange(cfg.n, dtype=np.uint64))
-    prov = np.full(cfg.n, "real", dtype="U8")
-    return Dataset(cfg.task, feats, y, prov)
+    return Dataset(cfg.task, feats, y)
 
 
 def make_dataset(cfg: SynthConfig) -> Dataset:
@@ -303,8 +285,9 @@ def task_line(task: Task) -> str:
     return f"task=regression lo={task.label_lo!r} hi={task.label_hi!r}"
 
 
-def write_dataset(dataset: Dataset, path) -> None:
-    """Header, then one `label,provenance,features...` row per sample.
+def write_dataset(dataset: Dataset, path, tag: str) -> None:
+    """Header, then one `label,provenance,features...` row per sample, with
+    the one provenance `tag` of the file's stage in every row.
 
     Rows are built from the Python ints and floats of `tolist()`, written
     with repr(), `_WRITE_BLOCK` rows per write so memory stays bounded.
@@ -315,8 +298,7 @@ def write_dataset(dataset: Dataset, path) -> None:
         for i in range(0, dataset.n, _WRITE_BLOCK):
             part = slice(i, i + _WRITE_BLOCK)
             rows = zip(map(repr, dataset.labels[part].tolist()),
-                       dataset.provenance[part].tolist(),
                        dataset.features[part].tolist())
-            f.write("".join(",".join([lab, prov, *map(repr, feats)]) + "\n"
-                            for lab, prov, feats in rows))
+            f.write("".join(",".join([lab, tag, *map(repr, feats)]) + "\n"
+                            for lab, feats in rows))
 

@@ -264,7 +264,7 @@ class VerifyReport:
 
 
 def verify_bound(setup: VerifySetup, trials: int, delta: float,
-                 seed: int = 0, n_mc: int = 2000) -> VerifyReport:
+                 seed: int, n_mc: int = 2000) -> VerifyReport:
     """Repeatedly draw training mixtures, run exact ERM, check LHS <= RHS."""
     if trials < 1:
         raise ValueError("trials must be positive")

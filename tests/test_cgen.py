@@ -34,7 +34,6 @@ def test_oracle_assigned_label_fidelity():
     labels = np.array([0, 2, 1, 1])
     ds = sample(handle, labels, seed=1)
     assert np.array_equal(ds.labels, labels)
-    assert set(ds.provenance) == {"fake_raw"}
 
 
 def test_oracle_flip_rate_recoverable():

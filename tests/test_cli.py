@@ -206,6 +206,8 @@ def test_nonfinite_float_exits_2(tmp_path, capsys, key, value):
 
 CGAN = {"generator": "cgan", "gan.iterations": "10"}
 BLKD = {"student.loss": "blkd"}
+REGRESSION = {"task": "regression", "data.classes": None,
+              "data.separation": None}
 # Values that a constructor or a stage rejects, with the message naming why.
 BAD_VALUES = [
     ({**CGAN, "gan.iterations": "-1"}, "GAN config values must be positive"),
@@ -258,6 +260,20 @@ def test_ablation_stage_failure_exits_3(tiny_cfg, tmp_path, monkeypatch,
     assert "'generator'" in err and "generator exploded" in err
 
 
+@pytest.mark.parametrize("edits", [{}, REGRESSION],
+                         ids=["classification", "regression"])
+def test_run_tags_each_dataset_file_with_its_stage(tmp_path, edits):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", _tiny_with(tmp_path, edits),
+                 "--out-dir", str(out)]) == 0
+    for name, tag in (("train.txt", "real"), ("eval.txt", "real"),
+                      ("fakes_m1.txt", "fake_m1"),
+                      ("fakes_m2.txt", "fake_m2")):
+        rows = (out / name).read_text().splitlines()[3:]
+        assert rows and {row.split(",")[1] for row in rows} == {tag}
+
+
 def test_verify_bound_csv(tmp_path):
     setup = tmp_path / "bound.cfg"
     setup.write_text("kind=bound\ntrials=30\nn_mc=200\nseed=0\n")
@@ -272,6 +288,23 @@ def test_verify_bound_csv(tmp_path):
     assert len({r[i_rhs] for r in body}) == 1  # constant RHS
     fracs = {float(r[i_frac]) for r in body}
     assert len(fracs) == 1 and 0.0 <= fracs.pop() <= 1.0
+
+
+def test_verify_bound_defaults_equal_the_standard_setup_file(tmp_path):
+    import pathlib
+    # configs/bound_standard.cfg spells out every key at its default value
+    standard = (pathlib.Path(__file__).resolve().parent.parent / "configs"
+                / "bound_standard.cfg")
+    bare = tmp_path / "bare.cfg"
+    bare.write_text("kind=bound\n")
+    outs = []
+    for name, setup in (("bare", bare), ("standard", standard)):
+        out = tmp_path / name
+        out.mkdir()
+        assert main(["verify-bound", str(setup), "--out-dir", str(out)]) == 0
+        assert "\nseed=0\n" in (out / "manifest.txt").read_text()
+        outs.append((out / "bound.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 def test_build_pipeline_config_ships_bench_files():
@@ -298,3 +331,23 @@ def test_readme_usage_lists_every_subcommand():
     sub = next(a for a in cli.build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_readme_config_table_lists_every_pipeline_key(tmp_path, monkeypatch):
+    import pathlib
+    import re
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    table = readme.read_text().partition("| key | meaning |")[2]
+    rows = table.partition("\n\n")[0].splitlines()[2:]
+    documented = {key for row in rows
+                  for key in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+    read, get = set(), cli._Reader.get
+
+    def recording(self, key, *args, **kwargs):
+        read.add(key)
+        return get(self, key, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Reader, "get", recording)
+    for edits in (CGAN, REGRESSION):
+        build_pipeline_config(load_config(_tiny_with(tmp_path, edits))[0])
+    assert documented == read

@@ -30,15 +30,13 @@ def cls_dataset(labels, feats=None):
     labels = np.asarray(labels, dtype=np.int64)
     feats = np.zeros((len(labels), 2)) if feats is None else feats
     C = int(labels.max()) + 1 if len(labels) else 2
-    return Dataset(ClassificationTask(max(C, 2)), feats, labels,
-                   np.full(len(labels), "fake_m1"))
+    return Dataset(ClassificationTask(max(C, 2)), feats, labels)
 
 
 def reg_dataset(labels, feats=None):
     labels = np.asarray(labels, dtype=np.float64)
     feats = np.zeros((len(labels), 2)) if feats is None else feats
-    return Dataset(RegressionTask(), feats, labels,
-                   np.full(len(labels), "fake_m1"))
+    return Dataset(RegressionTask(), feats, labels)
 
 
 def test_sample_errors_exact_match_is_zero():
@@ -117,7 +115,6 @@ def test_filter_classification_per_class_counts():
     assert report.counts_out[0] == 450
     assert report.counts_out[1] == 450
     assert kept.n == 900
-    assert set(kept.provenance) == {"fake_m2"}
 
 
 def test_filter_rho_one_keeps_everything_unchanged():
@@ -238,8 +235,6 @@ def test_consistency_improves_on_flip_corrupted_oracle():
         oracle = cgen.CorruptedOracle(base, flip_prob=0.2)
         labels = np.arange(3000) % 3
         fakes = cgen.sample(oracle, labels, seed=seed + 50)
-        fakes = Dataset(fakes.task, fakes.features, fakes.labels,
-                        np.full(fakes.n, "fake_m1"))
         _, report = filter_classification(teacher, fakes, 0.9)
         assert report.consistency_after > report.consistency_before
 
@@ -249,8 +244,7 @@ def test_filter_classification_matches_separate_passes():
     train_set = make_classification(BlobsConfig(3, 1.5, 1.0, n=600, seed=3))
     teacher, _ = train(init_params(NetSpec(2, (16,), "logits", 3), 3),
                        train_set, TrainConfig(30, 64, 0.05, seed=3))
-    real = make_classification(BlobsConfig(3, 1.5, 1.0, n=2000, seed=4))
-    fakes = real.with_provenance("fake_m1")
+    fakes = make_classification(BlobsConfig(3, 1.5, 1.0, n=2000, seed=4))
     rows = []
     forward = nncore.forward_batch
 
@@ -286,4 +280,3 @@ def test_filter_classification_matches_separate_passes():
     assert 0.5 < report.consistency_before < report.consistency_after < 1.0
     assert np.array_equal(kept.features, want.features)
     assert np.array_equal(kept.labels, want.labels)
-    assert set(kept.provenance.tolist()) == {"fake_m2"}

@@ -41,8 +41,7 @@ def reg_config(seed=0, **kw):
 def fake_m2_like(real, n):
     g = np.random.default_rng(0)
     idx = g.integers(0, real.n, size=n)
-    return Dataset(real.task, real.features[idx], real.labels[idx],
-                   np.full(n, "fake_m2"))
+    return Dataset(real.task, real.features[idx], real.labels[idx])
 
 
 def test_augment_counts_and_provenance():
@@ -50,8 +49,8 @@ def test_augment_counts_and_provenance():
     fakes = fake_m2_like(real, 1200)
     d_aug = augment(real, fakes)
     assert d_aug.n == 2000
-    counts = dict(zip(*np.unique(d_aug.provenance, return_counts=True)))
-    assert counts == {"real": 800, "fake_m2": 1200}
+    assert np.array_equal(d_aug.features[:800], real.features)
+    assert np.array_equal(d_aug.labels[800:], fakes.labels)
 
 
 def test_augment_empty_fakes_is_identity():
@@ -66,7 +65,7 @@ def test_augment_task_mismatch_rejected():
     real = make_classification(BlobsConfig(2, 4.0, 0.5, n=100, seed=2))
     other = make_regression(RingConfig(n=50, seed=0))
     with pytest.raises(ValueError, match="disagree"):
-        augment(real, other.with_provenance("fake_m2"))
+        augment(real, other)
 
 
 def test_train_student_blkd_lambda_zero_matches_plain():

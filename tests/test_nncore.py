@@ -309,13 +309,13 @@ def test_train_deterministic():
 def test_train_lr_decay_applied():
     ds = blob_dataset(n=40)
     spec = NetSpec(2, (4,), "logits", 2)
-    cfg = TrainConfig(4, 40, 0.5, lr_decay_epochs=(1,), lr_decay_factor=0.0, seed=0)
     p0 = init_params(spec, 0)
-    p1, _ = train(p0, ds, cfg)
-    # factor 0 freezes training after the first epoch
-    cfg1 = TrainConfig(1, 40, 0.5, seed=0)
-    p2, _ = train(p0, ds, cfg1)
-    for a, b in zip(p1.weights, p2.weights):
+    # a decay before the first epoch is one 0.1 step for the whole run, and
+    # 0.5 * 0.1 is exactly 0.05 (halving is exact)
+    p1, h1 = train(p0, ds, TrainConfig(4, 8, 0.5, lr_decay_epochs=(0,)))
+    p2, h2 = train(p0, ds, TrainConfig(4, 8, 0.05))
+    assert h1 == h2
+    for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
         assert np.array_equal(a, b)
 
 
@@ -352,7 +352,7 @@ def test_evaluate_perfect_and_constant_predictors():
     task = RegressionTask(0.0, 100.0)
     feats = np.zeros((10, 1))
     labels = np.array([0.0, 1.0] * 5)
-    ds_reg = Dataset(task, feats, labels, np.full(10, "real"))
+    ds_reg = Dataset(task, feats, labels)
     spec_r = NetSpec(1, (1,), "nonneg_scalar")
     const = NetParams(spec_r, [np.zeros((1, 1)), np.zeros((1, 1))],
                       [np.array([1.0]), np.array([0.5])])
@@ -364,7 +364,7 @@ def test_evaluate_all_class_zero():
     task = ClassificationTask(3)
     feats = np.zeros((9, 2))
     labels = np.array([0, 1, 2] * 3)
-    ds = Dataset(task, feats, labels, np.full(9, "real"))
+    ds = Dataset(task, feats, labels)
     spec = NetSpec(2, (2,), "logits", 3)
     p = NetParams(spec, [np.zeros((2, 2)), np.zeros((3, 2))],
                   [np.zeros(2), np.array([1.0, 0.0, 0.0])])
@@ -446,7 +446,7 @@ def _reference_train(params, dataset, config, teacher=None):
     history = []
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
-            lr *= config.lr_decay_factor
+            lr *= nncore.LR_DECAY_FACTOR
         g = rng.generator(rng.derive_key("shuffle", config.seed, epoch))
         order = g.permutation(dataset.n)
         total = 0.0

@@ -91,8 +91,7 @@ def test_split_deterministic():
 
 def test_split_rejects_tiny_class():
     task = ClassificationTask(2)
-    ds = Dataset(task, np.zeros((3, 1)), np.array([0, 0, 1]),
-                 np.full(3, "real"))
+    ds = Dataset(task, np.zeros((3, 1)), np.array([0, 0, 1]))
     with pytest.raises(ValueError):
         split(ds, 0.5, seed=0)
 
@@ -111,41 +110,34 @@ def _parse_written(path):
 def test_roundtrip_classification(tmp_path):
     ds = make_classification(BlobsConfig(3, 2.0, 0.8, n=60, seed=6))
     path = tmp_path / "ds.txt"
-    write_dataset(ds, path)
+    write_dataset(ds, path, "real")
     header, fields, labels, prov, features = _parse_written(path)
     assert header == synthdata.FORMAT_HEADER
     assert fields == {"task": "classification", "C": "3", "dim": "2"}
     assert [int(v) for v in labels] == ds.labels.tolist()
-    assert prov == ds.provenance.tolist()
+    assert prov == ["real"] * ds.n
     assert np.array_equal(features, ds.features)
 
 
 def test_roundtrip_regression(tmp_path):
     ds = make_regression(RingConfig(label_lo=0.0, label_hi=90.0, n=40, seed=7))
     path = tmp_path / "ds.txt"
-    write_dataset(ds, path)
+    write_dataset(ds, path, "fake_m2")
     header, fields, labels, prov, features = _parse_written(path)
     assert header == synthdata.FORMAT_HEADER
     assert fields == {"task": "regression", "lo": "0.0", "hi": "90.0",
                       "dim": "2"}
     assert [float(v) for v in labels] == ds.labels.tolist()
-    assert prov == ["real"] * ds.n
+    assert prov == ["fake_m2"] * ds.n
     assert np.array_equal(features, ds.features)
 
 
 def test_dataset_rejects_labels_out_of_range():
     with pytest.raises(ValueError, match="class label out of range"):
-        Dataset(ClassificationTask(3), np.zeros((1, 1)), np.array([3]),
-                np.array(["real"]))
+        Dataset(ClassificationTask(3), np.zeros((1, 1)), np.array([3]))
     with pytest.raises(ValueError, match="outside"):
         Dataset(RegressionTask(0.0, 1.0), np.zeros((1, 1)),
-                np.array([1.0000001]), np.array(["real"]))
-
-
-def test_dataset_rejects_bad_provenance():
-    with pytest.raises(ValueError, match="provenance"):
-        Dataset(ClassificationTask(2), np.zeros((1, 1)), np.array([0]),
-                np.array(["bogus"]))
+                np.array([1.0000001]))
 
 
 def test_concat_requires_matching_task():
@@ -155,7 +147,7 @@ def test_concat_requires_matching_task():
         concat(a, b)
 
 
-def _reference_write_dataset(dataset, path):
+def _reference_write_dataset(dataset, path, tag):
     """The per-element writer that `write_dataset` replaced."""
     with open(path, "w") as f:
         f.write(synthdata.FORMAT_HEADER + "\n")
@@ -166,7 +158,7 @@ def _reference_write_dataset(dataset, path):
                 lab = str(int(dataset.labels[i]))
             else:
                 lab = repr(float(dataset.labels[i]))
-            row = [lab, str(dataset.provenance[i])]
+            row = [lab, tag]
             row += [repr(float(v)) for v in dataset.features[i]]
             f.write(",".join(row) + "\n")
 
@@ -174,12 +166,12 @@ def _reference_write_dataset(dataset, path):
 @pytest.mark.parametrize("n", [0, 1, synthdata._WRITE_BLOCK,
                                2 * synthdata._WRITE_BLOCK + 5])
 def test_write_dataset_bytes_match_per_element_writer(tmp_path, n):
-    tags = np.array(synthdata.PROVENANCE_TAGS)
-    for full in (make_classification(BlobsConfig(3, 2.0, 0.8, n=3000, seed=1)),
-                 make_regression(RingConfig(n=3000, seed=2))):
+    for full, tag in (
+            (make_classification(BlobsConfig(3, 2.0, 0.8, n=3000, seed=1)),
+             "fake_m1"),
+            (make_regression(RingConfig(n=3000, seed=2)), "real")):
         ds = full.subset(np.arange(n))
-        ds.provenance = tags[np.arange(n) % len(tags)]
-        write_dataset(ds, tmp_path / "got.txt")
-        _reference_write_dataset(ds, tmp_path / "want.txt")
+        write_dataset(ds, tmp_path / "got.txt", tag)
+        _reference_write_dataset(ds, tmp_path / "want.txt", tag)
         assert (tmp_path / "got.txt").read_bytes() == \
             (tmp_path / "want.txt").read_bytes()
