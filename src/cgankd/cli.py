@@ -20,7 +20,7 @@ from dataclasses import replace
 from .cgen import GanTrainConfig
 from .m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
                          run_ablation, run_pipeline)
-from .nncore import TrainConfig
+from .nncore import Loss, TrainConfig, plain_loss
 from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
 from .theory import standard_setup, verify_bound
 
@@ -37,10 +37,22 @@ ABLATION_COLUMNS = ("variant", "seed", "metric")
 BOUND_COLUMNS = ("trial", "lhs", "rhs", "holds", "holds_fraction")
 
 SWEEP_PARAMS = ("mg", "rho", "teacher-epochs")
-# Bound-setup keys passed on only when set: theory owns their defaults.
+
+
+def _int_tuple(raw):
+    return tuple(int(v) for v in raw.split(",") if v.strip())
+
+
+# Keys passed on only when the file sets them (`_Reader.given`), so that the
+# class or function they go to owns their defaults.  Each name is both the
+# key's last part and the field or argument it sets.
 SETUP_KEYS = {"n_real": int, "n_fake": int, "rho": float, "m1_mode": str,
               "real_label_noise": float, "gen_label_noise": float,
               "gen_skew": float}
+GAN_KEYS = {"batch_size": int, "lr_g": float, "lr_d": float, "noise_dim": int}
+RING_KEYS = {"radius_base": float, "radius_slope": float}
+TRAIN_KEYS = {"lr_decay_epochs": _int_tuple, "momentum": float,
+              "weight_decay": float}
 
 
 class ConfigError(Exception):
@@ -98,24 +110,37 @@ class _Reader:
             raise ConfigError(f"non-finite value for {key!r}: {raw!r}")
         return value
 
+    def given(self, prefix, casts):
+        """{name: value} for each `name: cast` of `casts` whose key
+        `prefix + name` the file sets."""
+        values = {name: self.get(prefix + name, cast)
+                  for name, cast in casts.items()}
+        return {name: v for name, v in values.items() if v is not None}
+
     def finish(self):
         unknown = sorted(set(self.kv) - self.used)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
-def _int_tuple(raw):
-    return tuple(int(v) for v in raw.split(",") if v.strip())
+def _train_config(r: _Reader, role: str, epochs: int) -> TrainConfig:
+    return TrainConfig(epochs=r.get(f"{role}.epochs", int, epochs),
+                       batch_size=r.get(f"{role}.batch_size", int, 64),
+                       lr=r.get(f"{role}.lr", float, 0.05),
+                       **r.given(f"{role}.", TRAIN_KEYS))
 
 
-def _train_config(r: _Reader, prefix: str, defaults) -> TrainConfig:
-    return TrainConfig(
-        epochs=r.get(f"{prefix}.epochs", int, defaults["epochs"]),
-        batch_size=r.get(f"{prefix}.batch_size", int, 64),
-        lr=r.get(f"{prefix}.lr", float, defaults["lr"]),
-        lr_decay_epochs=r.get(f"{prefix}.lr_decay_epochs", _int_tuple, ()),
-        momentum=r.get(f"{prefix}.momentum", float, 0.9),
-        weight_decay=r.get(f"{prefix}.weight_decay", float, 0.0))
+def _loss(r: _Reader, task) -> Loss:
+    """The student loss `student.loss` names; its blkd mix and temperature
+    are read in either mode but checked only for blkd."""
+    mode = r.get("student.loss", str, "plain")
+    lam = r.get("student.lam_kd", float, 0.5)
+    temperature = r.get("student.temperature", float, 5.0)
+    if mode == "plain":
+        return plain_loss(task)
+    if mode == "blkd":
+        return Loss("blkd", lam=lam, temperature=temperature)
+    raise ConfigError(f"unknown student loss {mode!r}")
 
 
 def build_pipeline_config(kv: dict, seed_override=None) -> PipelineConfig:
@@ -128,14 +153,11 @@ def build_pipeline_config(kv: dict, seed_override=None) -> PipelineConfig:
                 separation=r.get("data.separation", float, required=True),
                 noise_std=r.get("data.noise_std", float, required=True),
                 n=r.get("data.n", int, required=True))
-            default_rho = 0.9
         elif task == "regression":
             data = RingConfig(
-                radius_base=r.get("data.radius_base", float, 2.0),
-                radius_slope=r.get("data.radius_slope", float, 1.5),
                 noise_std=r.get("data.noise_std", float, required=True),
-                n=r.get("data.n", int, required=True))
-            default_rho = 0.7
+                n=r.get("data.n", int, required=True),
+                **r.given("data.", RING_KEYS))
         else:
             raise ConfigError(f"unknown task {task!r}")
 
@@ -144,14 +166,9 @@ def build_pipeline_config(kv: dict, seed_override=None) -> PipelineConfig:
         if generator == "cgan":
             gan = GanTrainConfig(
                 iterations=r.get("gan.iterations", int, required=True),
-                batch_size=r.get("gan.batch_size", int, 64),
-                lr_g=r.get("gan.lr_g", float, 0.02),
-                lr_d=r.get("gan.lr_d", float, 0.05),
-                noise_dim=r.get("gan.noise_dim", int, 4))
+                **r.given("gan.", GAN_KEYS))
 
         seed = r.get("seed", int, 0)
-        if seed_override is not None:
-            seed = seed_override
         config = PipelineConfig(
             data=data,
             train_fraction=r.get("train_fraction", float, 0.5),
@@ -162,21 +179,17 @@ def build_pipeline_config(kv: dict, seed_override=None) -> PipelineConfig:
             oracle_junk_spread=r.get("oracle.junk_spread", float, 0.0),
             gan=gan,
             teacher_hidden=r.get("teacher.hidden", _int_tuple, (64, 64)),
-            teacher_train=_train_config(r, "teacher",
-                                        {"epochs": 100, "lr": 0.05}),
+            teacher_train=_train_config(r, "teacher", 100),
             student_hidden=r.get("student.hidden", _int_tuple, (8,)),
-            student_train=_train_config(r, "student",
-                                        {"epochs": 100, "lr": 0.05}),
-            student_loss=r.get("student.loss", str, "plain"),
-            lam_kd=r.get("student.lam_kd", float, 0.5),
-            temperature=r.get("student.temperature", float, 5.0),
+            student_train=_train_config(r, "student", 100),
+            student_loss=_loss(r, data.task),
             dr_hidden=r.get("dr.hidden", _int_tuple, (32,)),
-            dr_train=_train_config(r, "dr", {"epochs": 60, "lr": 0.05}),
+            dr_train=_train_config(r, "dr", 60),
             dr_gamma=r.get("dr.gamma", float, 1.2),
             n_fake=r.get("n_fake", int, required=True),
-            rho=r.get("rho", float, default_rho),
+            rho=r.get("rho", float, 0.9 if task == "classification" else 0.7),
             fake_cap=r.get("fake_cap", int, 0),
-            master_seed=seed)
+            master_seed=seed if seed_override is None else seed_override)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     r.finish()
@@ -188,16 +201,12 @@ def build_bound_setup(kv: dict):
     if r.get("kind", str, required=True) != "bound":
         raise ConfigError("bound setups need kind=bound")
     try:
-        setup = standard_setup(**{key: r.get(key, cast)
-                                  for key, cast in SETUP_KEYS.items()
-                                  if key in kv})
+        setup = standard_setup(**r.given("", SETUP_KEYS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     extras = {"trials": r.get("trials", int, 200),
               "delta": r.get("delta", float, 0.1),
-              "seed": r.get("seed", int, 0)}
-    if "n_mc" in kv:
-        extras["n_mc"] = r.get("n_mc", int)
+              "seed": r.get("seed", int, 0), **r.given("", {"n_mc": int})}
     r.finish()
     return setup, extras
 

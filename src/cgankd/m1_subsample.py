@@ -4,7 +4,9 @@ The conditional ratio p_real(x|y) / p_fake(x|y) is estimated with a binary
 real-vs-fake classifier on (features ++ label encoding): the classifier's
 odds, times the fake/real training prior, recover the ratio.  Rejection then
 accepts a candidate with probability min(ratio / M_max, 1), where the ceiling
-M_max is calibrated as gamma * max ratio over a batch of fresh fakes.
+M_max is gamma * max ratio over a calibration set.  The pipeline passes none,
+so M_max is calibrated on the very fakes the classifier trained on;
+calibrating on fresh fakes is ROADMAP item 3.
 """
 
 from dataclasses import dataclass
@@ -25,19 +27,6 @@ _COLLAPSE_WINDOW = 200_000
 _CHUNK = 4096
 
 
-@dataclass(frozen=True)
-class SubsampleConfig:
-    dr_train: TrainConfig
-    dr_hidden: tuple = (32,)
-    gamma: float = 1.2
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "dr_hidden", tuple(self.dr_hidden))
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be >= 1")
-
-
 @dataclass
 class DensityRatioModel:
     net: NetParams            # logits(2) head: class 1 = real, class 0 = fake
@@ -54,13 +43,12 @@ def _dr_inputs(task, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.hstack([features, cgen.label_encoding(task, labels)])
 
 
-def train_dr(real: Dataset, fake: Dataset, config: SubsampleConfig,
+def train_dr(real: Dataset, fake: Dataset, hidden, train_cfg: TrainConfig,
+             gamma: float, seed: int,
              calibration: Dataset = None) -> DensityRatioModel:
-    """Fit the real-vs-fake classifier and calibrate the rejection ceiling.
-
-    `calibration` should be a batch of fresh fakes; it defaults to the fake
-    training set itself.
-    """
+    """Fit the real-vs-fake classifier, initialised from `seed`, and set the
+    rejection ceiling to `gamma` times the largest ratio over `calibration`,
+    by default the fake training set itself."""
     if real.n == 0 or fake.n == 0:
         raise ValueError("real and fake sets must be non-empty")
     if real.task != fake.task or real.dim != fake.dim:
@@ -71,13 +59,13 @@ def train_dr(real: Dataset, fake: Dataset, config: SubsampleConfig,
     y = np.concatenate([np.ones(real.n, dtype=np.int64),
                         np.zeros(fake.n, dtype=np.int64)])
     dr_set = Dataset(ClassificationTask(2), X, y)
-    spec = NetSpec(X.shape[1], config.dr_hidden, "logits", 2)
-    params = nncore.init_params(spec, rng.derive_key("dr-init", config.seed))
-    net, _ = nncore.train(params, dr_set, config.dr_train)
+    spec = NetSpec(X.shape[1], hidden, "logits", 2)
+    params = nncore.init_params(spec, rng.derive_key("dr-init", seed))
+    net, _ = nncore.train(params, dr_set, train_cfg)
     model = DensityRatioModel(net, fake.n / real.n, m_max=1.0, task=task)
     calib = calibration if calibration is not None else fake
     ratios = ratio_batch(model, calib.features, calib.labels)
-    model.m_max = config.gamma * float(ratios.max())
+    model.m_max = gamma * float(ratios.max())
     return model
 
 

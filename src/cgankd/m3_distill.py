@@ -18,48 +18,44 @@ import numpy as np
 
 from . import cgen, m1_subsample, m2_labeladjust, modelio, nncore, rng
 from .cgen import CorruptedOracle, GanTrainConfig
-from .m1_subsample import SubsampleConfig
 from .m2_labeladjust import FilterReport
-from .nncore import Loss, Metrics, NetParams, NetSpec, TrainConfig
+from .nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
+                     check_loss, plain_loss)
 from .synthdata import (Dataset, SynthConfig, check_splittable, class_budgets,
                         concat, make_dataset, split, write_dataset)
 
-STUDENT_LOSS_MODES = ("plain", "blkd")
 GENERATOR_KINDS = ("oracle", "cgan")
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting of a run.  No field has a default: `cli` decodes a
+    config file into all of them, and owns the defaults of its keys."""
     data: SynthConfig            # total pool size in data.n; data.seed is ignored
+    train_fraction: float
+    generator_kind: str
+    oracle_flip: float
+    oracle_label_std: float
+    oracle_junk: float
+    oracle_junk_spread: float
+    gan: GanTrainConfig          # None unless generator_kind is "cgan"
     teacher_hidden: tuple
     teacher_train: TrainConfig
     student_hidden: tuple
     student_train: TrainConfig
+    student_loss: Loss
+    dr_hidden: tuple
+    dr_train: TrainConfig
+    dr_gamma: float              # M1 rejection ceiling headroom, >= 1
     n_fake: int                  # accepted count produced by subsampling
     rho: float
-    train_fraction: float = 0.5
-    generator_kind: str = "oracle"
-    oracle_flip: float = 0.0
-    oracle_label_std: float = 0.0
-    oracle_junk: float = 0.0
-    oracle_junk_spread: float = 0.0
-    gan: GanTrainConfig = None
-    dr_hidden: tuple = (32,)
-    dr_train: TrainConfig = TrainConfig(60, 64, 0.05)
-    dr_gamma: float = 1.2
-    fake_cap: int = 0            # 0: keep everything surviving the filter
-    student_loss: str = "plain"
-    lam_kd: float = 0.5
-    temperature: float = 5.0
-    master_seed: int = 0
+    fake_cap: int                # 0: keep everything surviving the filter
+    master_seed: int
 
     def __post_init__(self):
         """Rejects, before any stage runs, the values a stage would reject,
         calling the constructor or check that owns a rule rather than
         restating it."""
-        object.__setattr__(self, "teacher_hidden", tuple(self.teacher_hidden))
-        object.__setattr__(self, "student_hidden", tuple(self.student_hidden))
-        object.__setattr__(self, "dr_hidden", tuple(self.dr_hidden))
         task = self.data.task
         if not 0.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [0, 1]")
@@ -79,11 +75,12 @@ class PipelineConfig:
             raise ValueError("cgan generator requires a GanTrainConfig")
         if self.fake_cap < 0:
             raise ValueError("fake_cap must be nonnegative")
-        _student_loss(task, self.student_loss, self.lam_kd, self.temperature)
+        check_loss(self.student_loss, task)
         for hidden in (self.teacher_hidden, self.student_hidden,
                        self.dr_hidden):
             NetSpec(self.data.dim, hidden, "linear")
-        SubsampleConfig(self.dr_train, self.dr_hidden, self.dr_gamma)
+        if self.dr_gamma < 1.0:
+            raise ValueError("gamma must be >= 1")
 
 
 @dataclass
@@ -119,10 +116,6 @@ def _stage(name, timings, fn):
     return out
 
 
-def _plain_loss(task):
-    return Loss("plain_ce" if task.kind == "classification" else "plain_se")
-
-
 def _train_net(hidden, train_cfg, dataset, seed, loss, teacher=None):
     spec = NetSpec(dataset.dim, hidden, *nncore.task_head(dataset.task))
     cfg = replace(train_cfg, seed=seed, loss=loss)
@@ -136,26 +129,12 @@ def augment(real: Dataset, fakes: Dataset) -> Dataset:
     return concat(real, fakes) if fakes.n else real
 
 
-def _student_loss(task, mode: str, lam_kd: float, temperature: float) -> Loss:
-    if mode not in STUDENT_LOSS_MODES:
-        raise ValueError(f"unknown student loss {mode!r}")
-    if mode == "plain":
-        return _plain_loss(task)
-    if task.kind != "classification":
-        raise ValueError("distillation loss applies to classification only")
-    return Loss("blkd", lam=lam_kd, temperature=temperature)
-
-
-def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, mode: str,
-                  seed: int, teacher: NetParams = None,
-                  lam_kd: float = 0.5, temperature: float = 5.0) -> NetParams:
-    """Train the student on the (augmented) set, plain loss or distillation."""
-    loss = _student_loss(d_aug.task, mode, lam_kd, temperature)
-    if mode == "plain":
-        teacher = None
-    elif teacher is None:
-        raise ValueError("distillation mode requires a teacher")
-    return _train_net(hidden, train_cfg, d_aug, seed, loss, teacher)
+def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, loss: Loss,
+                  seed: int, teacher: NetParams = None) -> NetParams:
+    """Train the student on the (augmented) set under `loss`; the teacher,
+    whose soft labels only blkd reads, is passed on for blkd alone."""
+    return _train_net(hidden, train_cfg, d_aug, seed, loss,
+                      teacher if loss.kind == "blkd" else None)
 
 
 def _oracle(config: PipelineConfig) -> CorruptedOracle:
@@ -177,10 +156,10 @@ def _subsample_fakes(config: PipelineConfig, generator, real_train: Dataset,
     fake_labels = cgen.sample_labels(real_train, real_train.n,
                                      seed=seed_of("m1-fake-labels"))
     fake_train = cgen.sample(generator, fake_labels, seed=seed_of("m1-fakes"))
-    scfg = SubsampleConfig(
-        dr_train=replace(config.dr_train, seed=seed_of("m1-dr")),
-        dr_hidden=config.dr_hidden, gamma=config.dr_gamma, seed=seed_of("m1"))
-    model = m1_subsample.train_dr(real_train, fake_train, scfg)
+    model = m1_subsample.train_dr(
+        real_train, fake_train, config.dr_hidden,
+        replace(config.dr_train, seed=seed_of("m1-dr")), config.dr_gamma,
+        seed_of("m1"))
     task = real_train.task
     reject = partial(m1_subsample.rejection_sample,
                      partial(cgen.sample_features, generator), task,
@@ -224,7 +203,7 @@ def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
 
     teacher = _stage("teacher", timings, lambda: _train_net(
         config.teacher_hidden, config.teacher_train, real_train,
-        seed_of("teacher"), _plain_loss(real_train.task)))
+        seed_of("teacher"), plain_loss(real_train.task)))
     _save(checkpoint_dir, "teacher.txt", modelio.write_netparams, teacher)
 
     generator = _stage("generator", timings, lambda: _prepare_generator(
@@ -245,8 +224,8 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
         config, seed_of, timings, checkpoint_dir)
 
     student_nokd = _stage("student-nokd", timings, lambda: train_student(
-        real_train, config.student_hidden, config.student_train, "plain",
-        seed_of("student")))
+        real_train, config.student_hidden, config.student_train,
+        plain_loss(real_train.task), seed_of("student")))
     _save(checkpoint_dir, "student_nokd.txt", modelio.write_netparams,
           student_nokd)
 
@@ -260,9 +239,7 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
         d_aug = augment(real_train, d_m2)
         return train_student(d_aug, config.student_hidden,
                              config.student_train, config.student_loss,
-                             seed_of("student"), teacher=teacher,
-                             lam_kd=config.lam_kd,
-                             temperature=config.temperature)
+                             seed_of("student"), teacher=teacher)
 
     student = _stage("student", timings, student_stage)
     _save(checkpoint_dir, "student.txt", modelio.write_netparams, student)
@@ -313,7 +290,8 @@ def run_ablation(config: PipelineConfig) -> dict:
     for name in ABLATION_VARIANTS:
         student = _stage("student", timings, lambda: train_student(
             augment(real_train, variants[name]), config.student_hidden,
-            config.student_train, "plain", seed_of("student")))
+            config.student_train, plain_loss(real_train.task),
+            seed_of("student")))
         out[name] = _stage("evaluate", timings,
                            lambda: nncore.evaluate(student, eval_set))
     return out

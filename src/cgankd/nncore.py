@@ -104,6 +104,19 @@ class Loss:
             raise ValueError("temperature must be positive")
 
 
+def plain_loss(task) -> Loss:
+    """The loss of `task` without distillation: cross entropy for
+    classification, squared error for regression."""
+    return Loss("plain_ce" if task.kind == "classification" else "plain_se")
+
+
+def check_loss(loss: Loss, task):
+    """Raise unless `loss` fits `task`: squared error exactly for
+    regression, cross entropy (plain or blkd) exactly for classification."""
+    if (loss.kind == "plain_se") != (task.kind == "regression"):
+        raise ValueError(f"{loss.kind} loss does not fit a {task.kind} task")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
@@ -121,6 +134,12 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epochs/batch_size")
+        if any(e < 0 for e in self.lr_decay_epochs):
+            raise ValueError("lr_decay_epochs must be nonnegative")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        if self.weight_decay < 0.0:
+            raise ValueError("weight_decay must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -343,8 +362,7 @@ def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss,
     the loss temperature, so the blended loss is plain cross entropy."""
     task = dataset.task
     check_head(spec, task, "network")
-    if (loss.kind == "plain_se") != (task.kind == "regression"):
-        raise ValueError(f"{loss.kind} loss does not fit a {task.kind} task")
+    check_loss(loss, task)
     if loss.kind == "plain_se":
         return dataset.labels.astype(np.float64)
     targets = one_hot(dataset.labels, spec.n_outputs)

@@ -214,8 +214,7 @@ BAD_VALUES = [
     ({"data.classes": "1"}, "n_classes >= 2"),
     ({"data.noise_std": "-1"}, "noise_std must be nonnegative"),
     ({**CGAN, "gan.noise_dim": "65"}, "noise_dim must be at most 64"),
-    ({**BLKD, "task": "regression", "data.classes": None,
-      "data.separation": None}, "classification only"),
+    ({**BLKD, **REGRESSION}, "blkd loss does not fit a regression task"),
     ({"train_fraction": "1.5"}, "train_fraction must be in (0, 1)"),
     ({"dr.gamma": "0.5"}, "gamma must be >= 1"),
     ({**BLKD, "student.lam_kd": "2"}, "lam must lie in [0, 1]"),
@@ -223,6 +222,10 @@ BAD_VALUES = [
     ({"oracle.flip": "2"}, "probabilities must lie in [0, 1]"),
     ({"data.classes": "4", "n_fake": "3"}, "cover every class"),
     ({"teacher.hidden": "0"}, "hidden_widths must be non-empty"),
+    ({"teacher.momentum": "-0.5"}, "momentum must lie in [0, 1)"),
+    ({"dr.momentum": "1.0"}, "momentum must lie in [0, 1)"),
+    ({"student.weight_decay": "-0.01"}, "weight_decay must be nonnegative"),
+    ({"teacher.lr_decay_epochs": "-3"}, "lr_decay_epochs must be nonnegative"),
     ({"data.n": "0"}, "class 0 has too few rows to split (0 < 2)"),
     ({"data.n": "4"}, "class 1 has too few rows to split (1 < 2)"),
     ({"task": "regression", "data.classes": None, "data.separation": None,
@@ -333,14 +336,18 @@ def test_readme_usage_lists_every_subcommand():
     assert documented == set(sub.choices)
 
 
-def test_readme_config_table_lists_every_pipeline_key(tmp_path, monkeypatch):
+def _readme_config_keys():
     import pathlib
     import re
     readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
     table = readme.read_text().partition("| key | meaning |")[2]
     rows = table.partition("\n\n")[0].splitlines()[2:]
-    documented = {key for row in rows
-                  for key in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+    return {key for row in rows
+            for key in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+
+
+def test_readme_config_table_lists_every_pipeline_key(tmp_path, monkeypatch):
+    documented = _readme_config_keys()
     read, get = set(), cli._Reader.get
 
     def recording(self, key, *args, **kwargs):
@@ -351,3 +358,49 @@ def test_readme_config_table_lists_every_pipeline_key(tmp_path, monkeypatch):
     for edits in (CGAN, REGRESSION):
         build_pipeline_config(load_config(_tiny_with(tmp_path, edits))[0])
     assert documented == read
+
+
+# Every optional key at the default the README config table documents.
+ROLE_DEFAULTS = {"lr": "0.05", "batch_size": "64", "lr_decay_epochs": "",
+                 "momentum": "0.9", "weight_decay": "0"}
+DOCUMENTED_DEFAULTS = {
+    "train_fraction": "0.5", "generator": "oracle", "oracle.flip": "0",
+    "oracle.label_std": "0", "oracle.junk": "0", "oracle.junk_spread": "0",
+    "teacher.hidden": "64,64", "student.hidden": "8", "dr.hidden": "32",
+    "teacher.epochs": "100", "student.epochs": "100", "dr.epochs": "60",
+    **{f"{role}.{key}": value for role in ("teacher", "student", "dr")
+       for key, value in ROLE_DEFAULTS.items()},
+    "student.loss": "plain", "student.lam_kd": "0.5",
+    "student.temperature": "5", "dr.gamma": "1.2", "fake_cap": "0",
+    "seed": "0"}
+REQUIRED = {"task": "classification", "data.n": "240", "data.classes": "3",
+            "data.separation": "3.0", "data.noise_std": "0.6",
+            "n_fake": "300"}
+# (bare edits of REQUIRED, documented defaults those edits bring in)
+DEFAULT_CASES = {
+    "classification-oracle": ({}, {"rho": "0.9"}),
+    "regression": (REGRESSION, {"rho": "0.7", "data.radius_base": "2.0",
+                                "data.radius_slope": "1.5"}),
+    "cgan": (CGAN, {"rho": "0.9", "gan.batch_size": "64", "gan.lr_g": "0.02",
+                    "gan.lr_d": "0.05", "gan.noise_dim": "4"}),
+    "blkd": (BLKD, {"rho": "0.9"}),
+}
+
+
+def _without_none(kv):
+    return {key: value for key, value in kv.items() if value is not None}
+
+
+@pytest.mark.parametrize("case", DEFAULT_CASES)
+def test_documented_defaults_build_the_bare_config(case):
+    edits, extra = DEFAULT_CASES[case]
+    bare = _without_none({**REQUIRED, **edits})
+    spelled = _without_none({**bare, **DOCUMENTED_DEFAULTS, **extra, **edits})
+    assert build_pipeline_config(spelled) == build_pipeline_config(bare)
+
+
+def test_documented_defaults_cover_the_readme_table():
+    spelled = set(DOCUMENTED_DEFAULTS).union(
+        *(extra for _, extra in DEFAULT_CASES.values()))
+    required = set(REQUIRED) | {"gan.iterations"}
+    assert spelled | required == _readme_config_keys()

@@ -1,6 +1,7 @@
 """Every public module-level function and class in src/cgankd, and every
 public method and property of those classes, has a caller in src/cgankd
-itself: a name that only tests reach belongs in the tests."""
+itself: a name that only tests reach belongs in the tests.  It also checks
+that `PipelineConfig` declares no field default."""
 
 import ast
 import pathlib
@@ -87,3 +88,14 @@ def test_every_public_method_is_used_in_src():
               for module, cls, definition in _public_members()
               if not _is_read_as_attribute(definition)]
     assert unused == [], "reached only from outside src/cgankd"
+
+
+def test_pipeline_config_declares_no_defaults():
+    """`cli` decodes every field of a run's config, so a default on
+    `PipelineConfig` would be a second owner of a setting."""
+    config = next(node for node in MODULES["m3_distill"].body
+                  if isinstance(node, ast.ClassDef)
+                  and node.name == "PipelineConfig")
+    defaulted = [node.target.id for node in config.body
+                 if isinstance(node, ast.AnnAssign) and node.value is not None]
+    assert defaulted == []

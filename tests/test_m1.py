@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from cgankd import cgen, m1_subsample, nncore
-from cgankd.m1_subsample import (DensityRatioModel, SubsampleConfig,
-                                 constant_labels,
+from cgankd.m1_subsample import (DensityRatioModel, constant_labels,
                                  empirical_labels, ratio_batch,
                                  rejection_sample, train_dr)
 from cgankd.nncore import NetParams, NetSpec, TrainConfig
@@ -46,9 +45,8 @@ def test_ratio_prior_correction():
 
 
 def dr_config(seed=0, epochs=60):
-    return SubsampleConfig(
-        dr_train=TrainConfig(epochs, 64, 0.05, seed=seed),
-        dr_hidden=(16,), seed=seed)
+    """The (hidden, train_cfg, gamma, seed) arguments of `train_dr`."""
+    return (16,), TrainConfig(epochs, 64, 0.05, seed=seed), 1.2, seed
 
 
 def make_blob_sets(seed, n=600, flip=0.0, junk=0.0):
@@ -63,7 +61,7 @@ def make_blob_sets(seed, n=600, flip=0.0, junk=0.0):
 
 def test_train_dr_identical_distributions_median_near_one():
     real, fake, oracle = make_blob_sets(seed=0)
-    model = train_dr(real, fake, dr_config(seed=0))
+    model = train_dr(real, fake, *dr_config(seed=0))
     held = cgen.sample(oracle, np.arange(500) % 2, seed=77)
     ratios = ratio_batch(model, held.features, held.labels)
     assert 0.5 <= np.median(ratios) <= 2.0
@@ -71,7 +69,7 @@ def test_train_dr_identical_distributions_median_near_one():
 
 def test_train_dr_junk_gets_low_ratios():
     real, fake, oracle = make_blob_sets(seed=1, junk=0.3)
-    model = train_dr(real, fake, dr_config(seed=1))
+    model = train_dr(real, fake, *dr_config(seed=1))
     held = cgen.sample(oracle, np.arange(1000) % 2, seed=88)
     ratios = ratio_batch(model, held.features, held.labels)
     from cgankd.synthdata import blob_centers
@@ -85,8 +83,8 @@ def test_train_dr_junk_gets_low_ratios():
 
 def test_train_dr_deterministic():
     real, fake, _ = make_blob_sets(seed=2)
-    a = train_dr(real, fake, dr_config(seed=3))
-    b = train_dr(real, fake, dr_config(seed=3))
+    a = train_dr(real, fake, *dr_config(seed=3))
+    b = train_dr(real, fake, *dr_config(seed=3))
     for wa, wb in zip(a.net.weights, b.net.weights):
         assert np.array_equal(wa, wb)
     assert a.m_max == b.m_max
@@ -111,10 +109,8 @@ def test_trained_ratio_matches_closed_form_on_two_point_space():
     labels = np.zeros(n, dtype=np.int64)
     real = Dataset(task, real_x, labels)
     fake = Dataset(task, fake_x, labels)
-    cfg = SubsampleConfig(
-        dr_train=TrainConfig(300, 64, 0.02, lr_decay_epochs=(200,), seed=4),
-        dr_hidden=(16,), seed=4)
-    model = train_dr(real, fake, cfg)
+    cfg = TrainConfig(300, 64, 0.02, lr_decay_epochs=(200,), seed=4)
+    model = train_dr(real, fake, (16,), cfg, 1.2, 4)
     r0 = ratio(model, (pts[0], 0))
     r1 = ratio(model, (pts[1], 0))
     assert abs(r0 - 1.8) / 1.8 < 0.10

@@ -12,30 +12,28 @@ from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RingConfig, make_classification, make_regression)
 
 
+# Settings both tasks share; `PipelineConfig` declares no defaults.
+COMMON = dict(
+    train_fraction=0.5, generator_kind="oracle", oracle_junk=0.15,
+    oracle_junk_spread=30.0, gan=None,
+    teacher_hidden=(32,), teacher_train=TrainConfig(60, 64, 0.05),
+    student_hidden=(8,), student_train=TrainConfig(40, 64, 0.05),
+    dr_hidden=(32,), dr_train=TrainConfig(40, 64, 0.05), dr_gamma=1.2,
+    n_fake=900, fake_cap=0)
+
+
 def cls_config(seed=0, **kw):
-    base = dict(
-        data=BlobsConfig(3, 4.0, 0.8, n=600),
-        teacher_hidden=(32,), teacher_train=TrainConfig(60, 64, 0.05),
-        student_hidden=(8,), student_train=TrainConfig(40, 64, 0.05),
-        n_fake=900, rho=0.9,
-        oracle_flip=0.2, oracle_junk=0.15, oracle_junk_spread=30.0,
-        dr_train=TrainConfig(40, 64, 0.05),
-        master_seed=seed)
-    base.update(kw)
-    return PipelineConfig(**base)
+    return PipelineConfig(**{
+        **COMMON, "data": BlobsConfig(3, 4.0, 0.8, n=600), "rho": 0.9,
+        "oracle_flip": 0.2, "oracle_label_std": 0.0,
+        "student_loss": Loss("plain_ce"), "master_seed": seed, **kw})
 
 
 def reg_config(seed=0, **kw):
-    base = dict(
-        data=RingConfig(noise_std=0.1, n=600),
-        teacher_hidden=(32,), teacher_train=TrainConfig(60, 64, 0.05),
-        student_hidden=(8,), student_train=TrainConfig(40, 64, 0.05),
-        n_fake=900, rho=0.7,
-        oracle_label_std=0.08, oracle_junk=0.15, oracle_junk_spread=30.0,
-        dr_train=TrainConfig(40, 64, 0.05),
-        master_seed=seed)
-    base.update(kw)
-    return PipelineConfig(**base)
+    return PipelineConfig(**{
+        **COMMON, "data": RingConfig(noise_std=0.1, n=600), "rho": 0.7,
+        "oracle_flip": 0.0, "oracle_label_std": 0.08,
+        "student_loss": Loss("plain_se"), "master_seed": seed, **kw})
 
 
 def fake_m2_like(real, n):
@@ -73,10 +71,12 @@ def test_train_student_blkd_lambda_zero_matches_plain():
     cfg = TrainConfig(20, 64, 0.05)
     teacher = nncore.init_params(
         nncore.NetSpec(2, (8,), "logits", 2), 9)
-    plain = train_student(real, (8,), cfg, "plain", seed=5)
+    plain = train_student(real, (8,), cfg, Loss("plain_ce"), seed=5,
+                          teacher=teacher)
     # lambda 0 at unit temperature reduces the combined loss to the hard term
-    blkd = train_student(real, (8,), cfg, "blkd", seed=5, teacher=teacher,
-                         lam_kd=0.0, temperature=1.0)
+    blkd = train_student(real, (8,), cfg, Loss("blkd", lam=0.0,
+                                               temperature=1.0),
+                         seed=5, teacher=teacher)
     for wa, wb in zip(plain.weights, blkd.weights):
         assert np.array_equal(wa, wb)
 
@@ -84,12 +84,14 @@ def test_train_student_blkd_lambda_zero_matches_plain():
 def test_train_student_blkd_requires_teacher_and_classification():
     real = make_classification(BlobsConfig(2, 4.0, 0.5, n=100, seed=4))
     with pytest.raises(ValueError, match="teacher"):
-        train_student(real, (8,), TrainConfig(5, 64, 0.05), "blkd", seed=0)
+        train_student(real, (8,), TrainConfig(5, 64, 0.05), Loss("blkd"),
+                      seed=0)
     reg = make_regression(RingConfig(n=100, seed=1))
     teacher = nncore.init_params(nncore.NetSpec(2, (8,), "nonneg_scalar"), 0)
-    with pytest.raises(ValueError, match="classification"):
-        train_student(reg, (8,), TrainConfig(5, 64, 0.05), "blkd", seed=0,
-                      teacher=teacher)
+    with pytest.raises(ValueError,
+                       match="blkd loss does not fit a regression task"):
+        train_student(reg, (8,), TrainConfig(5, 64, 0.05), Loss("blkd"),
+                      seed=0, teacher=teacher)
 
 
 def test_pipeline_deterministic():
@@ -163,8 +165,8 @@ def test_pipeline_nan_teacher_errors_fail_stage_m2(monkeypatch):
 @pytest.mark.parametrize("config", [
     # overlapping blobs, so that top-1 tells different students apart
     cls_config(seed=21, data=BlobsConfig(3, 2.0, 1.0, n=600), fake_cap=0,
-               student_loss="plain"),
-    reg_config(seed=21, fake_cap=0, student_loss="plain"),
+               student_loss=Loss("plain_ce")),
+    reg_config(seed=21, fake_cap=0, student_loss=Loss("plain_se")),
 ], ids=["classification", "regression"])
 def test_ablation_full_equals_pipeline_student(config):
     # The ablation runs the pipeline's own stage sequence, so its last
