@@ -9,7 +9,10 @@ run exactly.  Exit codes: 0 ok, 2 config error, 3 pipeline stage failure.
 """
 
 import argparse
+import contextlib
 import csv
+import ctypes
+import functools
 import math
 import os
 import statistics
@@ -53,6 +56,13 @@ GAN_KEYS = {"batch_size": int, "lr_g": float, "lr_d": float, "noise_dim": int}
 RING_KEYS = {"radius_base": float, "radius_slope": float}
 TRAIN_KEYS = {"lr_decay_epochs": _int_tuple, "momentum": float,
               "weight_decay": float}
+
+
+# (set, get) thread-count functions of OpenBLAS: as a numpy 2.x wheel
+# exports them from numpy.libs/, then as a system OpenBLAS does.
+OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"))
 
 
 class ConfigError(Exception):
@@ -395,12 +405,57 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _openblas():
+    """(set, get) thread-count functions of the OpenBLAS library that this
+    process has loaded, or None where none is mapped (another BLAS, or a
+    system without /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split(None, 5)[5].strip() for line in f
+                     if "openblas" in line}
+        libs = [ctypes.CDLL(path) for path in sorted(paths)]
+    except OSError:
+        return None
+    for lib in libs:
+        for set_name, get_name in OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_threads, get_threads = lib[set_name], lib[get_name]
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                return set_threads, get_threads
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Runs the body with OpenBLAS on one thread and then restores the
+    caller's count.  A 64-wide layer over a few hundred rows crosses
+    OpenBLAS's threading threshold; after each such product its second
+    thread busy-waits through the training steps that follow, burning CPU
+    that buys no wall time.  Outputs are the same under any thread count;
+    without OpenBLAS this does nothing."""
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if not os.path.isdir(args.out_dir):
             raise ConfigError(f"no output directory {args.out_dir!r}")
-        return args.fn(args)
+        with _one_blas_thread():
+            return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

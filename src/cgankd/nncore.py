@@ -92,7 +92,7 @@ class NetParams:
 @dataclass(frozen=True)
 class Loss:
     kind: str
-    lam: float = 0.5        # blkd mixing weight, in [0, 1]
+    lam: float = 0.0        # blkd teacher weight, in [0, 1]; 0 mixes none
     temperature: float = 1.0
 
     def __post_init__(self):

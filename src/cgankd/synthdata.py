@@ -123,8 +123,10 @@ class RingConfig:
     """Spiral curve: label y ~ U[0,1], point at angle 2*pi*y and radius
     radius_base + radius_slope * y, plus isotropic Gaussian noise.
 
-    The slope keeps y=0 and y=1 apart in radius, so the noiseless map from
-    features back to the label is invertible (angle determines y).
+    A nonzero slope keeps y=0 and y=1 apart in radius, and a radius positive
+    for every label keeps each point on the side its angle names, so the
+    noiseless map from features back to the label is invertible (angle
+    determines y).
     """
     radius_base: float = 2.0
     radius_slope: float = 1.5
@@ -137,6 +139,12 @@ class RingConfig:
     def __post_init__(self):
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
+        if self.radius_slope == 0:
+            raise ValueError("radius_slope must be nonzero")
+        if min(self.radius_base, self.radius_base + self.radius_slope) <= 0:
+            raise ValueError("the ring radius must be positive for every "
+                             "label: radius_base and radius_base + "
+                             "radius_slope must exceed 0")
 
     @property
     def task(self) -> Task:

@@ -230,6 +230,10 @@ BAD_VALUES = [
     ({"data.n": "4"}, "class 1 has too few rows to split (1 < 2)"),
     ({"task": "regression", "data.classes": None, "data.separation": None,
       "data.n": "1"}, "the dataset has too few rows to split (1 < 2)"),
+    ({"data.radius_slope": "0", **REGRESSION}, "radius_slope must be nonzero"),
+    ({"data.radius_base": "-2", **REGRESSION}, "radius must be positive"),
+    ({"data.radius_base": "0", **REGRESSION}, "radius must be positive"),
+    ({"data.radius_slope": "-2.5", **REGRESSION}, "radius must be positive"),
 ]
 
 
@@ -261,6 +265,65 @@ def test_ablation_stage_failure_exits_3(tiny_cfg, tmp_path, monkeypatch,
                  "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "'generator'" in err and "generator exploded" in err
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's (set, get) thread-count functions, with the count set to
+    2 for the test and restored after it."""
+    blas = cli._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS with a settable thread count is loaded")
+    set_threads, get_threads = blas
+    before = get_threads()
+    set_threads(2)
+    yield blas
+    set_threads(before)
+
+
+def test_commands_run_on_one_blas_thread_and_restore_the_callers(
+        tiny_cfg, tmp_path, monkeypatch, blas_threads):
+    _, get_threads = blas_threads
+    seen, stage = [], m3_distill._stage
+
+    def recording(name, timings, fn):
+        seen.append(get_threads())
+        return stage(name, timings, fn)
+
+    monkeypatch.setattr(m3_distill, "_stage", recording)
+    assert main(["run", tiny_cfg, "--out-dir", str(tmp_path)]) == 0
+    assert seen and set(seen) == {1}
+    assert get_threads() == 2
+    bad = _tiny_with(tmp_path, {"bogus.key": "1"})
+    assert main(["run", bad, "--out-dir", str(tmp_path)]) == 2
+    assert get_threads() == 2
+
+    def broken(config, real_train, seed):
+        raise RuntimeError("generator exploded")
+    monkeypatch.setattr(m3_distill, "_prepare_generator", broken)
+    assert main(["run", tiny_cfg, "--out-dir", str(tmp_path)]) == 3
+    assert get_threads() == 2
+
+
+# 64-wide layers trained at batch 64, with inference passes over 400 rows:
+# a 64-wide layer over a few hundred rows crosses OpenBLAS's threading
+# threshold, so with 2 threads those products split across both.
+WIDE = {"data.n": "800", "teacher.hidden": "64,64", "dr.hidden": "64",
+        "student.hidden": "64", "n_fake": "600"}
+
+
+def test_checkpoints_are_byte_identical_on_one_and_two_blas_threads(
+        tmp_path, blas_threads):
+    set_threads, _ = blas_threads
+    config = build_pipeline_config(load_config(_tiny_with(tmp_path, WIDE))[0])
+    files = []
+    for threads in (2, 1):
+        set_threads(threads)
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        m3_distill.run_pipeline(config, checkpoint_dir=str(out))
+        files.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert files[0] and files[0] == files[1]
 
 
 @pytest.mark.parametrize("edits", [{}, REGRESSION],

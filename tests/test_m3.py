@@ -84,14 +84,14 @@ def test_train_student_blkd_lambda_zero_matches_plain():
 def test_train_student_blkd_requires_teacher_and_classification():
     real = make_classification(BlobsConfig(2, 4.0, 0.5, n=100, seed=4))
     with pytest.raises(ValueError, match="teacher"):
-        train_student(real, (8,), TrainConfig(5, 64, 0.05), Loss("blkd"),
-                      seed=0)
+        train_student(real, (8,), TrainConfig(5, 64, 0.05),
+                      Loss("blkd", lam=0.5), seed=0)
     reg = make_regression(RingConfig(n=100, seed=1))
     teacher = nncore.init_params(nncore.NetSpec(2, (8,), "nonneg_scalar"), 0)
     with pytest.raises(ValueError,
                        match="blkd loss does not fit a regression task"):
-        train_student(reg, (8,), TrainConfig(5, 64, 0.05), Loss("blkd"),
-                      seed=0, teacher=teacher)
+        train_student(reg, (8,), TrainConfig(5, 64, 0.05),
+                      Loss("blkd", lam=0.5), seed=0, teacher=teacher)
 
 
 def test_pipeline_deterministic():

@@ -335,7 +335,7 @@ def test_train_and_evaluate_reject_head_of_other_task():
     with pytest.raises(ValueError, match="network head does not match"):
         evaluate(scalar, ds)
     with pytest.raises(ValueError, match="teacher head does not match"):
-        train(logits, ds, TrainConfig(1, 8, 0.1, loss=Loss("blkd")),
+        train(logits, ds, TrainConfig(1, 8, 0.1, loss=Loss("blkd", lam=0.5)),
               teacher=scalar)
     with pytest.raises(ValueError, match="plain_se loss does not fit"):
         train(logits, ds, TrainConfig(1, 8, 0.1, loss=Loss("plain_se")))

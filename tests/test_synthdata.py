@@ -42,10 +42,12 @@ def test_blobs_deterministic():
 
 
 def test_ring_zero_noise_is_deterministic_function():
-    cfg = RingConfig(noise_std=0.0, n=200, seed=3)
-    ds = make_regression(cfg)
-    recovered = ring_true_label(ds.features)
-    assert np.max(np.abs(recovered - ds.labels)) < 1e-12
+    # a negative slope whose radius stays positive keeps the map invertible
+    for slope in (1.5, -1.5):
+        cfg = RingConfig(radius_slope=slope, noise_std=0.0, n=200, seed=3)
+        ds = make_regression(cfg)
+        recovered = ring_true_label(ds.features)
+        assert np.max(np.abs(recovered - ds.labels)) < 1e-12
 
 
 def test_ring_labels_uniform_ks():
