@@ -5,8 +5,8 @@ real-vs-fake classifier on (features ++ label encoding): the classifier's
 odds, times the fake/real training prior, recover the ratio.  Rejection then
 accepts a candidate with probability min(ratio / M_max, 1), where the ceiling
 M_max is gamma * max ratio over a calibration set.  The pipeline passes none,
-so M_max is calibrated on the very fakes the classifier trained on;
-calibrating on fresh fakes is ROADMAP item 3.
+so M_max is calibrated on the very fakes the classifier trained on; a fresh
+calibration batch is open work on the ROADMAP.
 """
 
 from dataclasses import dataclass

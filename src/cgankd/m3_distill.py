@@ -5,9 +5,9 @@ A run executes data generation, teacher training, generator preparation,
 density-ratio subsampling, quantile filtering with optional label
 replacement, augmentation, student training, and evaluation.  Every stage
 draws its randomness from a key derived from (master seed, stage name), so
-two runs with the same config are bit-identical and the student stage is
+two runs with the same config are bit-identical and the student seed is
 shared between the NOKD baseline and the augmented student: with no
-surviving fakes the two students coincide exactly.
+surviving fakes and a plain loss the two students coincide exactly.
 """
 
 import time
@@ -137,6 +137,16 @@ def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, loss: Loss,
                       teacher if loss.kind == "blkd" else None)
 
 
+def _student_stage(config: PipelineConfig, real_train: Dataset,
+                   fakes: Dataset, teacher: NetParams, seed_of, timings):
+    """Stage "student": the run's student on the real set plus `fakes`,
+    under `config.student_loss`; `run` and every ablation variant use it."""
+    return _stage("student", timings, lambda: train_student(
+        augment(real_train, fakes), config.student_hidden,
+        config.student_train, config.student_loss, seed_of("student"),
+        teacher=teacher))
+
+
 def _oracle(config: PipelineConfig) -> CorruptedOracle:
     return CorruptedOracle(config.data, flip_prob=config.oracle_flip,
                            label_gauss_std=config.oracle_label_std,
@@ -235,13 +245,8 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
     if d_m2.n:
         _save(checkpoint_dir, "fakes_m2.txt", write_dataset, d_m2, "fake_m2")
 
-    def student_stage():
-        d_aug = augment(real_train, d_m2)
-        return train_student(d_aug, config.student_hidden,
-                             config.student_train, config.student_loss,
-                             seed_of("student"), teacher=teacher)
-
-    student = _stage("student", timings, student_stage)
+    student = _student_stage(config, real_train, d_m2, teacher, seed_of,
+                             timings)
     _save(checkpoint_dir, "student.txt", modelio.write_netparams, student)
 
     def eval_stage():
@@ -266,7 +271,9 @@ def run_ablation(config: PipelineConfig) -> dict:
 
     raw: unprocessed fakes; m1: subsampled; m1m2: subsampled + filtered;
     full: m1m2 plus label replacement (regression; identical to m1m2 for
-    classification, where no replacement step exists).
+    classification, where no replacement step exists).  Every variant's
+    fakes are capped at `fake_cap` and train the run's student under its
+    `student_loss`, so `full` is `run_pipeline`'s student for the config.
     """
     timings = {}
     seed_of = partial(rng.derive_key, config.master_seed)
@@ -284,14 +291,12 @@ def run_ablation(config: PipelineConfig) -> dict:
 
     d_raw = _stage("raw", timings, raw_stage)
     d_filtered, d_full = _stage("m2", timings, m2_stage)
-    variants = {"raw": d_raw, "m1": d_m1, "m1m2": d_filtered, "full": d_full}
-
     out = {}
-    for name in ABLATION_VARIANTS:
-        student = _stage("student", timings, lambda: train_student(
-            augment(real_train, variants[name]), config.student_hidden,
-            config.student_train, plain_loss(real_train.task),
-            seed_of("student")))
+    for name, fakes in zip(ABLATION_VARIANTS,
+                           (d_raw, d_m1, d_filtered, d_full)):
+        fakes = _cap_fakes(fakes, config.fake_cap, seed_of("fake-cap"))
+        student = _student_stage(config, real_train, fakes, teacher, seed_of,
+                                 timings)
         out[name] = _stage("evaluate", timings,
                            lambda: nncore.evaluate(student, eval_set))
     return out

@@ -1,7 +1,7 @@
 """Numerical check of the generalization bound on finite discrete problems.
 
 Everything here is exact except the Rademacher expectation, which is a
-Monte-Carlo estimate (exact enumeration is available for small samples).
+Monte-Carlo estimate.
 The bound under test reads
 
     V(erm) - V(best) <= 4*C_L*R + 2*C_L*sqrt((4/N)*log(2/delta))
@@ -144,25 +144,15 @@ def _loss_matrix(hypotheses: FiniteHypothesisClass, samples, loss,
 
 
 def empirical_rademacher(hypotheses: FiniteHypothesisClass, samples, loss,
-                         c_l: float, n_mc: int = 2000, seed: int = 0,
-                         exact: bool = False):
+                         c_l: float, n_mc: int = 2000, seed: int = 0):
     """Estimate E_sigma[ sup_f (1/n)|sum_i sigma_i loss(f(x_i), y_i)/c_l| ].
 
-    Returns (estimate, standard error); the exact mode enumerates all sign
-    vectors (n <= 16) and reports a zero standard error.
+    Returns (estimate, standard error) over n_mc random sign vectors.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be positive")
     L = _loss_matrix(hypotheses, samples, loss, c_l)
     n = L.shape[1]
-    if exact:
-        if n > 16:
-            raise ValueError("exact enumeration is limited to n <= 16")
-        codes = np.arange(2 ** n, dtype=np.uint64)
-        bits = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
-        sigma = 2.0 * bits.astype(np.float64) - 1.0
-        sups = np.abs(sigma @ L.T).max(axis=1) / n
-        return float(sups.mean()), 0.0
     key = rng.derive_key("rademacher", seed)
     u = rng.uniforms(key, np.arange(n_mc * n, dtype=np.uint64))
     sigma = np.where(u < 0.5, -1.0, 1.0).reshape(n_mc, n)

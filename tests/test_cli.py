@@ -387,6 +387,17 @@ def test_build_pipeline_config_ships_bench_files():
     assert reg_cfg.rho == 0.7
 
 
+@pytest.mark.parametrize("shipped, measured", [
+    ("bench_cls.cfg", "cls.cfg"), ("bench_reg.cfg", "reg.cfg")])
+def test_shipped_bench_configs_match_the_benchmarks(shipped, measured):
+    # The README calls configs/bench_*.cfg the shipped benchmarks; they must
+    # hold the settings that bench/ actually measures.
+    import pathlib
+    root = pathlib.Path(__file__).resolve().parent.parent
+    assert (load_config(root / "configs" / shipped)[0]
+            == load_config(root / "bench" / "configs" / measured)[0])
+
+
 def test_readme_usage_lists_every_subcommand():
     import argparse
     import pathlib

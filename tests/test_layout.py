@@ -1,10 +1,13 @@
 """Every public module-level function and class in src/cgankd, and every
 public method and property of those classes, has a caller in src/cgankd
-itself: a name that only tests reach belongs in the tests.  It also checks
-that `PipelineConfig` declares no field default."""
+itself: a name that only tests reach belongs in the tests.  The same holds
+for a defaulted parameter, which some src call must pass, and for a
+dataclass field, which src must read.  It also checks that `PipelineConfig`
+declares no field default."""
 
 import ast
 import pathlib
+from collections import defaultdict
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cgankd"
 MODULES = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
@@ -58,13 +61,24 @@ def test_every_public_name_is_used_in_src():
     assert unused == [], "reached only from outside src/cgankd"
 
 
+def _functions(modules):
+    """(module, class name or None, function) for every function and method
+    at module or class level."""
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield mod, None, node
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        yield mod, node.name, member
+
+
 def _public_members():
     """Public methods and properties of the classes in src/cgankd; names
     that start with an underscore, dunders included, are left out."""
-    return [(mod, cls.name, node) for mod, tree in MODULES.items()
-            for cls in tree.body if isinstance(cls, ast.ClassDef)
-            for node in cls.body if isinstance(node, ast.FunctionDef)
-            and not node.name.startswith("_")]
+    return [(mod, cls, node) for mod, cls, node in _functions(MODULES)
+            if cls is not None and not node.name.startswith("_")]
 
 
 def _is_read_as_attribute(definition):
@@ -99,3 +113,146 @@ def test_pipeline_config_declares_no_defaults():
     defaulted = [node.target.id for node in config.body
                  if isinstance(node, ast.AnnAssign) and node.value is not None]
     assert defaulted == []
+
+
+# Defaulted parameters that no src call passes, each with why it stays.
+UNPASSED_DEFAULTS_ALLOWED = {
+    "cli.main(argv)": "console entry point: the installed script calls "
+                      "main() bare, so argv defaults to sys.argv",
+    "m1_subsample.train_dr(calibration)": "calibrating m_max on fresh fakes "
+                                          "gives it a caller (ROADMAP)",
+}
+
+# Dataclass fields that src writes and never reads, each with why it stays:
+# the planned run trace and `bound.csv` columns (ROADMAP) read them.
+_TRACE = "the run trace will record it"
+_BOUND_CSV = "bound.csv will carry it as a column"
+UNREAD_FIELDS_ALLOWED = {
+    "m2_labeladjust.FilterReport.thresholds": _TRACE,
+    "m2_labeladjust.FilterReport.counts_in": _TRACE,
+    "m2_labeladjust.FilterReport.counts_out": _TRACE,
+    "m2_labeladjust.FilterReport.error_quantiles": _TRACE,
+    "m3_distill.PipelineReport.timings": _TRACE,
+    "theory.BoundReport.r_hat": _BOUND_CSV,
+    "theory.BoundReport.complexity_term": _BOUND_CSV,
+    "theory.BoundReport.statistical_term": _BOUND_CSV,
+    "theory.BoundReport.gap_term": _BOUND_CSV,
+    "theory.BoundReport.approx_term": _BOUND_CSV,
+    "theory.VerifyReport.tv": _BOUND_CSV,
+    "theory.VerifyReport.r_hat_stderr": _BOUND_CSV,
+}
+
+# One violation of each rule below, and a pass of each kind it accepts.
+PLANTED = ast.parse("""
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Report:
+    kept: int
+    dropped: int
+
+class Optimizer:
+    def __init__(self, lr, momentum=0.0):
+        self.lr = lr
+    def step(self, grad, scale=1.0, clip=None):
+        return self.lr * grad * scale
+
+def scale_of(report, factor=2.0, offset=0.0):
+    return report.kept * factor + offset
+
+def run():
+    opt = Optimizer(0.1, 0.9)
+    return opt.step(scale_of(Report(1, 2), offset=1.0), 0.5)
+""")
+PLANTED_UNPASSED = {"planted.Optimizer.step(clip)", "planted.scale_of(factor)"}
+PLANTED_UNREAD = {"planted.Report.dropped"}
+
+
+def _calls_by_name(modules):
+    """Callee name -> calls of `name(...)` or `<anything>.name(...)`: the
+    receiver is not resolved, so any callee of that name counts."""
+    calls = defaultdict(list)
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls[name].append(node)
+    return calls
+
+
+def _unpassed_defaults(modules):
+    """`module.[Class.]function(param)` for each defaulted parameter that no
+    call in `modules` passes by keyword or by position; a constructor is
+    called by its class name, and a call with *args or **kwargs passes
+    every parameter."""
+    out, calls_of = set(), _calls_by_name(modules)
+    for mod, cls, fn in _functions(modules):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        bound = int(cls is not None and not any(
+            getattr(d, "id", None) == "staticmethod"
+            for d in fn.decorator_list))
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            arg for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+        calls = calls_of[cls if fn.name == "__init__" else fn.name]
+        for arg in defaulted:
+            index = (positional.index(arg) - bound if arg in positional
+                     else None)
+            if not any(
+                    any(k.arg in (arg.arg, None) for k in call.keywords)
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or (index is not None and len(call.args) > index)
+                    for call in calls):
+                qualified = f"{cls}.{fn.name}" if cls else fn.name
+                out.add(f"{mod}.{qualified}({arg.arg})")
+    return out
+
+
+def _is_dataclass(cls):
+    for decorator in cls.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if "dataclass" in (getattr(decorator, "id", None),
+                           getattr(decorator, "attr", None)):
+            return True
+    return False
+
+
+def _unread_fields(modules):
+    """`module.Class.field` for each dataclass field that `modules` never
+    read as an attribute.  The constructor writes every field; the reader's
+    receiver is not resolved, so any read of that attribute name counts."""
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    return {f"{mod}.{cls.name}.{node.target.id}"
+            for mod, tree in modules.items() for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+            for node in cls.body if isinstance(node, ast.AnnAssign)
+            and node.target.id not in read}
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    unpassed = _unpassed_defaults(MODULES)
+    assert sorted(unpassed - set(UNPASSED_DEFAULTS_ALLOWED)) == [], (
+        "defaulted parameter that only tests pass")
+    assert sorted(set(UNPASSED_DEFAULTS_ALLOWED) - unpassed) == [], (
+        "stale allowlist entry")
+
+
+def test_every_dataclass_field_is_read_in_src():
+    unread = _unread_fields(MODULES)
+    assert sorted(unread - set(UNREAD_FIELDS_ALLOWED)) == [], (
+        "dataclass field that src writes and never reads")
+    assert sorted(set(UNREAD_FIELDS_ALLOWED) - unread) == [], (
+        "stale allowlist entry")
+
+
+def test_unpassed_default_rule_flags_a_planted_violation():
+    assert _unpassed_defaults({"planted": PLANTED}) == PLANTED_UNPASSED
+
+
+def test_unread_field_rule_flags_a_planted_violation():
+    assert _unread_fields({"planted": PLANTED}) == PLANTED_UNREAD

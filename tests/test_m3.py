@@ -162,20 +162,38 @@ def test_pipeline_nan_teacher_errors_fail_stage_m2(monkeypatch):
         run_pipeline(reg_config(seed=20))
 
 
+# overlapping blobs, so that top-1 tells different students apart
+_ABLATION_CLS = dict(seed=21, data=BlobsConfig(3, 2.0, 1.0, n=600))
+
+
 @pytest.mark.parametrize("config", [
-    # overlapping blobs, so that top-1 tells different students apart
-    cls_config(seed=21, data=BlobsConfig(3, 2.0, 1.0, n=600), fake_cap=0,
-               student_loss=Loss("plain_ce")),
+    cls_config(**_ABLATION_CLS, fake_cap=0, student_loss=Loss("plain_ce")),
     reg_config(seed=21, fake_cap=0, student_loss=Loss("plain_se")),
-], ids=["classification", "regression"])
-def test_ablation_full_equals_pipeline_student(config):
-    # The ablation runs the pipeline's own stage sequence, so its last
-    # variant is the pipeline's student whenever no cap or distillation
-    # loss sets the two apart.
+    cls_config(**_ABLATION_CLS, fake_cap=0,
+               student_loss=Loss("blkd", lam=0.5, temperature=5.0)),
+    cls_config(**_ABLATION_CLS, fake_cap=200, student_loss=Loss("plain_ce")),
+    reg_config(seed=21, fake_cap=200, student_loss=Loss("plain_se")),
+], ids=["classification", "regression", "classification-blkd",
+        "classification-capped", "regression-capped"])
+def test_ablation_full_equals_pipeline_student(config, monkeypatch):
+    # Every ablation variant trains the run's student, under its loss and
+    # cap, so the last variant is the pipeline's student.
+    train_rows = []
+
+    def recording(d_aug, *args, **kwargs):
+        train_rows.append(d_aug.n)
+        return train_student(d_aug, *args, **kwargs)
+
+    monkeypatch.setattr(m3_distill, "train_student", recording)
     ablation = run_ablation(config)
-    assert ablation["full"] == run_pipeline(config).student_cgankd
+    monkeypatch.undo()
+    report = run_pipeline(config)
+    assert ablation["full"] == report.student_cgankd
     if config.data.task.kind == "classification":
         assert ablation["m1m2"] == ablation["full"]
+    assert len(train_rows) == len(ABLATION_VARIANTS)
+    if config.fake_cap:
+        assert max(train_rows) <= report.n_real + config.fake_cap
 
 
 def test_ablation_variants_and_determinism():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgankd.theory import (BoundReport, DiscreteJoint, FiniteHypothesisClass,
-                           VerifySetup, bayes_risk, bound_rhs,
+                           VerifySetup, _loss_matrix, bayes_risk, bound_rhs,
                            empirical_rademacher, exact_risk, filter_joint,
                            mixture, standard_setup, threshold_rules,
                            tv_distance, verify_bound, zero_one_loss)
@@ -12,6 +12,18 @@ from cgankd.theory import (BoundReport, DiscreteJoint, FiniteHypothesisClass,
 
 def two_point(p0, labels=((0, 0), (1, 0))):
     return DiscreteJoint(labels, (p0, 1.0 - p0))
+
+
+def exact_rademacher(hypotheses, samples, loss, c_l):
+    """Oracle for `empirical_rademacher`: the expectation over all 2**n sign
+    vectors, enumerated exactly (n <= 16)."""
+    L = _loss_matrix(hypotheses, samples, loss, c_l)
+    n = L.shape[1]
+    assert n <= 16, "exact enumeration is limited to n <= 16"
+    codes = np.arange(2 ** n, dtype=np.uint64)
+    bits = (codes[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
+    sigma = 2.0 * bits.astype(np.float64) - 1.0
+    return float((np.abs(sigma @ L.T).max(axis=1) / n).mean())
 
 
 def test_tv_identical_is_zero():
@@ -90,9 +102,15 @@ def test_rademacher_constant_loss_matches_binomial_closed_form():
                        for k in range(n + 1)) / (2 ** n * n)
     est, se = empirical_rademacher(H, samples, loss, 1.0, n_mc=4000, seed=1)
     assert abs(est - expected) < 3 * se
-    exact, zero = empirical_rademacher(H, samples, loss, 1.0, exact=True)
-    assert exact == pytest.approx(expected)
-    assert zero == 0.0
+    assert exact_rademacher(H, samples, loss, 1.0) == pytest.approx(expected)
+
+
+def test_rademacher_estimate_agrees_with_exact_enumeration():
+    H = threshold_rules(range(4))
+    samples = [(i % 4, int((i * 5) % 3 == 0)) for i in range(14)]
+    est, se = empirical_rademacher(H, samples, zero_one_loss, 1.0,
+                                   n_mc=4000, seed=4)
+    assert abs(est - exact_rademacher(H, samples, zero_one_loss, 1.0)) < 3 * se
 
 
 def test_rademacher_duplicate_hypothesis_invariance():
