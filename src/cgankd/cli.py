@@ -295,29 +295,37 @@ def _sweep_variant(config: PipelineConfig, param: str, value):
     raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
-def _mean_std(values):
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return mean, std
-
-
 def _seed_rows(key, per_seed):
     """`key + (seed, *values)` per (seed, values) pair, then `key` plus
     "mean" and "stddev" with each column's statistic."""
     rows = [key + (seed,) + tuple(values) for seed, values in per_seed]
-    stats = [_mean_std(col) for col in zip(*(v for _, v in per_seed))]
-    for name, pick in (("mean", 0), ("stddev", 1)):
-        rows.append(key + (name,) + tuple(st[pick] for st in stats))
+    cols = list(zip(*(v for _, v in per_seed)))
+    rows.append(key + ("mean",) + tuple(map(statistics.fmean, cols)))
+    rows.append(key + ("stddev",) + tuple(
+        statistics.stdev(col) if len(col) > 1 else 0.0 for col in cols))
     return rows
+
+
+def _distinct(text, cast, what):
+    """Sorted entries of a comma-separated list; a repeated one (after
+    `cast`) would run a pipeline twice and count it as two runs."""
+    try:
+        entries = sorted(cast(v) for v in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad {what}s: {exc}") from exc
+    for a, b in zip(entries, entries[1:]):
+        if a == b:
+            raise ConfigError(f"repeated {what} {a!r}")
+    return entries
 
 
 def cmd_sweep(args) -> int:
     kv, snapshot, _ = load_config(args.config)
     base = build_pipeline_config(kv)
     try:
-        values = sorted(float(v) if args.param == "rho" else int(v)
-                        for v in args.values.split(","))
-        seeds = sorted(int(s) for s in args.seeds.split(","))
+        values = _distinct(args.values,
+                           float if args.param == "rho" else int, "value")
+        seeds = _distinct(args.seeds, int, "seed")
         cells = [[_sweep_variant(replace(base, master_seed=seed), args.param,
                                  value) for seed in seeds] for value in values]
     except ValueError as exc:
@@ -336,10 +344,7 @@ def cmd_sweep(args) -> int:
 def cmd_ablation(args) -> int:
     kv, snapshot, _ = load_config(args.config)
     base = build_pipeline_config(kv)
-    try:
-        seeds = sorted(int(s) for s in args.seeds.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad seeds: {exc}") from exc
+    seeds = _distinct(args.seeds, int, "seed")
     tables = [run_ablation(replace(base, master_seed=s)) for s in seeds]
     rows = []
     for variant in ABLATION_VARIANTS:

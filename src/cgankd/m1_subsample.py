@@ -78,12 +78,6 @@ def ratio_batch(model: DensityRatioModel, features: np.ndarray,
     return np.exp(odds_log) * model.prior_correction
 
 
-def constant_labels(label):
-    def source(indices):
-        return np.full(len(indices), label)
-    return source
-
-
 def empirical_labels(train_set: Dataset, seed: int):
     return partial(cgen.empirical_draw, np.sort(train_set.labels),
                    rng.derive_key("reject-labels", seed))

@@ -2,10 +2,12 @@
 for regression, label replacement.
 
 Filtering drops samples whose teacher-vs-assigned-label error exceeds the
-rho-th quantile (nearest-rank, inclusive keep): per class for classification,
-one global threshold for regression.  rho=1 keeps everything; rho=0 is
-special-cased to keep nothing.  Replacement overwrites each surviving
-regression label with the teacher's prediction, clamped to [0, 1].
+rho-th quantile (nearest-rank, inclusive keep) of their label group: per
+class for classification, one global threshold for regression.  rho=1 keeps
+everything; rho=0 is special-cased to keep nothing.  Classification labels
+are never changed, only scored as the teacher's consistency with them.
+Replacement overwrites each surviving regression label with the teacher's
+prediction, clamped to [0, 1].
 """
 
 import math
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import nncore
 from .nncore import NetParams, softmax
-from .synthdata import Dataset
+from .synthdata import Dataset, label_groups
 
 _QUANTILE_FUZZ = 1e-9  # absorbs float error in rho * n before ceil
 
@@ -24,7 +26,7 @@ _QUANTILE_FUZZ = 1e-9  # absorbs float error in rho * n before ceil
 class FilterReport:
     rho: float
     thresholds: dict        # class index -> alpha, or {"global": alpha}
-    counts_in: dict         # per group plus "total"
+    counts_in: dict         # per group (as in thresholds) plus "total"
     counts_out: dict
     consistency_before: float = None  # classification only
     consistency_after: float = None
@@ -77,45 +79,39 @@ def quantile_threshold(errors: np.ndarray, rho: float) -> float:
     return float(np.sort(errors)[k - 1])
 
 
-def _error_summary(errors: np.ndarray) -> dict:
-    qs = np.percentile(errors, [0, 25, 50, 75, 100])
-    return {"min": float(qs[0]), "q25": float(qs[1]), "q50": float(qs[2]),
-            "q75": float(qs[3]), "max": float(qs[4])}
+def _filter(fakes: Dataset, errors: np.ndarray, rho: float):
+    """Quantile filtering within each label group of the fakes; returns
+    (keep mask, report without consistencies)."""
+    keep = np.zeros(fakes.n, dtype=bool)
+    report = FilterReport(rho, {}, {}, {})
+    for parts, idx in label_groups(fakes.task, fakes.labels):
+        group = parts[0] if parts else "global"
+        alpha = report.thresholds[group] = quantile_threshold(errors[idx], rho)
+        keep[idx] = errors[idx] <= alpha
+        report.counts_in[group] = len(idx)
+        report.counts_out[group] = int(keep[idx].sum())
+    report.counts_in["total"] = fakes.n
+    report.counts_out["total"] = int(keep.sum())
+    qs = np.percentile(errors, [0, 25, 50, 75, 100]).tolist()
+    report.error_quantiles = dict(zip(("min", "q25", "q50", "q75", "max"), qs))
+    return keep, report
 
 
 def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
     """Per-class quantile filtering; returns (kept set, report)."""
     if fakes.task.kind != "classification":
         raise ValueError("classification filter on non-classification data")
-    n_classes = fakes.task.n_classes
-    present = np.bincount(fakes.labels, minlength=n_classes)
-    missing = np.flatnonzero(present == 0)
+    missing = np.setdiff1d(np.arange(fakes.task.n_classes), fakes.labels)
     if missing.size:
         raise ValueError(f"classes absent from the fake set: {missing.tolist()}")
     # One teacher pass gives the errors and both consistencies; the kept
     # set's consistency reads its rows through the keep mask.
     logits = _teacher_outputs(teacher, fakes)
-    errors = _errors(logits, fakes)
-    keep = np.zeros(fakes.n, dtype=bool)
-    thresholds, counts_in, counts_out = {}, {}, {}
-    for c in range(n_classes):
-        mask = fakes.labels == c
-        alpha = quantile_threshold(errors[mask], rho)
-        keep[mask] = errors[mask] <= alpha
-        thresholds[c] = alpha
-        counts_in[c] = int(mask.sum())
-        counts_out[c] = int(keep[mask].sum())
-    counts_in["total"] = fakes.n
-    counts_out["total"] = int(keep.sum())
-    kept = fakes.subset(keep)
+    keep, report = _filter(fakes, _errors(logits, fakes), rho)
     agree = logits.argmax(axis=1) == fakes.labels
-    report = FilterReport(
-        rho=rho, thresholds=thresholds, counts_in=counts_in,
-        counts_out=counts_out,
-        consistency_before=float(np.mean(agree)),
-        consistency_after=float(np.mean(agree[keep])) if kept.n else 0.0,
-        error_quantiles=_error_summary(errors))
-    return kept, report
+    report.consistency_before = float(np.mean(agree))
+    report.consistency_after = float(agree[keep].mean()) if keep.any() else 0.0
+    return fakes.subset(keep), report
 
 
 def filter_regression(teacher: NetParams, fakes: Dataset, rho: float):
@@ -124,15 +120,8 @@ def filter_regression(teacher: NetParams, fakes: Dataset, rho: float):
         raise ValueError("regression filter on non-regression data")
     if fakes.n == 0:
         raise ValueError("empty fake set")
-    errors = sample_errors(teacher, fakes)
-    alpha = quantile_threshold(errors, rho)
-    keep = errors <= alpha
-    kept = fakes.subset(keep)
-    report = FilterReport(
-        rho=rho, thresholds={"global": alpha},
-        counts_in={"total": fakes.n}, counts_out={"total": int(keep.sum())},
-        error_quantiles=_error_summary(errors))
-    return kept, report
+    keep, report = _filter(fakes, sample_errors(teacher, fakes), rho)
+    return fakes.subset(keep), report
 
 
 def replace_labels(teacher: NetParams, fakes: Dataset) -> Dataset:
@@ -144,22 +133,12 @@ def replace_labels(teacher: NetParams, fakes: Dataset) -> Dataset:
     return Dataset(fakes.task, fakes.features, labels)
 
 
-def filter_fakes(teacher: NetParams, fakes: Dataset, rho: float):
-    """The quantile filter of the fakes' task; returns (kept set, report)."""
-    if fakes.task.kind == "classification":
-        return filter_classification(teacher, fakes, rho)
-    return filter_regression(teacher, fakes, rho)
-
-
-def adjust_labels(teacher: NetParams, kept: Dataset) -> Dataset:
-    """M2's label step: replacement for non-empty regression sets, no
-    change otherwise."""
-    if kept.task.kind == "regression" and kept.n:
-        return replace_labels(teacher, kept)
-    return kept
-
-
 def run_m2(teacher: NetParams, fakes: Dataset, rho: float):
-    """Filter, then (regression only) replace labels."""
-    kept, report = filter_fakes(teacher, fakes, rho)
-    return adjust_labels(teacher, kept), report
+    """Module M2: the fakes' quantile filter, then label replacement for a
+    non-empty regression set.  Returns (filtered, adjusted, report), where
+    adjusted is filtered for classification."""
+    if fakes.task.kind == "classification":
+        kept, report = filter_classification(teacher, fakes, rho)
+        return kept, kept, report
+    kept, report = filter_regression(teacher, fakes, rho)
+    return kept, replace_labels(teacher, kept) if kept.n else kept, report

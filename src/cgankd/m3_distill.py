@@ -22,7 +22,8 @@ from .m2_labeladjust import FilterReport
 from .nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
                      check_loss, plain_loss)
 from .synthdata import (Dataset, SynthConfig, check_splittable, class_budgets,
-                        concat, make_dataset, split, write_dataset)
+                        concat, label_groups, make_dataset, split,
+                        write_dataset)
 
 GENERATOR_KINDS = ("oracle", "cgan")
 
@@ -162,7 +163,8 @@ def _prepare_generator(config: PipelineConfig, real_train: Dataset, seed: int):
 
 def _subsample_fakes(config: PipelineConfig, generator, real_train: Dataset,
                      seed_of) -> Dataset:
-    """Module M1: density-ratio rejection until n_fake accepted."""
+    """Module M1: density-ratio rejection until n_fake accepted, per label
+    group with class budgets and labels drawn from the group's own rows."""
     fake_labels = cgen.sample_labels(real_train, real_train.n,
                                      seed=seed_of("m1-fake-labels"))
     fake_train = cgen.sample(generator, fake_labels, seed=seed_of("m1-fakes"))
@@ -170,19 +172,16 @@ def _subsample_fakes(config: PipelineConfig, generator, real_train: Dataset,
         real_train, fake_train, config.dr_hidden,
         replace(config.dr_train, seed=seed_of("m1-dr")), config.dr_gamma,
         seed_of("m1"))
-    task = real_train.task
     reject = partial(m1_subsample.rejection_sample,
-                     partial(cgen.sample_features, generator), task,
+                     partial(cgen.sample_features, generator), real_train.task,
                      partial(m1_subsample.ratio_batch, model), model.m_max)
-    if task.kind == "classification":
-        budgets = class_budgets(config.n_fake, task.n_classes)
-        parts = [reject(m1_subsample.constant_labels(c), int(budgets[c]),
-                        seed=seed_of("m1-reject", c))
-                 for c in range(task.n_classes)]
-        return reduce(concat, parts)
-    labels = m1_subsample.empirical_labels(real_train,
-                                           seed=seed_of("m1-labels"))
-    return reject(labels, config.n_fake, seed=seed_of("m1-reject"))
+    groups = label_groups(real_train.task, real_train.labels)
+    budgets = class_budgets(config.n_fake, len(groups))
+    return reduce(concat, [
+        reject(m1_subsample.empirical_labels(
+                   real_train.subset(idx), seed=seed_of("m1-labels", *parts)),
+               int(n), seed=seed_of("m1-reject", *parts))
+        for (parts, idx), n in zip(groups, budgets)])
 
 
 def _cap_fakes(fakes: Dataset, cap: int, seed: int) -> Dataset:
@@ -239,8 +238,8 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
     _save(checkpoint_dir, "student_nokd.txt", modelio.write_netparams,
           student_nokd)
 
-    d_m2, filter_report = _stage("m2", timings, lambda: m2_labeladjust.run_m2(
-        teacher, d_m1, config.rho))
+    _, d_m2, filter_report = _stage("m2", timings, lambda: (
+        m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
     d_m2 = _cap_fakes(d_m2, config.fake_cap, seed_of("fake-cap"))
     if d_m2.n:
         _save(checkpoint_dir, "fakes_m2.txt", write_dataset, d_m2, "fake_m2")
@@ -285,12 +284,9 @@ def run_ablation(config: PipelineConfig) -> dict:
                                         seed=seed_of("raw-labels"))
         return cgen.sample(generator, raw_labels, seed=seed_of("raw-fakes"))
 
-    def m2_stage():
-        d_filtered, _ = m2_labeladjust.filter_fakes(teacher, d_m1, config.rho)
-        return d_filtered, m2_labeladjust.adjust_labels(teacher, d_filtered)
-
     d_raw = _stage("raw", timings, raw_stage)
-    d_filtered, d_full = _stage("m2", timings, m2_stage)
+    d_filtered, d_full, _ = _stage("m2", timings, lambda: (
+        m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
     out = {}
     for name, fakes in zip(ABLATION_VARIANTS,
                            (d_raw, d_m1, d_filtered, d_full)):

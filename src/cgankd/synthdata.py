@@ -213,6 +213,16 @@ def make_dataset(cfg: SynthConfig) -> Dataset:
     return make_regression(cfg)
 
 
+def label_groups(task: Task, labels: np.ndarray):
+    """The groups that split, M1 and M2 each treat on their own, as
+    (seed parts, row indices) pairs: ((c,), rows of class c) for each class,
+    or ((), every row) for regression."""
+    if task.kind == "classification":
+        return [((c,), np.flatnonzero(labels == c))
+                for c in range(task.n_classes)]
+    return [((), np.arange(len(labels)))]
+
+
 def check_splittable(task: Task, sizes) -> None:
     """Raises ValueError unless every group has the 2 rows `split` needs to
     put one on each side.  `sizes` holds the row count of each class, or of
@@ -225,32 +235,21 @@ def check_splittable(task: Task, sizes) -> None:
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int):
-    """Disjoint (train, test) partition; stratified per class for classification."""
+    """Disjoint (train, test) partition, drawn per label group."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train_fraction must be in (0, 1)")
-    task = dataset.task
-    check_splittable(task, np.bincount(dataset.labels, minlength=task.n_classes)
-                     if task.kind == "classification" else [dataset.n])
-    if task.kind == "classification":
-        train_idx, test_idx = [], []
-        for c in range(task.n_classes):
-            idx = np.flatnonzero(dataset.labels == c)
-            g = rng.generator(rng.derive_key("split", seed, c))
-            idx = idx[g.permutation(len(idx))]
-            k = int(round(train_fraction * len(idx)))
-            k = min(max(k, 1), len(idx) - 1)
-            train_idx.append(idx[:k])
-            test_idx.append(idx[k:])
-        train_idx = np.sort(np.concatenate(train_idx))
-        test_idx = np.sort(np.concatenate(test_idx))
-    else:
-        g = rng.generator(rng.derive_key("split", seed))
-        idx = g.permutation(dataset.n)
-        k = int(round(train_fraction * dataset.n))
-        k = min(max(k, 1), dataset.n - 1)
-        train_idx = np.sort(idx[:k])
-        test_idx = np.sort(idx[k:])
-    return dataset.subset(train_idx), dataset.subset(test_idx)
+    groups = label_groups(dataset.task, dataset.labels)
+    check_splittable(dataset.task, [len(idx) for _, idx in groups])
+    train_idx, test_idx = [], []
+    for parts, idx in groups:
+        g = rng.generator(rng.derive_key("split", seed, *parts))
+        idx = idx[g.permutation(len(idx))]
+        k = int(round(train_fraction * len(idx)))
+        k = min(max(k, 1), len(idx) - 1)
+        train_idx.append(idx[:k])
+        test_idx.append(idx[k:])
+    return (dataset.subset(np.sort(np.concatenate(train_idx))),
+            dataset.subset(np.sort(np.concatenate(test_idx))))
 
 
 def _kv_value(value) -> str:

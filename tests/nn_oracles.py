@@ -8,7 +8,8 @@ backprop with an optional input gradient and the cGAN training loop that
 `nncore.input_gradient` and the buffer-reusing `cgen.train_cgan` replaced,
 so the new code must match them bit for bit.  `ring_true_label` inverts
 the noiseless ring map, the ground truth that regression samples are held
-against.
+against.  `constant_labels` is a rejection label source that gives every
+candidate one label, the draw M1's per-class pools reduce to.
 """
 
 from dataclasses import dataclass
@@ -57,6 +58,13 @@ def ring_true_label(features: np.ndarray) -> np.ndarray:
     """Invert the noiseless ring map: label from the point's angle."""
     angle = np.arctan2(features[..., 1], features[..., 0])
     return np.mod(angle / (2.0 * np.pi), 1.0)
+
+
+def constant_labels(label):
+    """A rejection-sampling label source: `label` at every stream index."""
+    def source(indices):
+        return np.full(len(indices), label)
+    return source
 
 
 @dataclass(frozen=True)

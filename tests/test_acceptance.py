@@ -15,12 +15,12 @@ import pytest
 
 from cgankd import cgen, m1_subsample, m2_labeladjust, rng, theory
 from cgankd.cli import build_pipeline_config, load_config, main
-from cgankd.m1_subsample import constant_labels, rejection_sample
+from cgankd.m1_subsample import rejection_sample
 from cgankd.m3_distill import run_ablation, run_pipeline
 from cgankd.nncore import Loss, NetSpec, TrainConfig, init_params, one_hot
 from cgankd.synthdata import ClassificationTask
-from nn_oracles import (batch_loss, blended_targets, gradients, loss_value,
-                        pre_activations, soft_labels)
+from nn_oracles import (batch_loss, blended_targets, constant_labels,
+                        gradients, loss_value, pre_activations, soft_labels)
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SEEDS = (0, 1, 2, 3, 4)

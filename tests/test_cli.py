@@ -139,6 +139,29 @@ def test_sweep_out_of_range_value_exits_2_before_training(
     assert "bad sweep values" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, repeated", [
+    (["sweep", "--param", "rho", "--values", "0.5,0.5", "--seeds", "3,4"],
+     "repeated value 0.5"),
+    (["sweep", "--param", "rho", "--values", "0.5,0.50", "--seeds", "3"],
+     "repeated value 0.5"),
+    (["sweep", "--param", "mg", "--values", "10,20,010", "--seeds", "3"],
+     "repeated value 10"),
+    (["sweep", "--param", "rho", "--values", "0.5,0.7", "--seeds", "3,3"],
+     "repeated seed 3"),
+    (["ablation", "--seeds", "4,5,4"], "repeated seed 4"),
+], ids=["values", "values-after-parsing", "mg-values", "sweep-seeds",
+        "ablation-seeds"])
+def test_repeated_seed_or_value_exits_2_before_training(
+        tiny_cfg, tmp_path, monkeypatch, capsys, argv, repeated):
+    # A repeated cell would run one pipeline twice and report a stddev of
+    # 0 across "two" runs that are the same run.
+    monkeypatch.setattr(cli, "run_pipeline", _no_training)
+    monkeypatch.setattr(cli, "run_ablation", _no_training)
+    argv = argv[:1] + [tiny_cfg] + argv[1:] + ["--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert repeated in capsys.readouterr().err
+
+
 def test_missing_out_dir_exits_2_before_running(tiny_cfg, tmp_path,
                                                 monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", _no_training)

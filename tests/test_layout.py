@@ -150,6 +150,7 @@ from dataclasses import dataclass
 class Report:
     kept: int
     dropped: int
+    per_class: dict
 
 class Optimizer:
     def __init__(self, lr, momentum=0.0):
@@ -160,12 +161,17 @@ class Optimizer:
 def scale_of(report, factor=2.0, offset=0.0):
     return report.kept * factor + offset
 
+def tally(report, c):
+    report.per_class[c] = report.kept
+    report.per_class[c][0] += 1
+    del report.per_class[c]
+
 def run():
     opt = Optimizer(0.1, 0.9)
-    return opt.step(scale_of(Report(1, 2), offset=1.0), 0.5)
+    return opt.step(scale_of(Report(1, 2, {}), offset=1.0), 0.5)
 """)
 PLANTED_UNPASSED = {"planted.Optimizer.step(clip)", "planted.scale_of(factor)"}
-PLANTED_UNREAD = {"planted.Report.dropped"}
+PLANTED_UNREAD = {"planted.Report.dropped", "planted.Report.per_class"}
 
 
 def _calls_by_name(modules):
@@ -220,13 +226,34 @@ def _is_dataclass(cls):
     return False
 
 
+def _written_through(tree):
+    """Ids of the attribute nodes that are only the base of a subscript
+    store, augmented assignment or `del`, as `report.counts[g] = n` is:
+    such a statement writes into the field and reads nothing from it."""
+    out = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, (ast.Store, ast.Del))):
+            base = node.value
+            while isinstance(base, ast.Subscript):
+                base = base.value
+            if isinstance(base, ast.Attribute):
+                out.add(id(base))
+    return out
+
+
 def _unread_fields(modules):
     """`module.Class.field` for each dataclass field that `modules` never
-    read as an attribute.  The constructor writes every field; the reader's
-    receiver is not resolved, so any read of that attribute name counts."""
-    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)}
+    read as an attribute.  The constructor writes every field, and so does
+    a store through a subscript of it; the reader's receiver is not
+    resolved, so any read of that attribute name counts."""
+    read = set()
+    for tree in modules.values():
+        written = _written_through(tree)
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)
+                 and id(node) not in written}
     return {f"{mod}.{cls.name}.{node.target.id}"
             for mod, tree in modules.items() for cls in tree.body
             if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)

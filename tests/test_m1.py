@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from cgankd import cgen, m1_subsample, nncore
-from cgankd.m1_subsample import (DensityRatioModel, constant_labels,
-                                 empirical_labels, ratio_batch,
-                                 rejection_sample, train_dr)
+from cgankd.m1_subsample import (DensityRatioModel, empirical_labels,
+                                 ratio_batch, rejection_sample, train_dr)
 from cgankd.nncore import NetParams, NetSpec, TrainConfig
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
-                              make_classification)
+                              label_groups, make_classification)
+from nn_oracles import constant_labels
 
 
 def ratio(model, sample):
@@ -174,3 +174,14 @@ def test_rejection_label_sources():
     labels = src(np.arange(4000))
     counts = np.bincount(labels, minlength=4)
     assert np.max(np.abs(counts - 1000)) < 150
+
+
+def test_empirical_labels_of_one_class_are_that_class():
+    # M1 draws each class's labels from that class's training rows, which
+    # reproduces a constant label source draw for draw.
+    train = make_classification(BlobsConfig(3, 4.0, 0.5, n=90, seed=1))
+    for (c,), idx in label_groups(train.task, train.labels):
+        labels = empirical_labels(train.subset(idx), seed=5)(np.arange(500))
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, np.full(500, c))
+        assert np.array_equal(labels, constant_labels(c)(np.arange(500)))

@@ -209,16 +209,43 @@ def test_run_m2_dispatch():
     g = np.random.default_rng(7)
     cls = cls_dataset(np.tile([0, 1], 50), g.normal(size=(100, 2)))
     teacher_c = init_params(NetSpec(2, (4,), "logits", 2), 5)
-    kept_c, rep_c = run_m2(teacher_c, cls, 0.9)
+    filtered_c, adjusted_c, rep_c = run_m2(teacher_c, cls, 0.9)
     assert rep_c.consistency_before is not None
-    assert kept_c.n == 90
+    assert filtered_c.n == 90
+    assert adjusted_c is filtered_c  # classification labels never change
 
     reg = reg_dataset(g.uniform(0, 1, size=100), g.normal(size=(100, 2)))
     teacher_r = init_params(NetSpec(2, (4,), "nonneg_scalar"), 6)
-    kept_r, rep_r = run_m2(teacher_r, reg, 0.7)
-    assert kept_r.n == 70
-    # labels were replaced with teacher predictions
-    assert np.max(sample_errors(teacher_r, kept_r)) < 1e-12
+    filtered_r, adjusted_r, rep_r = run_m2(teacher_r, reg, 0.7)
+    want, _ = filter_regression(teacher_r, reg, 0.7)
+    assert filtered_r.n == adjusted_r.n == 70
+    assert np.array_equal(filtered_r.features, want.features)
+    assert np.array_equal(filtered_r.labels, want.labels)
+    assert np.array_equal(adjusted_r.features, want.features)
+    # adjusted labels are the teacher's predictions, clipped to [0, 1]
+    preds = nncore.forward_batch(teacher_r, want.features)[:, 0]
+    assert np.array_equal(adjusted_r.labels, np.clip(preds, 0.0, 1.0))
+    assert np.max(sample_errors(teacher_r, adjusted_r)) < 1e-12
+
+
+def test_run_m2_keeps_an_empty_regression_set_unadjusted():
+    teacher = const_scalar_teacher(0.5)
+    filtered, adjusted, report = run_m2(teacher, reg_dataset([0.1, 0.9]), 0.0)
+    assert filtered.n == adjusted.n == 0
+    assert report.counts_out == {"global": 0, "total": 0}
+
+
+def test_filter_regression_reports_one_global_group():
+    g = np.random.default_rng(3)
+    fakes = reg_dataset(g.uniform(0, 1, size=40), g.normal(size=(40, 2)))
+    teacher = init_params(NetSpec(2, (4,), "nonneg_scalar"), 2)
+    kept, report = filter_regression(teacher, fakes, 0.5)
+    errors = sample_errors(teacher, fakes)
+    assert report.thresholds == {"global": quantile_threshold(errors, 0.5)}
+    assert report.counts_in == {"global": 40, "total": 40}
+    assert report.counts_out == {"global": kept.n, "total": kept.n}
+    assert kept.n == 20
+    assert report.consistency_before is None
 
 
 def test_consistency_improves_on_flip_corrupted_oracle():

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cgankd import synthdata
+from cgankd import rng, synthdata
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, blob_centers,
-                              class_budgets, concat, make_classification,
-                              make_regression, parse_kv, split, write_dataset)
+                              class_budgets, concat, label_groups,
+                              make_classification, make_regression, parse_kv,
+                              split, write_dataset)
 from nn_oracles import ring_true_label
 
 
@@ -64,6 +65,41 @@ def test_ring_true_predictor_zero_mae():
     ds = make_regression(RingConfig(noise_std=0.0, n=100, seed=5))
     preds = ring_true_label(ds.features)
     assert np.mean(np.abs(preds - ds.labels)) < 1e-12
+
+
+@pytest.mark.parametrize("task, labels, keys", [
+    (ClassificationTask(3), [2, 0, 2, 1, 0, 2], [(0,), (1,), (2,)]),
+    (ClassificationTask(3), [1, 1, 0], [(0,), (1,), (2,)]),
+    (RegressionTask(), [0.5, 0.1, 0.9, 0.3], [()]),
+], ids=["classes", "absent-class", "regression"])
+def test_label_groups_cover_every_row_once(task, labels, keys):
+    labels = np.asarray(labels)
+    groups = label_groups(task, labels)
+    assert [parts for parts, _ in groups] == keys
+    rows = np.concatenate([idx for _, idx in groups])
+    assert np.array_equal(np.sort(rows), np.arange(len(labels)))
+    for parts, idx in groups:
+        assert np.array_equal(idx, np.sort(idx))
+        if parts:
+            assert np.all(labels[idx] == parts[0])
+
+
+def test_split_keys_each_group_by_its_seed_parts():
+    # A class's rows are permuted by the key ("split", seed, c), the
+    # regression set's by ("split", seed): both outputs keep these keys.
+    ds = make_regression(RingConfig(n=50, seed=3))
+    train, _ = split(ds, 0.6, seed=9)
+    order = rng.generator(rng.derive_key("split", 9)).permutation(50)
+    assert np.array_equal(train.labels, ds.labels[np.sort(order[:30])])
+
+    ds = make_classification(BlobsConfig(2, 3.0, 0.5, n=40, seed=3))
+    train, _ = split(ds, 0.5, seed=9)
+    for c in (0, 1):
+        idx = np.flatnonzero(ds.labels == c)
+        g = rng.generator(rng.derive_key("split", 9, c))
+        want = np.sort(idx[g.permutation(len(idx))][:10])
+        assert np.array_equal(train.features[train.labels == c],
+                              ds.features[want])
 
 
 def test_split_stratified_80_20():
