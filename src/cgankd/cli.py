@@ -5,7 +5,11 @@ Configs are flat ``section.key=value`` text files (see README for the full
 schema).  Every command writes its CSV artifacts plus a manifest under
 --out-dir; the manifest embeds a byte-identical snapshot of the executed
 config, and ``run`` accepts a manifest in place of a config to reproduce a
-run exactly.  Exit codes: 0 ok, 2 config error, 3 pipeline stage failure.
+run exactly.  Exit codes: 0 ok; 2 for any value rejected before the first
+stage (a config that cannot be read, decoded or validated, or a bad flag);
+3 for a pipeline stage failure.  `main` alone maps failures to these codes:
+a `ValueError` that reaches it, `ConfigError` included, is a rejected value,
+since a stage wraps its own failures in `StageError`.
 """
 
 import argparse
@@ -65,16 +69,8 @@ OPENBLAS_THREAD_FUNCS = (
     ("openblas_set_num_threads", "openblas_get_num_threads"))
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
-
-
-def parse_config_text(text: str) -> dict:
-    """Flat key=value lines; '#' comments and blank lines are skipped."""
-    try:
-        return parse_kv(text.splitlines())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path):
@@ -86,16 +82,15 @@ def load_config(path):
     try:
         with open(path) as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if text.startswith(MANIFEST_HEADER):
         head, sep, snapshot = text.partition("\n---\n")
         if not sep:
             raise ConfigError("manifest has no config snapshot section")
-        meta = parse_config_text(head.partition("\n")[2])
-        seed = _Reader(meta).get("seed", int)
-        return parse_config_text(snapshot), snapshot, seed
-    return parse_config_text(text), text, None
+        seed = _Reader(parse_kv(head.splitlines()[1:])).get("seed", int)
+        return parse_kv(snapshot.splitlines()), snapshot, seed
+    return parse_kv(text.splitlines()), text, None
 
 
 class _Reader:
@@ -153,55 +148,51 @@ def _loss(r: _Reader, task) -> Loss:
     raise ConfigError(f"unknown student loss {mode!r}")
 
 
-def build_pipeline_config(kv: dict, seed_override=None) -> PipelineConfig:
+def build_pipeline_config(kv: dict) -> PipelineConfig:
     r = _Reader(kv)
     task = r.get("task", str, required=True)
-    try:
-        if task == "classification":
-            data = BlobsConfig(
-                n_classes=r.get("data.classes", int, required=True),
-                separation=r.get("data.separation", float, required=True),
-                noise_std=r.get("data.noise_std", float, required=True),
-                n=r.get("data.n", int, required=True))
-        elif task == "regression":
-            data = RingConfig(
-                noise_std=r.get("data.noise_std", float, required=True),
-                n=r.get("data.n", int, required=True),
-                **r.given("data.", RING_KEYS))
-        else:
-            raise ConfigError(f"unknown task {task!r}")
+    if task == "classification":
+        data = BlobsConfig(
+            n_classes=r.get("data.classes", int, required=True),
+            separation=r.get("data.separation", float, required=True),
+            noise_std=r.get("data.noise_std", float, required=True),
+            n=r.get("data.n", int, required=True))
+    elif task == "regression":
+        data = RingConfig(
+            noise_std=r.get("data.noise_std", float, required=True),
+            n=r.get("data.n", int, required=True),
+            **r.given("data.", RING_KEYS))
+    else:
+        raise ConfigError(f"unknown task {task!r}")
 
-        generator = r.get("generator", str, "oracle")
-        gan = None
-        if generator == "cgan":
-            gan = GanTrainConfig(
-                iterations=r.get("gan.iterations", int, required=True),
-                **r.given("gan.", GAN_KEYS))
+    generator = r.get("generator", str, "oracle")
+    gan = None
+    if generator == "cgan":
+        gan = GanTrainConfig(
+            iterations=r.get("gan.iterations", int, required=True),
+            **r.given("gan.", GAN_KEYS))
 
-        seed = r.get("seed", int, 0)
-        config = PipelineConfig(
-            data=data,
-            train_fraction=r.get("train_fraction", float, 0.5),
-            generator_kind=generator,
-            oracle_flip=r.get("oracle.flip", float, 0.0),
-            oracle_label_std=r.get("oracle.label_std", float, 0.0),
-            oracle_junk=r.get("oracle.junk", float, 0.0),
-            oracle_junk_spread=r.get("oracle.junk_spread", float, 0.0),
-            gan=gan,
-            teacher_hidden=r.get("teacher.hidden", _int_tuple, (64, 64)),
-            teacher_train=_train_config(r, "teacher", 100),
-            student_hidden=r.get("student.hidden", _int_tuple, (8,)),
-            student_train=_train_config(r, "student", 100),
-            student_loss=_loss(r, data.task),
-            dr_hidden=r.get("dr.hidden", _int_tuple, (32,)),
-            dr_train=_train_config(r, "dr", 60),
-            dr_gamma=r.get("dr.gamma", float, 1.2),
-            n_fake=r.get("n_fake", int, required=True),
-            rho=r.get("rho", float, 0.9 if task == "classification" else 0.7),
-            fake_cap=r.get("fake_cap", int, 0),
-            master_seed=seed if seed_override is None else seed_override)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config = PipelineConfig(
+        data=data,
+        train_fraction=r.get("train_fraction", float, 0.5),
+        generator_kind=generator,
+        oracle_flip=r.get("oracle.flip", float, 0.0),
+        oracle_label_std=r.get("oracle.label_std", float, 0.0),
+        oracle_junk=r.get("oracle.junk", float, 0.0),
+        oracle_junk_spread=r.get("oracle.junk_spread", float, 0.0),
+        gan=gan,
+        teacher_hidden=r.get("teacher.hidden", _int_tuple, (64, 64)),
+        teacher_train=_train_config(r, "teacher", 100),
+        student_hidden=r.get("student.hidden", _int_tuple, (8,)),
+        student_train=_train_config(r, "student", 100),
+        student_loss=_loss(r, data.task),
+        dr_hidden=r.get("dr.hidden", _int_tuple, (32,)),
+        dr_train=_train_config(r, "dr", 60),
+        dr_gamma=r.get("dr.gamma", float, 1.2),
+        n_fake=r.get("n_fake", int, required=True),
+        rho=r.get("rho", float, 0.9 if task == "classification" else 0.7),
+        fake_cap=r.get("fake_cap", int, 0),
+        master_seed=r.get("seed", int, 0))
     r.finish()
     return config
 
@@ -210,10 +201,7 @@ def build_bound_setup(kv: dict):
     r = _Reader(kv)
     if r.get("kind", str, required=True) != "bound":
         raise ConfigError("bound setups need kind=bound")
-    try:
-        setup = standard_setup(**r.given("", SETUP_KEYS))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    setup = standard_setup(**r.given("", SETUP_KEYS))
     extras = {"trials": r.get("trials", int, 200),
               "delta": r.get("delta", float, 0.1),
               "seed": r.get("seed", int, 0), **r.given("", {"n_mc": int})}
@@ -272,8 +260,10 @@ def _report_row(config, report):
 
 def cmd_run(args) -> int:
     kv, snapshot, manifest_seed = load_config(args.config)
+    config = build_pipeline_config(kv)
     seed = args.seed if args.seed is not None else manifest_seed
-    config = build_pipeline_config(kv, seed_override=seed)
+    if seed is not None:
+        config = replace(config, master_seed=seed)
     report = run_pipeline(config, checkpoint_dir=args.out_dir)
     return _write_result(args, args.config, snapshot, config.master_seed,
                          "report.csv", RUN_COLUMNS,
@@ -322,14 +312,11 @@ def _distinct(text, cast, what):
 def cmd_sweep(args) -> int:
     kv, snapshot, _ = load_config(args.config)
     base = build_pipeline_config(kv)
-    try:
-        values = _distinct(args.values,
-                           float if args.param == "rho" else int, "value")
-        seeds = _distinct(args.seeds, int, "seed")
-        cells = [[_sweep_variant(replace(base, master_seed=seed), args.param,
-                                 value) for seed in seeds] for value in values]
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep values/seeds: {exc}") from exc
+    values = _distinct(args.values, float if args.param == "rho" else int,
+                       "value")
+    seeds = _distinct(args.seeds, int, "seed")
+    cells = [[_sweep_variant(replace(base, master_seed=seed), args.param,
+                             value) for seed in seeds] for value in values]
     rows = []
     for value, configs in zip(values, cells):
         reports = [run_pipeline(c) for c in configs]
@@ -357,10 +344,7 @@ def cmd_ablation(args) -> int:
 def cmd_verify_bound(args) -> int:
     kv, snapshot, _ = load_config(args.setup)
     setup, extras = build_bound_setup(kv)
-    try:
-        report = verify_bound(setup, **extras)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = verify_bound(setup, **extras)
     frac = report.holds_fraction
     rows = [(t, lhs, report.bound.rhs, held, frac)
             for t, (lhs, held) in enumerate(zip(report.lhs_values,
@@ -461,7 +445,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"no output directory {args.out_dir!r}")
         with _one_blas_thread():
             return args.fn(args)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except StageError as exc:

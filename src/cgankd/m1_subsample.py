@@ -78,8 +78,9 @@ def ratio_batch(model: DensityRatioModel, features: np.ndarray,
     return np.exp(odds_log) * model.prior_correction
 
 
-def empirical_labels(train_set: Dataset, seed: int):
-    return partial(cgen.empirical_draw, np.sort(train_set.labels),
+def empirical_labels(labels: np.ndarray, seed: int):
+    """Label source drawing uniformly from the pool `labels`."""
+    return partial(cgen.empirical_draw, np.sort(labels),
                    rng.derive_key("reject-labels", seed))
 
 

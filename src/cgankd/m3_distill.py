@@ -62,12 +62,12 @@ class PipelineConfig:
             raise ValueError("rho must lie in [0, 1]")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
-        check_splittable(task, class_budgets(self.data.n, task.n_classes)
-                         if task.kind == "classification" else [self.data.n])
-        if self.n_fake <= 0:
-            raise ValueError("n_fake must be positive")
-        if task.kind == "classification" and self.n_fake < task.n_classes:
-            raise ValueError("n_fake must cover every class at least once")
+        # split shares data.n and M1 shares n_fake over the label groups
+        groups = len(label_groups(task, np.empty(0)))
+        check_splittable(task, class_budgets(self.data.n, groups))
+        if min(class_budgets(self.n_fake, groups)) < 1:
+            raise ValueError("n_fake must cover every class, or the "
+                             "regression set, at least once")
         if self.generator_kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.generator_kind!r}")
         if self.generator_kind == "oracle":
@@ -179,7 +179,7 @@ def _subsample_fakes(config: PipelineConfig, generator, real_train: Dataset,
     budgets = class_budgets(config.n_fake, len(groups))
     return reduce(concat, [
         reject(m1_subsample.empirical_labels(
-                   real_train.subset(idx), seed=seed_of("m1-labels", *parts)),
+                   real_train.labels[idx], seed=seed_of("m1-labels", *parts)),
                int(n), seed=seed_of("m1-reject", *parts))
         for (parts, idx), n in zip(groups, budgets)])
 

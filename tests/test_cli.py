@@ -6,7 +6,7 @@ import pytest
 
 from cgankd import cli, m3_distill
 from cgankd.cli import (MANIFEST_HEADER, ConfigError, build_pipeline_config,
-                        load_config, main, parse_config_text, write_manifest)
+                        load_config, main, write_manifest)
 
 TINY_CFG = """\
 task=classification
@@ -41,15 +41,6 @@ def read(path):
         return list(csv.reader(f))
 
 
-def test_parse_config_text_basics():
-    kv = parse_config_text("a=1\n# comment\n\nb.c = x\n")
-    assert kv == {"a": "1", "b.c": "x"}
-    with pytest.raises(ConfigError, match="duplicate"):
-        parse_config_text("a=1\na=2\n")
-    with pytest.raises(ConfigError, match="key=value"):
-        parse_config_text("nonsense\n")
-
-
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text(TINY_CFG + "bogus.key=1\n")
@@ -59,6 +50,18 @@ def test_unknown_key_rejected(tmp_path):
 def test_missing_config_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.cfg"),
                  "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("head", ["", f"{MANIFEST_HEADER}\nseed=3\n---\n"],
+                         ids=["config", "manifest-snapshot"])
+def test_non_utf8_config_exits_2_and_writes_nothing(tmp_path, capsys, head):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(head.encode() + TINY_CFG.encode() + b"\xff\xfe\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", str(path), "--out-dir", str(out)]) == 2
+    assert f"cannot read config {path}:" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_run_writes_single_row_report(tiny_cfg, tmp_path):
@@ -127,16 +130,18 @@ def _no_training(*args, **kwargs):
     raise AssertionError("a pipeline ran")
 
 
-@pytest.mark.parametrize("param,values", [("rho", "0.5,1.5"),
-                                          ("rho", "nan"),
-                                          ("teacher-epochs", "5,-1"),
-                                          ("mg", "-3")])
+@pytest.mark.parametrize("param,values,message", [
+    ("rho", "0.5,1.5", "rho must lie in [0, 1]"),
+    ("rho", "nan", "rho must lie in [0, 1]"),
+    ("teacher-epochs", "5,-1", "bad epochs/batch_size"),
+    ("mg", "-3", "fake_cap must be nonnegative")],
+    ids=["rho-0.5,1.5", "rho-nan", "teacher-epochs-5,-1", "mg--3"])
 def test_sweep_out_of_range_value_exits_2_before_training(
-        tiny_cfg, tmp_path, monkeypatch, capsys, param, values):
+        tiny_cfg, tmp_path, monkeypatch, capsys, param, values, message):
     monkeypatch.setattr(cli, "run_pipeline", _no_training)
     assert main(["sweep", tiny_cfg, "--param", param, "--values", values,
                  "--seeds", "0", "--out-dir", str(tmp_path)]) == 2
-    assert "bad sweep values" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, repeated", [
@@ -186,7 +191,7 @@ def test_manifest_always_loads_back(tmp_path, capsys):
     # no metadata lines: the seed comes from the snapshot
     path.write_text(f"{MANIFEST_HEADER}\n---\n{snapshot}")
     kv, _, seed = load_config(path)
-    assert seed is None and build_pipeline_config(kv, seed).master_seed == 7
+    assert seed is None and build_pipeline_config(kv).master_seed == 7
     path.write_text(f"{MANIFEST_HEADER}\nseed=abc\n---\n{snapshot}")
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
     assert "bad value for 'seed'" in capsys.readouterr().err
@@ -377,6 +382,22 @@ def test_verify_bound_csv(tmp_path):
     assert len({r[i_rhs] for r in body}) == 1  # constant RHS
     fracs = {float(r[i_frac]) for r in body}
     assert len(fracs) == 1 and 0.0 <= fracs.pop() <= 1.0
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("n_real", "0", "bad sample counts"),
+    ("rho", "0", "rho must lie in (0, 1]"),
+    ("trials", "0", "trials must be positive")])
+def test_verify_bound_bad_setup_exits_2_and_writes_no_csv(
+        tmp_path, capsys, key, value, message):
+    setup = tmp_path / "bound.cfg"
+    setup.write_text(f"kind=bound\nn_mc=20\n{key}={value}\n")
+    out = tmp_path / "vb"
+    out.mkdir()
+    assert main(["verify-bound", str(setup), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (out / "bound.csv").exists()
 
 
 def test_verify_bound_defaults_equal_the_standard_setup_file(tmp_path):

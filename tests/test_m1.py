@@ -170,7 +170,7 @@ def test_rejection_label_sources():
     assert np.all(out.labels == 3)
 
     train = make_classification(BlobsConfig(4, 4.0, 0.5, n=400, seed=0))
-    src = empirical_labels(train, seed=4)
+    src = empirical_labels(train.labels, seed=4)
     labels = src(np.arange(4000))
     counts = np.bincount(labels, minlength=4)
     assert np.max(np.abs(counts - 1000)) < 150
@@ -181,7 +181,7 @@ def test_empirical_labels_of_one_class_are_that_class():
     # reproduces a constant label source draw for draw.
     train = make_classification(BlobsConfig(3, 4.0, 0.5, n=90, seed=1))
     for (c,), idx in label_groups(train.task, train.labels):
-        labels = empirical_labels(train.subset(idx), seed=5)(np.arange(500))
+        labels = empirical_labels(train.labels[idx], seed=5)(np.arange(500))
         assert labels.dtype == np.int64
         assert np.array_equal(labels, np.full(500, c))
         assert np.array_equal(labels, constant_labels(c)(np.arange(500)))

@@ -134,6 +134,15 @@ def test_split_rejects_tiny_class():
         split(ds, 0.5, seed=0)
 
 
+def test_parse_kv_basics():
+    kv = parse_kv("a=1\n# comment\n\nb.c = x\n".splitlines())
+    assert kv == {"a": "1", "b.c": "x"}
+    with pytest.raises(ValueError, match="duplicate"):
+        parse_kv(["a=1", "a=2"])
+    with pytest.raises(ValueError, match="key=value"):
+        parse_kv(["nonsense"])
+
+
 def _parse_written(path):
     """(header line, task and dim fields, label texts, provenance tags,
     features) of a written dataset file."""
