@@ -25,7 +25,7 @@ import numpy as np
 from . import modelio, rng, synthdata
 from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
     forward_batch, _forward, _layer_views, init_params, input_gradient, \
-    one_hot
+    memoized, one_hot
 from .synthdata import BlobsConfig, Dataset, SynthConfig, kv_lines
 
 GENERATOR_HEADER = "cgankd-generator v1"
@@ -190,8 +190,16 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
 
     Each network pass runs through a workspace kept for the whole loop,
     and the generator and discriminator inputs are built in buffers whose
-    label columns are written once per iteration.
+    label columns are written once per iteration.  Inside
+    `nncore.reuse_training` a repeat of the same training set and config
+    returns a copy of the first result.
     """
+    return memoized("train_cgan", [train_set, config],
+                    lambda: _train_cgan(train_set, config))
+
+
+def _train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
+    """`train_cgan` without the memo."""
     if train_set.n == 0:
         raise ValueError("empty training set")
     task, d = train_set.task, train_set.dim

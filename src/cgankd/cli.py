@@ -9,7 +9,8 @@ run exactly.  Exit codes: 0 ok; 2 for any value rejected before the first
 stage (a config that cannot be read, decoded or validated, or a bad flag);
 3 for a pipeline stage failure.  `main` alone maps failures to these codes:
 a `ValueError` that reaches it, `ConfigError` included, is a rejected value,
-since a stage wraps its own failures in `StageError`.
+since a stage wraps its own failures in `StageError`.  Each command trains
+each distinct network once (`nncore.reuse_training`).
 """
 
 import argparse
@@ -27,7 +28,7 @@ from dataclasses import replace
 from .cgen import GanTrainConfig
 from .m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
                          run_ablation, run_pipeline)
-from .nncore import Loss, TrainConfig, plain_loss
+from .nncore import Loss, TrainConfig, plain_loss, reuse_training
 from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
 from .theory import standard_setup, verify_bound
 
@@ -443,7 +444,7 @@ def main(argv=None) -> int:
     try:
         if not os.path.isdir(args.out_dir):
             raise ConfigError(f"no output directory {args.out_dir!r}")
-        with _one_blas_thread():
+        with _one_blas_thread(), reuse_training():
             return args.fn(args)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

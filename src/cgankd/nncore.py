@@ -12,8 +12,11 @@ Softmax probabilities are floored at PROB_FLOOR before any log so the loss
 stays bounded; the analytic gradients account for the floor exactly.
 """
 
+import contextlib
+import copy
+import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -412,6 +415,60 @@ class SgdState:
         self.theta -= np.multiply(v, lr, out=scaled)
 
 
+# Results of `memoized` calls while a `reuse_training` block runs, by the
+# SHA-256 digest of their inputs; None outside one.
+_memo = None
+
+
+@contextlib.contextmanager
+def reuse_training():
+    """Runs the body with a fresh memo behind `train` and `cgen.train_cgan`:
+    each distinct training runs once, and a repeat gets a copy of the first
+    result.  The memo is dropped when the body ends, however it ends."""
+    global _memo
+    outer, _memo = _memo, {}
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def _feed(h, obj):
+    """Feeds `obj` into the hash `h`: an array as its dtype, shape and
+    bytes; a list, a `NetParams` or a `Dataset` item by item; anything else
+    as its repr, which for a float is exact."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj))
+        return
+    if isinstance(obj, (NetParams, Dataset)):
+        obj = [type(obj).__name__] + [getattr(obj, f.name) for f in fields(obj)]
+    if isinstance(obj, list):
+        h.update(f"[{len(obj)}".encode())
+        for item in obj:
+            _feed(h, item)
+        return
+    h.update(repr(obj).encode() + b"\0")
+
+
+def memoized(name, inputs, compute):
+    """`compute()`, whose result depends on nothing but the list `inputs`.
+
+    Inside `reuse_training` it runs once per distinct (name, inputs), and
+    every call gets its own deep copy of the result, so no caller sees
+    another's arrays.  A `compute` that raises stores nothing.  Outside
+    `reuse_training` this is just `compute()`.
+    """
+    if _memo is None:
+        return compute()
+    h = hashlib.sha256(name.encode())
+    _feed(h, inputs)
+    key = h.digest()
+    if key not in _memo:
+        _memo[key] = compute()
+    return copy.deepcopy(_memo[key])
+
+
 def train(params: NetParams, dataset: Dataset, config: TrainConfig,
           teacher: NetParams = None):
     """SGD training; deterministic per config.seed.
@@ -422,7 +479,20 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
     data once and trains on slices of it, through one workspace per batch
     size.  Raises RuntimeError when an epoch ends with non-finite
     parameters.
+
+    Inside `reuse_training` a training already run returns a copy of its
+    first result without running SGD.  The key digests everything the
+    training reads: the initial params (spec, weight and bias bytes), the
+    dataset (task, feature and label bytes with dtype and shape), the
+    config's repr, loss included, and the teacher's spec and arrays.
     """
+    return memoized("train", [params, dataset, config, teacher],
+                    lambda: _train(params, dataset, config, teacher))
+
+
+def _train(params: NetParams, dataset: Dataset, config: TrainConfig,
+           teacher: NetParams):
+    """`train` without the memo."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
     loss = config.loss

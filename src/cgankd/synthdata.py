@@ -11,6 +11,7 @@ them bit for bit, so nothing reads them back.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -296,16 +297,18 @@ def write_dataset(dataset: Dataset, path, tag: str) -> None:
     """Header, then one `label,provenance,features...` row per sample, with
     the one provenance `tag` of the file's stage in every row.
 
-    Rows are built from the Python ints and floats of `tolist()`, written
-    with repr(), `_WRITE_BLOCK` rows per write so memory stays bounded.
+    Values are the Python ints and floats of `tolist()`, written with
+    repr() a column at a time and joined per row, `_WRITE_BLOCK` rows per
+    write so memory stays bounded.
     """
     with open(path, "w") as f:
         f.write(f"{FORMAT_HEADER}\n{task_line(dataset.task)}\n"
                 f"dim={dataset.dim}\n")
         for i in range(0, dataset.n, _WRITE_BLOCK):
             part = slice(i, i + _WRITE_BLOCK)
-            rows = zip(map(repr, dataset.labels[part].tolist()),
-                       dataset.features[part].tolist())
-            f.write("".join(",".join([lab, tag, *map(repr, feats)]) + "\n"
-                            for lab, feats in rows))
+            columns = [map(repr, col)
+                       for col in dataset.features[part].T.tolist()]
+            rows = zip(map(repr, dataset.labels[part].tolist()), repeat(tag),
+                       *columns)
+            f.write("\n".join(map(",".join, rows)) + "\n")
 

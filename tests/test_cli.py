@@ -1,10 +1,12 @@
 import csv
 import os
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cgankd import cli, m3_distill
+from cgankd import cgen, cli, m3_distill, nncore
 from cgankd.cli import (MANIFEST_HEADER, ConfigError, build_pipeline_config,
                         load_config, main, write_manifest)
 
@@ -352,6 +354,127 @@ def test_checkpoints_are_byte_identical_on_one_and_two_blas_threads(
         m3_distill.run_pipeline(config, checkpoint_dir=str(out))
         files.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert files[0] and files[0] == files[1]
+
+
+def _counting(monkeypatch, module, name):
+    """The argument tuples of every call of `module.name` from now on."""
+    calls, real = [], getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_rho_sweep_trains_each_distinct_network_once(tiny_cfg, tmp_path,
+                                                     monkeypatch):
+    calls = _counting(monkeypatch, nncore, "train")
+    runs = _counting(monkeypatch, nncore, "_train")
+    assert main(["sweep", tiny_cfg, "--param", "rho", "--values", "0.3,0.7,1",
+                 "--seeds", "0,1", "--out-dir", str(tmp_path)]) == 0
+    # Each cell asks for its teacher, student-nokd, DR and student ...
+    assert len(calls) == 3 * 2 * 4
+    # ... but per seed only the students differ between rho values.
+    assert len(runs) == 2 * (3 + 3)
+
+
+REAL_TRAIN_N = 120  # TINY_CFG's data.n * train_fraction
+
+
+def _role(params, dataset, *_):
+    """The network of a TINY_CFG pipeline that a training fits."""
+    if dataset.task.n_classes == 2:
+        return "dr"
+    if params.spec.hidden_widths == (16,):
+        return "teacher"
+    return "student-nokd" if dataset.n == REAL_TRAIN_N else "student"
+
+
+def test_teacher_epochs_sweep_trains_dr_and_nokd_once_per_seed(
+        tiny_cfg, tmp_path, monkeypatch):
+    runs = _counting(monkeypatch, nncore, "_train")
+    assert main(["sweep", tiny_cfg, "--param", "teacher-epochs",
+                 "--values", "5,10", "--seeds", "0,1",
+                 "--out-dir", str(tmp_path)]) == 0
+    roles = Counter(_role(*args) for args in runs)
+    # M1 never reads the teacher, so the DR net is shared like the baseline.
+    assert roles["teacher"] == 2 * 2
+    assert roles["dr"] == roles["student-nokd"] == 2
+    assert 2 <= roles["student"] <= 2 * 2
+
+
+def test_cgan_sweep_trains_the_gan_once_per_seed(tmp_path, monkeypatch):
+    runs = _counting(monkeypatch, cgen, "_train_cgan")
+    assert main(["sweep", _tiny_with(tmp_path, CGAN), "--param", "rho",
+                 "--values", "0.5,1", "--seeds", "0,1",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert len(runs) == 2
+
+
+def test_commands_memoize_only_inside_main_and_drop_the_memo(
+        tiny_cfg, tmp_path, monkeypatch):
+    seen, stage = [], m3_distill._stage
+
+    def recording(name, timings, fn):
+        seen.append(nncore._memo is not None)
+        return stage(name, timings, fn)
+
+    monkeypatch.setattr(m3_distill, "_stage", recording)
+    runs = _counting(monkeypatch, nncore, "_train")
+    config = build_pipeline_config(load_config(tiny_cfg)[0])
+    for _ in range(2):
+        m3_distill.run_pipeline(config)
+    assert seen and not any(seen)
+    assert len(runs) == 2 * 4
+    seen.clear()
+    assert main(["run", tiny_cfg, "--out-dir", str(tmp_path)]) == 0
+    assert seen and all(seen)
+    assert nncore._memo is None
+    bad = _tiny_with(tmp_path, {"bogus.key": "1"})
+    assert main(["run", bad, "--out-dir", str(tmp_path)]) == 2
+    assert nncore._memo is None
+
+    def broken(config, real_train, seed):
+        raise RuntimeError("generator exploded")
+    monkeypatch.setattr(m3_distill, "_prepare_generator", broken)
+    assert main(["run", tiny_cfg, "--out-dir", str(tmp_path)]) == 3
+    assert nncore._memo is None
+
+
+@pytest.mark.parametrize("edits", [{}, REGRESSION],
+                         ids=["classification", "regression"])
+@pytest.mark.parametrize("param,values", [("rho", "0,0.5,1"),
+                                          ("teacher-epochs", "5,10"),
+                                          ("mg", "0,50")])
+def test_sweep_rows_equal_independent_pipeline_runs(tmp_path, param, values,
+                                                    edits):
+    # Every cell, all seeds, against a run_pipeline call outside any memo.
+    # A regression MAE moves with any change to a network, where a top-1
+    # over 120 rows can stay put.
+    path = _tiny_with(tmp_path, edits)
+    out = tmp_path / "sweep"
+    out.mkdir()
+    assert main(["sweep", path, "--param", param, "--values", values,
+                 "--seeds", "0,1", "--out-dir", str(out)]) == 0
+    base = build_pipeline_config(load_config(path)[0])
+    cast = float if param == "rho" else int
+    rows = []
+    for value in map(cast, values.split(",")):
+        per_seed = []
+        for seed in (0, 1):
+            config = cli._sweep_variant(replace(base, master_seed=seed),
+                                        param, value)
+            rep = m3_distill.run_pipeline(config)
+            per_seed.append((seed, (rep.teacher.primary,
+                                    rep.student_nokd.primary,
+                                    rep.student_cgankd.primary, rep.m_fake,
+                                    rep.theta)))
+        rows += cli._seed_rows((param, value), per_seed)
+    want = tmp_path / "want.csv"
+    cli.write_csv(want, cli.SWEEP_COLUMNS, rows)
+    assert (out / "sweep.csv").read_bytes() == want.read_bytes()
 
 
 @pytest.mark.parametrize("edits", [{}, REGRESSION],

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -653,3 +654,121 @@ def test_forward_batch_keeps_no_backprop_buffers():
     # Two 8000 x 64 hidden outputs and the 8000 x 4 logits take 8.4 MB; a
     # training workspace adds pre-activations, masks, deltas and loss terms.
     assert peak <= 9e6
+
+
+# -- the training memo ------------------------------------------------------
+
+@pytest.fixture
+def sgd_runs(monkeypatch):
+    """The argument tuples of the trainings that run SGD; a memo hit runs
+    none."""
+    runs, real = [], nncore._train
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(nncore, "_train", counting)
+    return runs
+
+
+def blkd_case():
+    """(initial params, dataset, config, teacher) of a blkd training, so
+    that every input `train` reads takes part."""
+    ds = blob_dataset(n=60, sep=2.0, noise=1.0, classes=3)
+    spec = NetSpec(ds.dim, (6,), "logits", 3)
+    teacher, _ = train(init_params(spec, 4), ds, TrainConfig(3, 16, 0.05, seed=4))
+    cfg = TrainConfig(3, 16, 0.05, seed=2,
+                      loss=Loss("blkd", lam=0.3, temperature=4.0))
+    return init_params(spec, 3), ds, cfg, teacher
+
+
+def flip_bit(net):
+    """A copy of `net` with the lowest bit of its first weight flipped."""
+    net = NetParams(net.spec, [w.copy() for w in net.weights],
+                    [b.copy() for b in net.biases])
+    net.weights[0].reshape(-1).view(np.uint64)[0] ^= np.uint64(1)
+    return net
+
+
+def with_row0(ds, label=None, feature=None):
+    features, labels = ds.features.copy(), ds.labels.copy()
+    if label is not None:
+        labels[0] = label
+    if feature is not None:
+        features[0, 0] = feature
+    return Dataset(ds.task, features, labels)
+
+
+def assert_same_training(a, b):
+    (pa, ha), (pb, hb) = a, b
+    assert pa.spec == pb.spec and ha == hb
+    for x, y in zip(pa.weights + pa.biases, pb.weights + pb.biases):
+        assert np.array_equal(x, y)
+
+
+CHANGES = {
+    "weight-bit": lambda p, d, c, t: (flip_bit(p), d, c, t),
+    "label": lambda p, d, c, t: (p, with_row0(d, label=(d.labels[0] + 1) % 3),
+                                 c, t),
+    "feature": lambda p, d, c, t: (
+        p, with_row0(d, feature=math.nextafter(d.features[0, 0], math.inf)),
+        c, t),
+    "lr": lambda p, d, c, t: (
+        p, d, replace(c, lr=math.nextafter(c.lr, 1.0)), t),
+    "lam": lambda p, d, c, t: (
+        p, d, replace(c, loss=replace(c.loss,
+                                      lam=math.nextafter(c.loss.lam, 1.0))), t),
+    "teacher-weight": lambda p, d, c, t: (p, d, c, flip_bit(t)),
+}
+
+
+@pytest.mark.parametrize("change", CHANGES.values(), ids=CHANGES)
+def test_memo_hits_on_equal_inputs_and_misses_on_any_changed_one(
+        sgd_runs, change):
+    case = blkd_case()
+    changed = change(*case)
+    before = len(sgd_runs)
+    with nncore.reuse_training():
+        first = train(*case)
+        assert_same_training(train(*case), first)
+        assert len(sgd_runs) == before + 1
+        other = train(*changed)
+        assert len(sgd_runs) == before + 2
+    assert_same_training(other, train(*changed))
+    assert_same_training(first, train(*case))
+
+
+def test_memo_hit_is_a_copy_its_caller_may_change(sgd_runs):
+    case = blkd_case()
+    want = train(*case)
+    before = len(sgd_runs)
+    with nncore.reuse_training():
+        params, history = train(*case)
+        for a in params.weights + params.biases:
+            a += 1.0
+        history.append(0.0)
+        again = train(*case)
+    assert len(sgd_runs) == before + 1
+    assert_same_training(again, want)
+
+
+def test_memo_stores_no_failed_training_and_ends_with_its_block(sgd_runs):
+    # lr 1e300: the first update sends the weights past the float range
+    args = (init_params(NetSpec(2, (8,), "logits", 2), 0), blob_dataset(n=64),
+            TrainConfig(3, 16, 1e300))
+    assert nncore._memo is None
+    with nncore.reuse_training():
+        outer = nncore._memo
+        for _ in range(2):
+            with np.errstate(all="ignore"), pytest.raises(RuntimeError):
+                train(*args)
+        assert outer == {}
+        with nncore.reuse_training():
+            assert nncore._memo is not outer
+        assert nncore._memo is outer
+    assert nncore._memo is None
+    assert len(sgd_runs) == 2
+    train(*blkd_case())
+    train(*blkd_case())
+    assert len(sgd_runs) == 2 + 2 * 2  # outside the memo every call trains

@@ -216,6 +216,8 @@ def test_write_dataset_bytes_match_per_element_writer(tmp_path, n):
     for full, tag in (
             (make_classification(BlobsConfig(3, 2.0, 0.8, n=3000, seed=1)),
              "fake_m1"),
+            (make_classification(BlobsConfig(4, 2.0, 0.8, dim=3, n=3000,
+                                             seed=3)), "fake_m2"),
             (make_regression(RingConfig(n=3000, seed=2)), "real")):
         ds = full.subset(np.arange(n))
         write_dataset(ds, tmp_path / "got.txt", tag)
