@@ -7,9 +7,11 @@ schema).  Every command writes its CSV artifacts plus a manifest under
 config, and ``run`` accepts a manifest in place of a config to reproduce a
 run exactly.  Exit codes: 0 ok; 2 for any value rejected before the first
 stage (a config that cannot be read, decoded or validated, or a bad flag);
-3 for a pipeline stage failure.  `main` alone maps failures to these codes:
-a `ValueError` that reaches it, `ConfigError` included, is a rejected value,
-since a stage wraps its own failures in `StageError`.  Each command trains
+3 for a pipeline stage failure or an output that cannot be written.  `main`
+alone maps failures to these codes: a `ValueError` that reaches it,
+`ConfigError` included, is a rejected value, since a stage wraps its own
+failures in `StageError`; an `OSError` is a failed write, since
+`load_config` maps a failed read to `ConfigError`.  Each command trains
 each distinct network once (`nncore.reuse_training`).
 """
 
@@ -59,8 +61,7 @@ SETUP_KEYS = {"n_real": int, "n_fake": int, "rho": float, "m1_mode": str,
               "gen_skew": float}
 GAN_KEYS = {"batch_size": int, "lr_g": float, "lr_d": float, "noise_dim": int}
 RING_KEYS = {"radius_base": float, "radius_slope": float}
-TRAIN_KEYS = {"lr_decay_epochs": _int_tuple, "momentum": float,
-              "weight_decay": float}
+TRAIN_KEYS = {"lr_decay_epochs": _int_tuple}
 
 
 # (set, get) thread-count functions of OpenBLAS: as a numpy 2.x wheel
@@ -210,22 +211,11 @@ def build_bound_setup(kv: dict):
     return setup, extras
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path, columns, rows):
+    """Writes a header and rows; csv writes None as an empty field and a
+    float by its repr."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+        csv.writer(f).writerows([columns, *rows])
 
 
 def write_manifest(out_dir, command, config_path, snapshot, seed, artifacts):
@@ -347,7 +337,7 @@ def cmd_verify_bound(args) -> int:
     setup, extras = build_bound_setup(kv)
     report = verify_bound(setup, **extras)
     frac = report.holds_fraction
-    rows = [(t, lhs, report.bound.rhs, held, frac)
+    rows = [(t, lhs, report.bound.rhs, int(held), frac)
             for t, (lhs, held) in enumerate(zip(report.lhs_values,
                                                 report.holds_flags))]
     return _write_result(args, args.setup, snapshot, extras["seed"],
@@ -451,6 +441,9 @@ def main(argv=None) -> int:
         return 2
     except StageError as exc:
         print(f"stage failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"write error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -25,6 +25,7 @@ from .synthdata import Dataset
 
 PROB_FLOOR = 1e-12
 LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each lr_decay_epochs entry
+SGD_MOMENTUM = 0.9  # momentum of every network `train` fits
 
 OUTPUT_KINDS = ("logits", "nonneg_scalar", "linear")
 LOSS_KINDS = ("plain_ce", "plain_se", "blkd")
@@ -126,8 +127,6 @@ class TrainConfig:
     batch_size: int
     lr: float
     lr_decay_epochs: tuple = ()
-    momentum: float = 0.9
-    weight_decay: float = 0.0
     seed: int = 0
     loss: Loss = Loss("plain_ce")
 
@@ -139,10 +138,6 @@ class TrainConfig:
             raise ValueError("bad epochs/batch_size")
         if any(e < 0 for e in self.lr_decay_epochs):
             raise ValueError("lr_decay_epochs must be nonnegative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -179,8 +174,7 @@ def init_params(spec: NetSpec, seed: int) -> NetParams:
 def _layer_views(spec: NetSpec, flat: np.ndarray):
     """Per-layer (weights, biases) views into one flat vector.
 
-    Layout: every layer's weights in order, then every layer's biases, so
-    the weights form one leading slice.
+    Layout: every layer's weights in order, then every layer's biases.
     """
     dims = spec.layer_dims
     weights, biases, at = [], [], 0
@@ -379,15 +373,14 @@ def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss,
 
 
 class SgdState:
-    """SGD with momentum and L2 weight decay on one flat parameter vector.
+    """SGD with momentum on one flat parameter vector.
 
     `params` and `grads` are per-layer views into the flat `theta` and
     `grad` (see `_layer_views`); `backward` writes into `grads`, and `step`
-    updates all layers at once as v = (m*v + g) + wd*w, w = w - lr*v, with
-    weight decay on the weights only.
+    updates all layers at once as v = m*v + g, w = w - lr*v.
     """
 
-    def __init__(self, params: NetParams, momentum: float, weight_decay: float = 0.0):
+    def __init__(self, params: NetParams, momentum: float):
         spec = params.spec
         self.theta = np.concatenate([w.ravel() for w in params.weights]
                                     + list(params.biases))
@@ -396,23 +389,13 @@ class SgdState:
         self.grads = _layer_views(spec, self.grad)
         self.velocity = np.zeros_like(self.theta)
         self._scaled = np.empty_like(self.theta)
-        n_weights = sum(w.size for w in params.weights)
-        self._decayed = (self.theta[:n_weights], self.velocity[:n_weights],
-                         self._scaled[:n_weights])
         self.momentum = momentum
-        self.weight_decay = weight_decay
 
     def step(self, lr: float):
-        v, scaled = self.velocity, self._scaled
+        v = self.velocity
         v *= self.momentum
         v += self.grad
-        # With wd 0 the skipped term wd*w is +-0: it can change only the sign
-        # of a zero velocity entry, and w - lr*(+-0) is w for any w but -0,
-        # which init_params never draws and no update produces.
-        if self.weight_decay:
-            w, vw, sw = self._decayed
-            vw += np.multiply(w, self.weight_decay, out=sw)
-        self.theta -= np.multiply(v, lr, out=scaled)
+        self.theta -= np.multiply(v, lr, out=self._scaled)
 
 
 # Results of `memoized` calls while a `reuse_training` block runs, by the
@@ -500,7 +483,7 @@ def _train(params: NetParams, dataset: Dataset, config: TrainConfig,
         raise ValueError("teacher is required exactly for blkd loss")
     targets = _prepare_targets(dataset, params.spec, loss, teacher)
     X = dataset.features
-    state = SgdState(params, config.momentum, config.weight_decay)
+    state = SgdState(params, SGD_MOMENTUM)
     n, size = dataset.n, config.batch_size
     spaces = {}
     lr = config.lr

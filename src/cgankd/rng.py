@@ -37,8 +37,9 @@ def derive_key(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def generator(key: int) -> np.random.Generator:
-    """A numpy Generator (Philox) for sequential, seeded loops."""
+def generator(key: int) -> "np.random.Generator":
+    """A numpy Generator (Philox) for sequential, seeded loops.  The quoted
+    annotation leaves `numpy.random` unloaded until the first call."""
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -225,7 +225,7 @@ def _tiny_with(tmp_path, edits):
 @pytest.mark.parametrize("key,value", [("teacher.lr", "nan"),
                                        ("data.separation", "inf"),
                                        ("rho", "-inf"),
-                                       ("dr.momentum", "NaN")])
+                                       ("dr.lr", "NaN")])
 def test_nonfinite_float_exits_2(tmp_path, capsys, key, value):
     path = _tiny_with(tmp_path, {key: value})
     with pytest.raises(ConfigError, match="non-finite"):
@@ -238,7 +238,9 @@ CGAN = {"generator": "cgan", "gan.iterations": "10"}
 BLKD = {"student.loss": "blkd"}
 REGRESSION = {"task": "regression", "data.classes": None,
               "data.separation": None}
-# Values that a constructor or a stage rejects, with the message naming why.
+# Values that a constructor or a stage rejects, and keys that no field reads,
+# with the message naming why.  Every network trains with one SGD recipe, so
+# the momentum and weight-decay keys are unknown, at any value.
 BAD_VALUES = [
     ({**CGAN, "gan.iterations": "-1"}, "GAN config values must be positive"),
     ({"data.classes": "1"}, "n_classes >= 2"),
@@ -252,9 +254,14 @@ BAD_VALUES = [
     ({"oracle.flip": "2"}, "probabilities must lie in [0, 1]"),
     ({"data.classes": "4", "n_fake": "3"}, "cover every class"),
     ({"teacher.hidden": "0"}, "hidden_widths must be non-empty"),
-    ({"teacher.momentum": "-0.5"}, "momentum must lie in [0, 1)"),
-    ({"dr.momentum": "1.0"}, "momentum must lie in [0, 1)"),
-    ({"student.weight_decay": "-0.01"}, "weight_decay must be nonnegative"),
+    ({"teacher.momentum": "-0.5"}, "unknown config keys: teacher.momentum"),
+    ({"student.momentum": "0.9"}, "unknown config keys: student.momentum"),
+    ({"dr.momentum": "1.0"}, "unknown config keys: dr.momentum"),
+    ({"teacher.weight_decay": "0"},
+     "unknown config keys: teacher.weight_decay"),
+    ({"student.weight_decay": "-0.01"},
+     "unknown config keys: student.weight_decay"),
+    ({"dr.weight_decay": "0"}, "unknown config keys: dr.weight_decay"),
     ({"teacher.lr_decay_epochs": "-3"}, "lr_decay_epochs must be nonnegative"),
     ({"data.n": "0"}, "class 0 has too few rows to split (0 < 2)"),
     ({"data.n": "4"}, "class 1 has too few rows to split (1 < 2)"),
@@ -284,6 +291,19 @@ def test_diverged_training_exits_3(tmp_path, capsys):
         assert main(["run", path, "--out-dir", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "'teacher'" in err and "non-finite parameters" in err
+
+
+@pytest.mark.parametrize("argv,output", [
+    (["run"], "train.txt"),
+    (["sweep", "--param", "rho", "--values", "0.5", "--seeds", "0"],
+     "sweep.csv")], ids=["run", "sweep"])
+def test_unwritable_output_exits_3(tiny_cfg, tmp_path, capsys, argv, output):
+    # A directory where the command writes `output` makes its open fail.
+    out = tmp_path / "out"
+    (out / output).mkdir(parents=True)
+    assert main([argv[0], tiny_cfg, *argv[1:], "--out-dir", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("write error:") and output in err
 
 
 def test_ablation_stage_failure_exits_3(tiny_cfg, tmp_path, monkeypatch,
@@ -602,8 +622,7 @@ def test_readme_config_table_lists_every_pipeline_key(tmp_path, monkeypatch):
 
 
 # Every optional key at the default the README config table documents.
-ROLE_DEFAULTS = {"lr": "0.05", "batch_size": "64", "lr_decay_epochs": "",
-                 "momentum": "0.9", "weight_decay": "0"}
+ROLE_DEFAULTS = {"lr": "0.05", "batch_size": "64", "lr_decay_epochs": ""}
 DOCUMENTED_DEFAULTS = {
     "train_fraction": "0.5", "generator": "oracle", "oracle.flip": "0",
     "oracle.label_std": "0", "oracle.junk": "0", "oracle.junk_spread": "0",
