@@ -12,7 +12,8 @@ alone maps failures to these codes: a `ValueError` that reaches it,
 `ConfigError` included, is a rejected value, since a stage wraps its own
 failures in `StageError`; an `OSError` is a failed write, since
 `load_config` maps a failed read to `ConfigError`.  Each command trains
-each distinct network once (`nncore.reuse_training`).
+each distinct network once (`nncore.reuse_training`), and the students of
+one sweep seed, or of one ablation seed, in one stacked SGD loop.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from dataclasses import replace
 
 from .cgen import GanTrainConfig
 from .m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
-                         run_ablation, run_pipeline)
+                         run_ablation, run_pipeline, run_pipelines)
 from .nncore import Loss, TrainConfig, plain_loss, reuse_training
 from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
 from .theory import standard_setup, verify_bound
@@ -75,11 +76,13 @@ class ConfigError(ValueError):
     pass
 
 
-def load_config(path):
+def load_config(path, command=None):
     """Returns (key-value dict, raw snapshot text, embedded seed or None).
 
     A manifest file is accepted in place of a config; its snapshot section
-    and recorded seed are used, reproducing the original run.
+    and recorded seed are used, reproducing the original run.  Given a
+    `command`, a manifest that names another command is rejected: it does
+    not record that command's flags, so no stage may run on it.
     """
     try:
         with open(path) as f:
@@ -90,7 +93,12 @@ def load_config(path):
         head, sep, snapshot = text.partition("\n---\n")
         if not sep:
             raise ConfigError("manifest has no config snapshot section")
-        seed = _Reader(parse_kv(head.splitlines()[1:])).get("seed", int)
+        header = _Reader(parse_kv(head.splitlines()[1:]))
+        seed = header.get("seed", int)
+        written_by = header.get("command", str, command)
+        if command not in (None, written_by):
+            raise ConfigError(f"{path} is the manifest of a {written_by!r} "
+                              f"command, not of {command!r}")
         return parse_kv(snapshot.splitlines()), snapshot, seed
     return parse_kv(text.splitlines()), text, None
 
@@ -250,7 +258,7 @@ def _report_row(config, report):
 
 
 def cmd_run(args) -> int:
-    kv, snapshot, manifest_seed = load_config(args.config)
+    kv, snapshot, manifest_seed = load_config(args.config, args.command)
     config = build_pipeline_config(kv)
     seed = args.seed if args.seed is not None else manifest_seed
     if seed is not None:
@@ -301,26 +309,28 @@ def _distinct(text, cast, what):
 
 
 def cmd_sweep(args) -> int:
-    kv, snapshot, _ = load_config(args.config)
+    kv, snapshot, _ = load_config(args.config, args.command)
     base = build_pipeline_config(kv)
     values = _distinct(args.values, float if args.param == "rho" else int,
                        "value")
     seeds = _distinct(args.seeds, int, "seed")
     cells = [[_sweep_variant(replace(base, master_seed=seed), args.param,
-                             value) for seed in seeds] for value in values]
+                             value) for value in values] for seed in seeds]
+    # One seed's cells share their trainings, and their students train
+    # together; so the cells run seed by seed.
+    reports = [run_pipelines(configs) for configs in cells]
     rows = []
-    for value, configs in zip(values, cells):
-        reports = [run_pipeline(c) for c in configs]
+    for value, per_seed in zip(values, zip(*reports)):
         rows += _seed_rows((args.param, value), [
             (seed, (rep.teacher.primary, rep.student_nokd.primary,
                     rep.student_cgankd.primary, rep.m_fake, rep.theta))
-            for seed, rep in zip(seeds, reports)])
+            for seed, rep in zip(seeds, per_seed)])
     return _write_result(args, args.config, snapshot, base.master_seed,
                          "sweep.csv", SWEEP_COLUMNS, rows)
 
 
 def cmd_ablation(args) -> int:
-    kv, snapshot, _ = load_config(args.config)
+    kv, snapshot, _ = load_config(args.config, args.command)
     base = build_pipeline_config(kv)
     seeds = _distinct(args.seeds, int, "seed")
     tables = [run_ablation(replace(base, master_seed=s)) for s in seeds]
@@ -333,7 +343,7 @@ def cmd_ablation(args) -> int:
 
 
 def cmd_verify_bound(args) -> int:
-    kv, snapshot, _ = load_config(args.setup)
+    kv, snapshot, _ = load_config(args.setup, args.command)
     setup, extras = build_bound_setup(kv)
     report = verify_bound(setup, **extras)
     frac = report.holds_fraction

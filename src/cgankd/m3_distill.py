@@ -8,6 +8,9 @@ draws its randomness from a key derived from (master seed, stage name), so
 two runs with the same config are bit-identical and the student seed is
 shared between the NOKD baseline and the augmented student: with no
 surviving fakes and a plain loss the two students coincide exactly.
+`run_pipelines` runs several configs, such as the cells of one sweep seed,
+and `run_ablation` its four variants, with their students trained together
+in one stacked SGD loop; each student is the one a lone run trains.
 """
 
 import time
@@ -117,12 +120,15 @@ def _stage(name, timings, fn):
     return out
 
 
-def _train_net(hidden, train_cfg, dataset, seed, loss, teacher=None):
+def _net_job(dataset: Dataset, hidden, train_cfg: TrainConfig, loss: Loss,
+             seed: int, teacher: NetParams = None) -> list:
+    """The `nncore.train` arguments that fit a fresh network of `hidden`
+    widths to `dataset` under `loss`; the teacher, whose soft labels only
+    blkd reads, is passed on for blkd alone."""
     spec = NetSpec(dataset.dim, hidden, *nncore.task_head(dataset.task))
-    cfg = replace(train_cfg, seed=seed, loss=loss)
-    params, _ = nncore.train(nncore.init_params(spec, seed), dataset, cfg,
-                             teacher=teacher)
-    return params
+    return [nncore.init_params(spec, seed), dataset,
+            replace(train_cfg, seed=seed, loss=loss),
+            teacher if loss.kind == "blkd" else None]
 
 
 def augment(real: Dataset, fakes: Dataset) -> Dataset:
@@ -132,20 +138,21 @@ def augment(real: Dataset, fakes: Dataset) -> Dataset:
 
 def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, loss: Loss,
                   seed: int, teacher: NetParams = None) -> NetParams:
-    """Train the student on the (augmented) set under `loss`; the teacher,
-    whose soft labels only blkd reads, is passed on for blkd alone."""
-    return _train_net(hidden, train_cfg, d_aug, seed, loss,
-                      teacher if loss.kind == "blkd" else None)
+    """Train the student on the (augmented) set under `loss` (see
+    `_net_job`)."""
+    params, _ = nncore.train(*_net_job(d_aug, hidden, train_cfg, loss, seed,
+                                       teacher))
+    return params
 
 
-def _student_stage(config: PipelineConfig, real_train: Dataset,
-                   fakes: Dataset, teacher: NetParams, seed_of, timings):
-    """Stage "student": the run's student on the real set plus `fakes`,
-    under `config.student_loss`; `run` and every ablation variant use it."""
-    return _stage("student", timings, lambda: train_student(
-        augment(real_train, fakes), config.student_hidden,
-        config.student_train, config.student_loss, seed_of("student"),
-        teacher=teacher))
+def _student_args(config: PipelineConfig, real_train: Dataset,
+                  fakes: Dataset, teacher: NetParams, seed_of) -> tuple:
+    """The `train_student` arguments of the run's student on the real set
+    plus `fakes`, under `config.student_loss`; `run_pipeline` and every
+    ablation variant train it in stage "student"."""
+    return (augment(real_train, fakes), config.student_hidden,
+            config.student_train, config.student_loss, seed_of("student"),
+            teacher)
 
 
 def _oracle(config: PipelineConfig) -> CorruptedOracle:
@@ -210,9 +217,9 @@ def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
     _save(checkpoint_dir, "train.txt", write_dataset, real_train, "real")
     _save(checkpoint_dir, "eval.txt", write_dataset, eval_set, "real")
 
-    teacher = _stage("teacher", timings, lambda: _train_net(
-        config.teacher_hidden, config.teacher_train, real_train,
-        seed_of("teacher"), plain_loss(real_train.task)))
+    teacher = _stage("teacher", timings, lambda: nncore.train(*_net_job(
+        real_train, config.teacher_hidden, config.teacher_train,
+        plain_loss(real_train.task), seed_of("teacher")))[0])
     _save(checkpoint_dir, "teacher.txt", modelio.write_netparams, teacher)
 
     generator = _stage("generator", timings, lambda: _prepare_generator(
@@ -225,8 +232,13 @@ def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
     return real_train, eval_set, teacher, generator, d_m1
 
 
-def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
-    """Execute the full run; optionally checkpoint artifacts per stage."""
+def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None):
+    """Execute the full run; optionally checkpoint artifacts per stage.
+
+    With a `batch` list (see `run_pipelines`), the run stops before its
+    student stage: it appends the student's `nncore.train` arguments to
+    `batch` and returns a function that runs the rest and returns the report.
+    """
     timings = {}
     seed_of = partial(rng.derive_key, config.master_seed)
     real_train, eval_set, teacher, _, d_m1 = _shared_stages(
@@ -243,23 +255,51 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None) -> PipelineReport:
     d_m2 = _cap_fakes(d_m2, config.fake_cap, seed_of("fake-cap"))
     if d_m2.n:
         _save(checkpoint_dir, "fakes_m2.txt", write_dataset, d_m2, "fake_m2")
+    student_args = _student_args(config, real_train, d_m2, teacher, seed_of)
+    m_fake = d_m2.n
 
-    student = _student_stage(config, real_train, d_m2, teacher, seed_of,
-                             timings)
-    _save(checkpoint_dir, "student.txt", modelio.write_netparams, student)
+    def finish():
+        student = _stage("student", timings,
+                         lambda: train_student(*student_args))
+        _save(checkpoint_dir, "student.txt", modelio.write_netparams, student)
 
-    def eval_stage():
-        return (nncore.evaluate(teacher, eval_set),
-                nncore.evaluate(student_nokd, eval_set),
-                nncore.evaluate(student, eval_set))
+        def eval_stage():
+            return (nncore.evaluate(teacher, eval_set),
+                    nncore.evaluate(student_nokd, eval_set),
+                    nncore.evaluate(student, eval_set))
 
-    t_metrics, nokd_metrics, student_metrics = _stage("evaluate", timings,
-                                                      eval_stage)
-    return PipelineReport(
-        teacher=t_metrics, student_nokd=nokd_metrics,
-        student_cgankd=student_metrics, filter_report=filter_report,
-        n_real=real_train.n, n_fake=config.n_fake, m_fake=d_m2.n,
-        theta=real_train.n / (real_train.n + d_m2.n), timings=timings)
+        t_metrics, nokd_metrics, student_metrics = _stage(
+            "evaluate", timings, eval_stage)
+        return PipelineReport(
+            teacher=t_metrics, student_nokd=nokd_metrics,
+            student_cgankd=student_metrics, filter_report=filter_report,
+            n_real=real_train.n, n_fake=config.n_fake, m_fake=m_fake,
+            theta=real_train.n / (real_train.n + m_fake), timings=timings)
+
+    if batch is None:
+        return finish()
+    batch.append(_net_job(*student_args))
+    return finish
+
+
+def run_pipelines(configs) -> list:
+    """`run_pipeline` of each config, with the students of all the runs
+    trained together in one stacked SGD loop (`nncore.train_together`).
+
+    Each run executes its stages up to M2 in turn; then each run executes
+    its student and evaluate stages in turn, and the first student stage
+    trains every student.  The runs' students must share their network,
+    schedule and loss, as the cells of one sweep seed do.  With two failing
+    runs, the stage named may differ from one-by-one runs, since every run
+    reaches M2 before any student trains; it is a StageError either way.
+    Each run's stages up to M2 execute inside its own `run_pipeline` call,
+    where the benchmark's traced stage-repeat check (bench/spans.py) finds
+    them.
+    """
+    batch = []
+    finishes = [run_pipeline(config, batch=batch) for config in configs]
+    with nncore.train_together(batch):
+        return [finish() for finish in finishes]
 
 
 ABLATION_VARIANTS = ("raw", "m1", "m1m2", "full")
@@ -273,6 +313,8 @@ def run_ablation(config: PipelineConfig) -> dict:
     classification, where no replacement step exists).  Every variant's
     fakes are capped at `fake_cap` and train the run's student under its
     `student_loss`, so `full` is `run_pipeline`'s student for the config.
+    The four students train together in one stacked SGD loop
+    (`nncore.train_together`), in the first variant's student stage.
     """
     timings = {}
     seed_of = partial(rng.derive_key, config.master_seed)
@@ -287,12 +329,14 @@ def run_ablation(config: PipelineConfig) -> dict:
     d_raw = _stage("raw", timings, raw_stage)
     d_filtered, d_full, _ = _stage("m2", timings, lambda: (
         m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
+    students = [_student_args(config, real_train, _cap_fakes(
+        fakes, config.fake_cap, seed_of("fake-cap")), teacher, seed_of)
+        for fakes in (d_raw, d_m1, d_filtered, d_full)]
     out = {}
-    for name, fakes in zip(ABLATION_VARIANTS,
-                           (d_raw, d_m1, d_filtered, d_full)):
-        fakes = _cap_fakes(fakes, config.fake_cap, seed_of("fake-cap"))
-        student = _student_stage(config, real_train, fakes, teacher, seed_of,
-                                 timings)
-        out[name] = _stage("evaluate", timings,
-                           lambda: nncore.evaluate(student, eval_set))
+    with nncore.train_together([_net_job(*a) for a in students]):
+        for name, args in zip(ABLATION_VARIANTS, students):
+            student = _stage("student", timings,
+                             lambda: train_student(*args))
+            out[name] = _stage("evaluate", timings,
+                               lambda: nncore.evaluate(student, eval_set))
     return out

@@ -10,13 +10,21 @@ targets (1 - lam) * y + lam * p_t, which training blends once.
 
 Softmax probabilities are floored at PROB_FLOOR before any log so the loss
 stays bounded; the analytic gradients account for the floor exactly.
+
+Training runs one SGD loop (`_train`) over a list of jobs that share a
+network spec and a schedule: one job is plain minibatch SGD, and several
+train as the rows of one parameter stack, each bit for bit as it would
+alone.  `train` is one job behind the training memo (`reuse_training`);
+`train_together` holds jobs back so that the first `train` call of one of
+them trains them all in one loop.
 """
 
 import contextlib
 import copy
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,19 +179,31 @@ def init_params(spec: NetSpec, seed: int) -> NetParams:
     return NetParams(spec, weights, biases)
 
 
-def _layer_views(spec: NetSpec, flat: np.ndarray):
-    """Per-layer (weights, biases) views into one flat vector.
+def flat_params(params: NetParams) -> np.ndarray:
+    """One network's parameters as one flat vector (see `_layer_views`)."""
+    return np.concatenate([w.ravel() for w in params.weights]
+                          + list(params.biases))
 
-    Layout: every layer's weights in order, then every layer's biases.
+
+def _layer_views(spec: NetSpec, flat: np.ndarray):
+    """Per-layer (weights, biases) views into one flat vector, or into each
+    row of a stack of them.
+
+    Layout: every layer's weights in order, then every layer's biases.  For
+    a (k, P) stack the weights come out as (k, out, in) and the biases as
+    (k, 1, out), which broadcast over the rows of a (k, batch, out) stack.
     """
     dims = spec.layer_dims
+    lead = flat.shape[:-1]
     weights, biases, at = [], [], 0
     for l in range(len(dims) - 1):
         size = dims[l + 1] * dims[l]
-        weights.append(flat[at:at + size].reshape(dims[l + 1], dims[l]))
+        weights.append(flat[..., at:at + size].reshape(
+            lead + (dims[l + 1], dims[l])))
         at += size
     for l in range(len(dims) - 1):
-        biases.append(flat[at:at + dims[l + 1]])
+        biases.append(flat[..., at:at + dims[l + 1]].reshape(
+            lead + (1,) * len(lead) + (dims[l + 1],)))
         at += dims[l + 1]
     return weights, biases
 
@@ -196,51 +216,59 @@ def _clamped_layers(spec: NetSpec) -> list:
 
 
 class Workspace:
-    """Forward and backward buffers of one network for one batch size.
+    """Forward and backward buffers of one network for one batch size, or of
+    a stack of k networks: `Workspace(spec, n)` or `Workspace(spec, k, n)`.
 
     `acts[l + 1]` holds layer l's outputs (`acts[0]` is the input batch),
     `masks[l]` its ReLU masks, `deltas[l]` the loss gradient w.r.t. its
     pre-activations and `d_input` the one w.r.t. the input.  `loss_grad`
-    holds the loss gradient w.r.t. the outputs, and `sq`, `probs`,
-    `floored`, `terms` and `col` the loss terms.
+    holds the loss gradient w.r.t. the outputs, and `probs`, `terms`,
+    `prod` and `col` the cross-entropy terms.
     """
 
-    def __init__(self, spec: NetSpec, n: int):
+    def __init__(self, spec: NetSpec, *lead):
         dims = spec.layer_dims
         self.clamped = _clamped_layers(spec)
-        self.acts = [None] + [np.empty((n, d)) for d in dims[1:]]
-        self.masks = [np.empty((n, d), dtype=bool) for d in dims[1:]]
-        self.deltas = [np.empty((n, d)) for d in dims[1:]]
-        self.d_input = np.empty((n, dims[0]))
-        self.loss_grad = np.empty((n, dims[-1]))
-        self.sq = np.empty(n)
-        self.probs, self.floored, self.terms = (
-            np.empty((n, dims[-1])) for _ in range(3))
-        self.col = np.empty((n, 1))
+        self.acts = [None] + [np.empty(lead + (d,)) for d in dims[1:]]
+        self.masks = [np.empty(lead + (d,), dtype=bool) for d in dims[1:]]
+        self.deltas = [np.empty(lead + (d,)) for d in dims[1:]]
+        self.d_input = np.empty(lead + (dims[0],))
+        self.loss_grad, self.probs, self.terms, self.prod = (
+            np.empty(lead + (dims[-1],)) for _ in range(4))
+        self.col = np.empty(lead + (1,))
 
 
-def _forward(params: NetParams, X: np.ndarray, ws: Workspace = None):
+def _mT(a: np.ndarray) -> np.ndarray:
+    """The transpose of a matrix, or of each matrix of a stack."""
+    return a.T if a.ndim == 2 else a.transpose(0, 2, 1)
+
+
+def _forward(params, X: np.ndarray, ws: Workspace = None):
     """The layer loop of training and inference; returns the outputs.
 
-    Each layer's product is biased and clamped in place: into `ws.acts`,
-    kept for backprop, or without `ws` into one fresh array per layer.
+    `X` is one batch (2-D) or a stack of batches (3-D), one per network of
+    the stacked `params` (see `_layer_views`).  Each layer's product is
+    biased and clamped in place: into `ws.acts`, kept for backprop, or
+    without `ws` into one fresh array per layer.
     """
     if ws is None:
         clamped = _clamped_layers(params.spec)
     else:
         clamped, ws.acts[0] = ws.clamped, X
+    # Array rank selects the product, here and in backprop.  np.dot, on 2-D
+    # operands, reaches the BLAS routines np.matmul reaches, with less
+    # dispatch overhead (for the k = 1 outer product of backprop through a
+    # one-unit layer, np.matmul runs a slower loop of its own); np.matmul
+    # runs a stack through the same routines, matrix by matrix.  Both start
+    # each sum from +0.0 and agree bit for bit, as tests/test_nncore.py
+    # checks, except on a 1x1 by 1x1 product, where np.dot keeps
+    # -0.0 * 1.0 as -0.0 and np.matmul gives +0.0.  That needs a one-row
+    # batch through a layer with one input and one output, which `_train`
+    # never stacks.
+    product = np.dot if X.ndim == 2 else np.matmul
     a = X
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        # np.dot, here and in backprop: on these 2-D operands it reaches the
-        # BLAS routines np.matmul reaches, with less dispatch overhead (for
-        # the k = 1 outer product of backprop through a one-unit layer,
-        # np.matmul runs a slower loop of its own).  Both start each sum from
-        # +0.0 and agree bit for bit, as tests/test_nncore.py checks, except
-        # on a 1x1 by 1x1 product, where np.dot keeps -0.0 * 1.0 as -0.0 and
-        # np.matmul gives +0.0.  That needs a one-row batch through a layer
-        # with one input and one output; no bench config has a layer input
-        # narrower than 2.
-        a = np.dot(a, w.T, out=None if ws is None else ws.acts[l + 1])
+        a = product(a, _mT(w), out=None if ws is None else ws.acts[l + 1])
         np.add(a, b, out=a)
         if clamped[l]:
             np.maximum(a, 0.0, out=a)
@@ -259,25 +287,28 @@ def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
     return _forward(params, X)
 
 
-def backward(params: NetParams, ws: Workspace, d_out: np.ndarray, grads):
+def backward(params, ws: Workspace, d_out: np.ndarray, grads):
     """Backprop a gradient w.r.t. the network output through `ws`.
 
     Writes the weight and bias gradients into `grads`, a (weights, biases)
     pair of per-layer arrays, and stops before the gradient w.r.t. the
-    input batch.  ReLU masks are read from the layer outputs: max(z, 0) > 0
-    is z > 0 for every z, NaN and signed zeros included.  They multiply as
-    booleans, which keeps signed zeros.
+    input batch.  A stack of networks (3-D `d_out`) backprops each through
+    its own weights.  ReLU masks are read from the layer outputs:
+    max(z, 0) > 0 is z > 0 for every z, NaN and signed zeros included.
+    They multiply as booleans, which keeps signed zeros.
     """
     gw, gb = grads
+    product = np.dot if d_out.ndim == 2 else np.matmul
+    stacked = d_out.ndim == 3
     delta = d_out
     for l in range(len(params.weights) - 1, -1, -1):
         if ws.clamped[l]:
             mask = np.greater(ws.acts[l + 1], 0.0, out=ws.masks[l])
             delta = np.multiply(delta, mask, out=ws.deltas[l])
-        np.dot(delta.T, ws.acts[l], out=gw[l])
-        np.add.reduce(delta, axis=0, out=gb[l])
+        product(_mT(delta), ws.acts[l], out=gw[l])
+        np.add.reduce(delta, axis=-2, keepdims=stacked, out=gb[l])
         if l:
-            delta = np.dot(delta, params.weights[l], out=ws.deltas[l - 1])
+            delta = product(delta, params.weights[l], out=ws.deltas[l - 1])
 
 
 def input_gradient(params: NetParams, ws: Workspace, d_out: np.ndarray):
@@ -310,24 +341,25 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
-def _batch_loss_and_dout(out, targets, loss: Loss, ws: Workspace):
-    """Mean batch loss and its gradient w.r.t. the network output.
+def _loss_grad(out, targets, loss: Loss, ws: Workspace, stash):
+    """Gradient of the mean batch loss w.r.t. the network output.
 
-    Every term is written into `ws`.  The cross entropy keeps the operand
+    `out` is one batch or a stack of them.  The terms are written into `ws`,
+    and into `stash` the per-row figures the loss itself is later built
+    from (see `_batch_means`): the diffs of squared error, or the floored
+    probabilities of cross entropy.  The cross entropy keeps the operand
     order of `softmax` followed by the per-row
     -sum_c t_c log max(p_c, PROB_FLOOR), so its figures match that
     formula's bit for bit.
     """
-    n = out.shape[0]
+    n = out.shape[-2]
     if loss.kind == "plain_se":
         # The scalar head has one output column, so d_out is 2 * diff / n.
         d_out = ws.loss_grad
-        diff = np.subtract(out[:, 0], targets, out=d_out[:, 0])
-        sq = np.multiply(diff, diff, out=ws.sq)
-        value = float(np.add.reduce(sq)) / n
-        d_out *= 2.0
+        diff = np.subtract(out[..., 0], targets, out=stash)
+        np.multiply(diff, 2.0, out=d_out[..., 0])
         d_out /= n
-        return value, d_out
+        return d_out
     T = loss.temperature
     p, col = ws.probs, ws.col
     # Dividing by T = 1 is exact, so it is skipped.
@@ -336,19 +368,34 @@ def _batch_loss_and_dout(out, targets, loss: Loss, ws: Workspace):
     np.subtract(z, col, out=p)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True, out=col)
-    floored = np.maximum(p, PROB_FLOOR, out=ws.floored)
-    terms = np.multiply(targets, np.log(floored, out=ws.terms), out=ws.terms)
-    rows = np.negative(np.add.reduce(terms, axis=-1, out=ws.sq), out=ws.sq)
-    value = float(np.add.reduce(rows)) / n
+    floored = np.maximum(p, PROB_FLOOR, out=stash)
     # d/dp with the probability floor: clamped entries contribute nothing.
     g = np.divide(np.negative(targets, out=ws.terms), floored, out=ws.terms)
     if not p.min() > PROB_FLOOR:
         g[~(p > PROB_FLOOR)] = 0.0
-    g -= np.add.reduce(np.multiply(p, g, out=ws.floored), axis=-1,
+    g -= np.add.reduce(np.multiply(p, g, out=ws.prod), axis=-1,
                        keepdims=True, out=col)
     d_out = np.multiply(p, g, out=ws.loss_grad)
     d_out /= T * n
-    return value, d_out
+    return d_out
+
+
+def _batch_means(stash, targets, loss: Loss, size: int) -> list:
+    """Mean loss of each batch of `size` consecutive rows (the last may be
+    shorter) from what `_loss_grad` stashed for those rows: the mean of
+    diff**2, or of the rows' -sum_c t_c log(floored p_c)."""
+    if loss.kind == "plain_se":
+        rows = np.multiply(stash, stash)
+    else:
+        rows = np.negative(np.add.reduce(
+            np.multiply(targets, np.log(stash)), axis=-1))
+    full = len(rows) // size * size
+    sums = np.add.reduce(rows[:full].reshape(-1, size), axis=-1).tolist()
+    counts = [size] * len(sums)
+    if full < len(rows):
+        sums.append(float(np.add.reduce(rows[full:])))
+        counts.append(len(rows) - full)
+    return [s / m for s, m in zip(sums, counts)]
 
 
 def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss,
@@ -372,24 +419,41 @@ def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss,
     return targets
 
 
-class SgdState:
-    """SGD with momentum on one flat parameter vector.
+class _Stack(NamedTuple):
+    """Per-layer weight and bias views of a stack of networks."""
+    weights: list
+    biases: list
 
-    `params` and `grads` are per-layer views into the flat `theta` and
-    `grad` (see `_layer_views`); `backward` writes into `grads`, and `step`
-    updates all layers at once as v = m*v + g, w = w - lr*v.
+
+class SgdState:
+    """SGD with momentum on flat parameter vectors.
+
+    `theta` holds one network's parameters (see `_layer_views`) or, for a
+    stack of networks, one network per row; `grad` and `velocity` share its
+    shape.  `params` and `grads` are per-layer views into `theta` and
+    `grad`: a `NetParams` for one network.  `backward` writes into `grads`,
+    and `step` updates every layer of every network at once as
+    v = m*v + g, w = w - lr*v.
     """
 
-    def __init__(self, params: NetParams, momentum: float):
-        spec = params.spec
-        self.theta = np.concatenate([w.ravel() for w in params.weights]
-                                    + list(params.biases))
-        self.params = NetParams(spec, *_layer_views(spec, self.theta))
-        self.grad = np.zeros_like(self.theta)
-        self.grads = _layer_views(spec, self.grad)
-        self.velocity = np.zeros_like(self.theta)
-        self._scaled = np.empty_like(self.theta)
+    def __init__(self, spec: NetSpec, theta: np.ndarray, momentum: float,
+                 grad=None, velocity=None):
+        self.spec = spec
+        self.theta = theta
+        self.grad = np.zeros_like(theta) if grad is None else grad
+        self.velocity = np.zeros_like(theta) if velocity is None else velocity
+        self._scaled = np.empty_like(theta)
         self.momentum = momentum
+        views = _layer_views(spec, theta)
+        self.params = (NetParams(spec, *views) if theta.ndim == 1
+                       else _Stack(*views))
+        self.grads = _layer_views(spec, self.grad)
+
+    def part(self, rows) -> "SgdState":
+        """The state of some networks of a stack, on views of its arrays:
+        one network for an index, a stack for a slice."""
+        return SgdState(self.spec, self.theta[rows], self.momentum,
+                        self.grad[rows], self.velocity[rows])
 
     def step(self, lr: float):
         v = self.velocity
@@ -401,6 +465,8 @@ class SgdState:
 # Results of `memoized` calls while a `reuse_training` block runs, by the
 # SHA-256 digest of their inputs; None outside one.
 _memo = None
+# The trainings a `train_together` block holds back, by the same digest.
+_held = {}
 
 
 @contextlib.contextmanager
@@ -414,6 +480,24 @@ def reuse_training():
         yield
     finally:
         _memo = outer
+
+
+@contextlib.contextmanager
+def train_together(jobs):
+    """Runs the body with `jobs`, the argument lists of `train` calls to
+    come, held back: the first of those calls trains every held job the
+    memo lacks in one stacked SGD loop (`_train`), and each call takes its
+    copy from the memo.  Opens a memo (`reuse_training`) for the body when
+    none is open.  The jobs must share what `_train` requires them to."""
+    global _held
+    with contextlib.ExitStack() as stack:
+        if _memo is None:
+            stack.enter_context(reuse_training())
+        outer, _held = _held, {_digest("train", job): job for job in jobs}
+        try:
+            yield
+        finally:
+            _held = outer
 
 
 def _feed(h, obj):
@@ -434,21 +518,30 @@ def _feed(h, obj):
     h.update(repr(obj).encode() + b"\0")
 
 
+def _digest(name, inputs) -> bytes:
+    h = hashlib.sha256(name.encode())
+    _feed(h, inputs)
+    return h.digest()
+
+
 def memoized(name, inputs, compute):
     """`compute()`, whose result depends on nothing but the list `inputs`.
 
     Inside `reuse_training` it runs once per distinct (name, inputs), and
     every call gets its own deep copy of the result, so no caller sees
     another's arrays.  A `compute` that raises stores nothing.  Outside
-    `reuse_training` this is just `compute()`.
+    `reuse_training` this is just `compute()`.  A training that
+    `train_together` holds back runs with the other held ones instead.
     """
     if _memo is None:
         return compute()
-    h = hashlib.sha256(name.encode())
-    _feed(h, inputs)
-    key = h.digest()
+    key = _digest(name, inputs)
     if key not in _memo:
-        _memo[key] = compute()
+        if key in _held:
+            jobs = {k: job for k, job in _held.items() if k not in _memo}
+            _memo.update(zip(jobs, _train(list(jobs.values()))))
+        else:
+            _memo[key] = compute()
     return copy.deepcopy(_memo[key])
 
 
@@ -468,48 +561,120 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
     training reads: the initial params (spec, weight and bias bytes), the
     dataset (task, feature and label bytes with dtype and shape), the
     config's repr, loss included, and the teacher's spec and arrays.
+    Inside `train_together` a held training runs together with the others.
     """
-    return memoized("train", [params, dataset, config, teacher],
-                    lambda: _train(params, dataset, config, teacher))
+    job = [params, dataset, config, teacher]
+    return memoized("train", job, lambda: _train([job])[0])
 
 
-def _train(params: NetParams, dataset: Dataset, config: TrainConfig,
-           teacher: NetParams):
-    """`train` without the memo."""
-    if dataset.n == 0:
-        raise ValueError("empty dataset")
-    loss = config.loss
-    if (teacher is not None) != (loss.kind == "blkd"):
-        raise ValueError("teacher is required exactly for blkd loss")
-    targets = _prepare_targets(dataset, params.spec, loss, teacher)
-    X = dataset.features
-    state = SgdState(params, SGD_MOMENTUM)
-    n, size = dataset.n, config.batch_size
+def _train(jobs: list) -> list:
+    """`train` without the memo, for a list of jobs, each the argument list
+    of one `train` call; returns their results in order.
+
+    The jobs share a spec and a config up to its seed.  Each network trains
+    as it would alone, with its own shuffles, loss history and per-epoch
+    divergence check, and a failure raises the error that training the jobs
+    one after another would raise first.  The networks are the rows of one
+    parameter stack, the largest dataset first.  At each step those with a
+    full batch left form a prefix of the stack and step as one; a lone one,
+    and each network's last, partial batch, step on 2-D views.  So one job
+    is plain minibatch SGD.
+    """
+    spec, config = jobs[0][0].spec, jobs[0][2]
+    loss, size = config.loss, config.batch_size
+    # A one-row batch through a 1x1 layer gets other signed zeros from a
+    # stacked product (see `_forward`), so such jobs train one at a time.
+    dims = spec.layer_dims
+    if size == 1 and (1, 1) in zip(dims, dims[1:]) and len(jobs) > 1:
+        return [_train([job])[0] for job in jobs]
+    errors, targets = {}, {}
+    for j, (params, dataset, cfg, teacher) in enumerate(jobs):
+        try:
+            if params.spec != spec or replace(cfg, seed=config.seed) != config:
+                raise ValueError("jobs trained together must share a spec "
+                                 "and a config up to its seed")
+            if dataset.n == 0:
+                raise ValueError("empty dataset")
+            if (teacher is not None) != (loss.kind == "blkd"):
+                raise ValueError("teacher is required exactly for blkd loss")
+            targets[j] = _prepare_targets(dataset, spec, loss, teacher)
+        except ValueError as exc:
+            errors[j] = exc
+    if 0 in errors:
+        raise errors[0]
+    live = sorted(targets, key=lambda j: -jobs[j][1].n)
+    ns = [jobs[j][1].n for j in live]
+    # Per step: its first row, the count of networks that take it as one
+    # stack (0 when fewer than two have a full batch left), and the
+    # (network, end row) of each batch that runs alone.
+    plan = []
+    for start in range(0, ns[0], size):
+        full = sum(n >= start + size for n in ns)
+        alone = [(i, n) for i, n in enumerate(ns) if start < n < start + size]
+        if full == 1:
+            alone.insert(0, (0, start + size))
+        plan.append((start, full if full > 1 else 0, alone))
+    state = SgdState(spec, np.stack([flat_params(jobs[j][0]) for j in live]),
+                     SGD_MOMENTUM)
+    rows = [state.part(i) for i in range(len(live))]
+    heads = {k: (state.part(slice(0, k)), Workspace(spec, k, size))
+             for _, k, _ in plan if k}
     spaces = {}
+    X = np.empty((len(live), ns[0], spec.input_dim))
+    ts = np.empty((len(live), ns[0]) + targets[live[0]].shape[1:])
+    stash = np.empty_like(ts)
+    histories = {j: [] for j in live}
     lr = config.lr
-    history = []
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
             lr *= LR_DECAY_FACTOR
-        g = rng.generator(rng.derive_key("shuffle", config.seed, epoch))
-        order = g.permutation(n)
-        Xs, ts = X[order], targets[order]
-        total = 0.0
-        for start in range(0, n, size):
-            stop = min(start + size, n)
-            ws = spaces.get(stop - start)
-            if ws is None:
-                ws = spaces[stop - start] = Workspace(params.spec, stop - start)
-            out = _forward(state.params, Xs[start:stop], ws)
-            value, d_out = _batch_loss_and_dout(out, ts[start:stop], loss, ws)
-            backward(state.params, ws, d_out, state.grads)
-            state.step(lr)
-            total += value * (stop - start)
-        if not np.isfinite(state.theta).all():
-            raise RuntimeError(f"training diverged in epoch {epoch}: "
-                               "non-finite parameters")
-        history.append(total / n)
-    return state.params, history
+        for i, j in enumerate(live):
+            order = rng.generator(rng.derive_key(
+                "shuffle", jobs[j][2].seed, epoch)).permutation(ns[i])
+            np.take(jobs[j][1].features, order, axis=0, out=X[i, :ns[i]])
+            np.take(targets[j], order, axis=0, out=ts[i, :ns[i]])
+        for start, k, alone in plan:
+            if k:
+                part, ws = heads[k]
+                stop = start + size
+                _step(part, ws, X[:k, start:stop], ts[:k, start:stop],
+                      stash[:k, start:stop], loss, lr)
+            for i, stop in alone:
+                ws = spaces.get(stop - start)
+                if ws is None:
+                    ws = spaces[stop - start] = Workspace(spec, stop - start)
+                _step(rows[i], ws, X[i, start:stop], ts[i, start:stop],
+                      stash[i, start:stop], loss, lr)
+        finite = np.isfinite(state.theta).all(axis=1)
+        for i, j in enumerate(live):
+            if not finite[i]:
+                errors.setdefault(j, RuntimeError(
+                    f"training diverged in epoch {epoch}: "
+                    "non-finite parameters"))
+            n = ns[i]
+            total = 0.0
+            for b, value in enumerate(_batch_means(
+                    stash[i, :n], ts[i, :n], loss, size)):
+                total += value * min(size, n - b * size)
+            histories[j].append(total / n)
+        if 0 in errors:
+            raise errors[0]
+    if errors:
+        raise errors[min(errors)]
+    results = [None] * len(jobs)
+    for i, j in enumerate(live):
+        theta = state.theta[i].copy()
+        results[j] = NetParams(spec, *_layer_views(spec, theta)), histories[j]
+    return results
+
+
+def _step(state: SgdState, ws: Workspace, X, targets, stash, loss: Loss,
+          lr: float):
+    """One SGD step of one network, or of a stack of them, on its batch."""
+    out = _forward(state.params, X, ws)
+    backward(state.params, ws, _loss_grad(out, targets, loss, ws, stash),
+             state.grads)
+    state.step(lr)
 
 
 def evaluate(params: NetParams, dataset: Dataset) -> Metrics:

@@ -21,9 +21,9 @@ from cgankd.cgen import (GAN_HIDDEN_D, GAN_HIDDEN_G, GAN_MOMENTUM,
                          GanTrainConfig, TrainedCgan, encoding_dim,
                          label_encoding)
 from cgankd.nncore import (PROB_FLOOR, Loss, NetParams, NetSpec, SgdState,
-                           Workspace, _batch_loss_and_dout, _clamped_layers,
-                           _forward, _layer_views, backward, forward_batch,
-                           init_params, softmax)
+                           Workspace, _batch_means, _clamped_layers, _forward,
+                           _layer_views, _loss_grad, backward, flat_params,
+                           forward_batch, init_params, softmax)
 from cgankd.synthdata import Dataset
 
 
@@ -139,18 +139,27 @@ def gradients(params: NetParams, batch, loss: Loss, teacher: NetParams = None) -
         raise ValueError("empty batch")
     ws = Workspace(params.spec, X.shape[0])
     out = _forward(params, X, ws)
-    _, d_out = _batch_loss_and_dout(
-        out, blended_targets(targets, loss, teacher, X), loss, ws)
+    targets = blended_targets(targets, loss, teacher, X)
+    d_out = _loss_grad(out, targets, loss, ws, loss_stash(out, targets))
     grads = _layer_views(params.spec, np.empty(n_params(params.spec)))
     backward(params, ws, d_out, grads)
     return NetParams(params.spec, *grads)
 
 
+def loss_stash(out: np.ndarray, targets) -> np.ndarray:
+    """A buffer for what `_loss_grad` stashes on the outputs `out`: the
+    diffs of squared error, the floored probabilities of cross entropy."""
+    return np.empty(out.shape[:-1] + np.shape(targets)[out.ndim - 1:])
+
+
 def batch_loss(params: NetParams, X: np.ndarray, targets, loss: Loss) -> float:
-    """Mean batch loss through the training forward pass, against targets
-    already blended (see `blended_targets`)."""
+    """Mean batch loss through the training step's loss arithmetic, against
+    targets already blended (see `blended_targets`)."""
     ws = Workspace(params.spec, X.shape[0])
-    return _batch_loss_and_dout(_forward(params, X, ws), targets, loss, ws)[0]
+    out = _forward(params, X, ws)
+    stash = loss_stash(out, targets)
+    _loss_grad(out, targets, loss, ws, stash)
+    return _batch_means(stash, targets, loss, X.shape[0])[0]
 
 
 def reference_backward(params: NetParams, ws: Workspace, d_out: np.ndarray,
@@ -202,8 +211,8 @@ def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedC
     if config.iterations == 0:
         return TrainedCgan(gen, config.noise_dim, task, d)
 
-    opt_g = SgdState(gen, GAN_MOMENTUM)
-    opt_d = SgdState(dis, GAN_MOMENTUM)
+    opt_g = SgdState(g_spec, flat_params(gen), GAN_MOMENTUM)
+    opt_d = SgdState(d_spec, flat_params(dis), GAN_MOMENTUM)
     # The discriminator's fake-batch gradient, added to its real-batch one.
     d_fake = np.empty_like(opt_d.grad)
     d_fake_grads = _layer_views(d_spec, d_fake)

@@ -103,6 +103,28 @@ def test_run_from_manifest_reproduces_bytes(tiny_cfg, tmp_path):
         (second / "report.csv").read_bytes()
 
 
+@pytest.mark.parametrize("writer,reader", [
+    (["sweep", "--param", "rho", "--values", "0.5", "--seeds", "3"], ["run"]),
+    (["ablation", "--seeds", "3"], ["run"]),
+    (["run"], ["sweep", "--param", "rho", "--values", "0.5", "--seeds", "0"]),
+    (["run"], ["ablation", "--seeds", "0"]),
+], ids=["sweep-to-run", "ablation-to-run", "run-to-sweep", "run-to-ablation"])
+def test_another_commands_manifest_exits_2_before_any_stage(
+        tiny_cfg, tmp_path, monkeypatch, capsys, writer, reader):
+    first = tmp_path / "first"
+    first.mkdir()
+    assert main([writer[0], tiny_cfg, *writer[1:],
+                 "--out-dir", str(first)]) == 0
+    stages = _counting(monkeypatch, m3_distill, "_stage")
+    second = tmp_path / "second"
+    second.mkdir()
+    assert main([reader[0], str(first / "manifest.txt"), *reader[1:],
+                 "--out-dir", str(second)]) == 2
+    err = capsys.readouterr().err
+    assert f"manifest of a {writer[0]!r} command" in err
+    assert stages == [] and not any(second.iterdir())
+
+
 def test_sweep_rows_sorted_with_stats(tiny_cfg, tmp_path):
     out = tmp_path / "sweep"
     out.mkdir()
@@ -396,8 +418,11 @@ def test_rho_sweep_trains_each_distinct_network_once(tiny_cfg, tmp_path,
                  "--seeds", "0,1", "--out-dir", str(tmp_path)]) == 0
     # Each cell asks for its teacher, student-nokd, DR and student ...
     assert len(calls) == 3 * 2 * 4
-    # ... but per seed only the students differ between rho values.
-    assert len(runs) == 2 * (3 + 3)
+    # ... but per seed only the students differ between rho values ...
+    jobs = [len(args[0]) for args in runs]
+    assert sum(jobs) == 2 * (3 + 3)
+    # ... and they train together, one SGD loop per seed.
+    assert sorted(jobs) == [1] * 2 * 3 + [3] * 2
 
 
 REAL_TRAIN_N = 120  # TINY_CFG's data.n * train_fraction
@@ -418,11 +443,34 @@ def test_teacher_epochs_sweep_trains_dr_and_nokd_once_per_seed(
     assert main(["sweep", tiny_cfg, "--param", "teacher-epochs",
                  "--values", "5,10", "--seeds", "0,1",
                  "--out-dir", str(tmp_path)]) == 0
-    roles = Counter(_role(*args) for args in runs)
+    roles = Counter(_role(*job) for (jobs,) in runs for job in jobs)
     # M1 never reads the teacher, so the DR net is shared like the baseline.
     assert roles["teacher"] == 2 * 2
     assert roles["dr"] == roles["student-nokd"] == 2
     assert 2 <= roles["student"] <= 2 * 2
+    # Each seed's students train in one SGD loop, apart from the others.
+    loops = [Counter(_role(*job) for job in jobs) for (jobs,) in runs]
+    student_loops = [loop["student"] for loop in loops if loop["student"]]
+    assert len(student_loops) == 2
+    assert sum(student_loops) == roles["student"]
+    assert all(len(loop) == 1 for loop in loops)
+
+
+def test_a_seed_trains_its_sweep_and_ablation_students_in_one_loop(
+        tmp_path, monkeypatch):
+    # Guards the stacked loop: training the cells one at a time would give
+    # one SGD loop per student.
+    path = _tiny_with(tmp_path, REGRESSION)
+    runs = _counting(monkeypatch, nncore, "_train")
+    assert main(["sweep", path, "--param", "rho", "--values", "0.3,0.7,1",
+                 "--seeds", "4", "--out-dir", str(tmp_path)]) == 0
+    # teacher, student-nokd, DR, then the three students
+    assert [len(jobs) for (jobs,) in runs] == [1, 1, 1, 3]
+    runs.clear()
+    assert main(["ablation", path, "--seeds", "4",
+                 "--out-dir", str(tmp_path)]) == 0
+    # teacher, DR, then the four variants' students
+    assert [len(jobs) for (jobs,) in runs] == [1, 1, 4]
 
 
 def test_cgan_sweep_trains_the_gan_once_per_seed(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, make_classification,
                               make_dataset)
 from nn_oracles import (SoftLabel, batch_loss, blended_targets, ce_rows,
-                        forward, gradients, loss_value, n_params,
+                        forward, gradients, loss_stash, loss_value, n_params,
                         pre_activations, reference_backward, soft_labels)
 
 
@@ -565,9 +565,10 @@ def test_ce_loss_matches_reference_at_the_floor_and_on_nan(kind, temperature):
         (1.0 - loss.lam) * targets + loss.lam * tp
     with np.errstate(invalid="ignore"):
         for rows in (slice(0, 7), slice(0, 9)):
-            value, d_out = nncore._batch_loss_and_dout(
-                out[rows], t_eff[rows], loss,
-                nncore.Workspace(spec, rows.stop))
+            stash = loss_stash(out[rows], t_eff[rows])
+            d_out = nncore._loss_grad(out[rows], t_eff[rows], loss,
+                                      nncore.Workspace(spec, rows.stop), stash)
+            [value] = nncore._batch_means(stash, t_eff[rows], loss, rows.stop)
             want_value, want_d_out = _reference_loss_and_dout(
                 out[rows], targets[rows], loss, tp[rows])
             assert np.array_equal(value, want_value, equal_nan=True)
@@ -770,3 +771,123 @@ def test_memo_stores_no_failed_training_and_ends_with_its_block(sgd_runs):
     train(*blkd_case())
     train(*blkd_case())
     assert len(sgd_runs) == 2 + 2 * 2  # outside the memo every call trains
+
+
+# -- training jobs together ---------------------------------------------------
+
+def stack_jobs(kind, rows, seeds, epochs=5):
+    """`train` argument lists that share a spec and a config up to its seed:
+    one job per (rows, seed) pair, with its own dataset and, for blkd, its
+    own teacher.  Batch size 32."""
+    jobs = []
+    for j, (n, seed) in enumerate(zip(rows, seeds)):
+        teacher = None
+        if kind == "plain_se":
+            ds = ring_dataset(seed=j, n=n)
+            spec = NetSpec(ds.dim, (8,), "nonneg_scalar")
+        else:
+            ds = blob_dataset(seed=j, n=n, sep=2.0, noise=1.0, classes=3)
+            spec = NetSpec(ds.dim, (8, 4), "logits", 3)
+            if kind == "blkd":
+                teacher = init_params(NetSpec(ds.dim, (5,), "logits", 3), j)
+        cfg = TrainConfig(epochs, 32, 0.05, lr_decay_epochs=(3,), seed=seed,
+                          loss=Loss(kind, lam=0.3, temperature=4.0))
+        jobs.append([init_params(spec, 7), ds, cfg, teacher])
+    return jobs
+
+
+@pytest.mark.parametrize("kind", ["plain_ce", "plain_se", "blkd"])
+@pytest.mark.parametrize("rows,seeds", [
+    ((150, 64, 200, 129, 20, 96), (1, 2, 3, 4, 5, 6)),  # ragged, n < batch
+    ((96, 64, 128), (1, 1, 2)),                         # exact multiples
+    ((100, 100, 100), (3, 4, 5)),                       # equal n
+    ((77,), (2,)),                                      # one job
+], ids=["ragged", "multiples", "equal", "one"])
+def test_jobs_trained_together_equal_separate_trainings(kind, rows, seeds,
+                                                        sgd_runs):
+    jobs = stack_jobs(kind, rows, seeds)
+    together = nncore._train(jobs)
+    assert len(sgd_runs) == 1
+    for job, got in zip(jobs, together):
+        alone = train(*job)
+        assert_same_training(got, alone)
+        for a, b in zip(got[0].weights + got[0].biases,
+                        alone[0].weights + alone[0].biases):
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+    # the inputs are left untouched
+    assert np.array_equal(jobs[0][0].weights[0],
+                          init_params(jobs[0][0].spec, 7).weights[0])
+
+
+def test_one_row_batches_through_a_1x1_layer_train_one_at_a_time(sgd_runs):
+    # The stacked product would turn a -0.0 of np.dot's into +0.0 there.
+    jobs = []
+    for seed in range(3):
+        ds = ring_dataset(seed=seed, n=9)
+        spec = NetSpec(ds.dim, (1,), "nonneg_scalar")
+        jobs.append([init_params(spec, seed), ds,
+                     TrainConfig(3, 1, 0.05, seed=seed, loss=Loss("plain_se")),
+                     None])
+    together = nncore._train(jobs)
+    assert [len(args[0]) for args in sgd_runs] == [3, 1, 1, 1]
+    for job, got in zip(jobs, together):
+        alone = train(*job)
+        assert_same_training(got, alone)
+        for a, b in zip(got[0].weights + got[0].biases,
+                        alone[0].weights + alone[0].biases):
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_together_raises_the_error_a_serial_loop_raises_first(monkeypatch):
+    # With the decay factor at 1e300, every network diverges in the epoch
+    # its lr decays, 3; a network started at weights of 1e160 overflows in
+    # its first step, in epoch 0.
+    monkeypatch.setattr(nncore, "LR_DECAY_FACTOR", 1e300)
+    early, late = stack_jobs("plain_ce", (64, 64), (1, 2), epochs=6)
+    params = early[0]
+    early[0] = NetParams(params.spec, [w * 1e160 for w in params.weights],
+                         params.biases)
+    with np.errstate(all="ignore"):
+        for jobs, epoch in (([late, early], 3), ([early, late], 0),
+                            ([late], 3)):
+            with pytest.raises(RuntimeError, match=f"epoch {epoch}: non-fin"):
+                nncore._train(jobs)
+        bad = [early[0], early[1].subset(np.zeros(64, dtype=bool)),
+               *early[2:]]
+        with pytest.raises(RuntimeError, match="epoch 3: non-fin"):
+            nncore._train([late, bad])
+        with pytest.raises(ValueError, match="empty dataset"):
+            nncore._train([bad, late])
+
+
+def test_together_rejects_jobs_of_other_configs():
+    a, b = stack_jobs("plain_ce", (64, 64), (1, 2))
+    b[2] = replace(b[2], lr=0.1)
+    with pytest.raises(ValueError, match="share a spec and a config"):
+        nncore._train([a, b])
+
+
+def test_held_jobs_train_in_one_loop_without_hits_or_duplicates(sgd_runs):
+    case = list(blkd_case())
+    label = list(CHANGES["label"](*case))
+    teacher = list(CHANGES["teacher-weight"](*case))
+    want = [train(*job) for job in (case, label, teacher)]
+    before = len(sgd_runs)
+    with nncore.reuse_training():
+        assert_same_training(train(*case), want[0])
+        assert len(sgd_runs) == before + 1
+        with nncore.train_together([case, label, label, teacher]):
+            assert_same_training(train(*teacher), want[2])
+            # one loop for the two jobs the memo lacks, the repeat folded
+            assert len(sgd_runs) == before + 2
+            assert len(sgd_runs[-1][0]) == 2
+            for job, result in zip((case, label, teacher), want):
+                assert_same_training(train(*job), result)
+        assert len(sgd_runs) == before + 2
+    assert nncore._memo is None and nncore._held == {}
+    with nncore.train_together([case, label]):  # opens a memo of its own
+        assert nncore._memo == {}
+        assert_same_training(train(*label), want[1])
+        assert_same_training(train(*case), want[0])
+    assert len(sgd_runs) == before + 3
+    assert nncore._memo is None
