@@ -93,6 +93,12 @@ def label_encoding(task, labels: np.ndarray) -> np.ndarray:
     return np.asarray(labels, dtype=np.float64)[:, None]
 
 
+def conditioned(task, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """The rows of `x`, each followed by its label's encoding: the input
+    layout of the generator, the discriminator and the density-ratio net."""
+    return np.hstack([x, label_encoding(task, labels)])
+
+
 def encoding_dim(task) -> int:
     return task.n_classes if task.kind == "classification" else 1
 
@@ -144,8 +150,7 @@ def _cgan_features(handle: TrainedCgan, labels: np.ndarray, seed: int,
                    indices: np.ndarray) -> np.ndarray:
     z = rng.row_normals(rng.derive_key("cgan-noise", seed), indices,
                         handle.noise_dim)
-    enc = label_encoding(handle.task, labels)
-    return forward_batch(handle.generator, np.hstack([z, enc]))
+    return forward_batch(handle.generator, conditioned(handle.task, z, labels))
 
 
 def sample_features(handle: GeneratorHandle, labels: np.ndarray, seed: int,
@@ -221,8 +226,7 @@ def _train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
     ws_gen = Workspace(g_spec, size)
     # Inputs: real (features, label) rows, generator (noise, label) rows and
     # fake (generated features, label) rows; the logit gradient.
-    real_all = np.hstack([train_set.features,
-                          label_encoding(task, train_set.labels)])
+    real_all = conditioned(task, train_set.features, train_set.labels)
     xr, gin, xf = (np.empty((size, w)) for w in (d + enc_dim, nz + enc_dim,
                                                   d + enc_dim))
     grad = np.empty((size, 1))

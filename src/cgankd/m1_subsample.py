@@ -39,10 +39,6 @@ class DensityRatioModel:
             raise ValueError("m_max must be positive")
 
 
-def _dr_inputs(task, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    return np.hstack([features, cgen.label_encoding(task, labels)])
-
-
 def train_dr(real: Dataset, fake: Dataset, hidden, train_cfg: TrainConfig,
              gamma: float, seed: int,
              calibration: Dataset = None) -> DensityRatioModel:
@@ -54,8 +50,8 @@ def train_dr(real: Dataset, fake: Dataset, hidden, train_cfg: TrainConfig,
     if real.task != fake.task or real.dim != fake.dim:
         raise ValueError("real and fake sets disagree on task or dimension")
     task = real.task
-    X = np.vstack([_dr_inputs(task, real.features, real.labels),
-                   _dr_inputs(task, fake.features, fake.labels)])
+    X = np.vstack([cgen.conditioned(task, real.features, real.labels),
+                   cgen.conditioned(task, fake.features, fake.labels)])
     y = np.concatenate([np.ones(real.n, dtype=np.int64),
                         np.zeros(fake.n, dtype=np.int64)])
     dr_set = Dataset(ClassificationTask(2), X, y)
@@ -72,8 +68,8 @@ def train_dr(real: Dataset, fake: Dataset, hidden, train_cfg: TrainConfig,
 def ratio_batch(model: DensityRatioModel, features: np.ndarray,
                 labels: np.ndarray) -> np.ndarray:
     """Nonnegative, finite estimates of p_real(x|y) / p_fake(x|y)."""
-    logits = nncore.forward_batch(model.net,
-                                  _dr_inputs(model.task, features, labels))
+    logits = nncore.forward_batch(
+        model.net, cgen.conditioned(model.task, features, labels))
     odds_log = np.clip(logits[:, 1] - logits[:, 0], -_LOGIT_CLIP, _LOGIT_CLIP)
     return np.exp(odds_log) * model.prior_correction
 

@@ -9,8 +9,9 @@ two runs with the same config are bit-identical and the student seed is
 shared between the NOKD baseline and the augmented student: with no
 surviving fakes and a plain loss the two students coincide exactly.
 `run_pipelines` runs several configs, such as the cells of one sweep seed,
-and `run_ablation` its four variants, with their students trained together
-in one stacked SGD loop; each student is the one a lone run trains.
+and `run_ablation` its four variants; each student stage passes all their
+students to `nncore.train` as its `together` batch, so the first trains
+them in one stacked SGD loop.  Each is the student a lone run trains.
 """
 
 import time
@@ -137,11 +138,12 @@ def augment(real: Dataset, fakes: Dataset) -> Dataset:
 
 
 def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, loss: Loss,
-                  seed: int, teacher: NetParams = None) -> NetParams:
+                  seed: int, teacher: NetParams = None,
+                  together=()) -> NetParams:
     """Train the student on the (augmented) set under `loss` (see
-    `_net_job`)."""
+    `_net_job`), with the `together` jobs (see `nncore.train`)."""
     params, _ = nncore.train(*_net_job(d_aug, hidden, train_cfg, loss, seed,
-                                       teacher))
+                                       teacher), together=together)
     return params
 
 
@@ -237,7 +239,8 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None):
 
     With a `batch` list (see `run_pipelines`), the run stops before its
     student stage: it appends the student's `nncore.train` arguments to
-    `batch` and returns a function that runs the rest and returns the report.
+    `batch` and returns a function that runs the rest, with `batch` as its
+    student's `together` jobs, and returns the report.
     """
     timings = {}
     seed_of = partial(rng.derive_key, config.master_seed)
@@ -259,8 +262,8 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None):
     m_fake = d_m2.n
 
     def finish():
-        student = _stage("student", timings,
-                         lambda: train_student(*student_args))
+        student = _stage("student", timings, lambda: train_student(
+            *student_args, together=batch or ()))
         _save(checkpoint_dir, "student.txt", modelio.write_netparams, student)
 
         def eval_stage():
@@ -284,21 +287,21 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None):
 
 def run_pipelines(configs) -> list:
     """`run_pipeline` of each config, with the students of all the runs
-    trained together in one stacked SGD loop (`nncore.train_together`).
+    trained together in one stacked SGD loop.
 
-    Each run executes its stages up to M2 in turn; then each run executes
-    its student and evaluate stages in turn, and the first student stage
-    trains every student.  The runs' students must share their network,
-    schedule and loss, as the cells of one sweep seed do.  With two failing
-    runs, the stage named may differ from one-by-one runs, since every run
-    reaches M2 before any student trains; it is a StageError either way.
-    Each run's stages up to M2 execute inside its own `run_pipeline` call,
-    where the benchmark's traced stage-repeat check (bench/spans.py) finds
-    them.
+    Each run executes its stages up to M2 in turn; then, inside one training
+    memo (`nncore.reuse_training`), each run executes its student and
+    evaluate stages in turn, and the first student stage trains every
+    student.  The runs' students must share their network, schedule and
+    loss, as the cells of one sweep seed do.  With two failing runs, the
+    stage named may differ from one-by-one runs, since every run reaches M2
+    before any student trains; it is a StageError either way.  Each run's
+    stages up to M2 execute inside its own `run_pipeline` call, where the
+    benchmark's traced stage-repeat check (bench/spans.py) finds them.
     """
     batch = []
     finishes = [run_pipeline(config, batch=batch) for config in configs]
-    with nncore.train_together(batch):
+    with nncore.reuse_training():
         return [finish() for finish in finishes]
 
 
@@ -313,8 +316,8 @@ def run_ablation(config: PipelineConfig) -> dict:
     classification, where no replacement step exists).  Every variant's
     fakes are capped at `fake_cap` and train the run's student under its
     `student_loss`, so `full` is `run_pipeline`'s student for the config.
-    The four students train together in one stacked SGD loop
-    (`nncore.train_together`), in the first variant's student stage.
+    The four students train together in one stacked SGD loop, in the first
+    variant's student stage, inside one memo (`nncore.reuse_training`).
     """
     timings = {}
     seed_of = partial(rng.derive_key, config.master_seed)
@@ -332,11 +335,12 @@ def run_ablation(config: PipelineConfig) -> dict:
     students = [_student_args(config, real_train, _cap_fakes(
         fakes, config.fake_cap, seed_of("fake-cap")), teacher, seed_of)
         for fakes in (d_raw, d_m1, d_filtered, d_full)]
+    batch = [_net_job(*a) for a in students]
     out = {}
-    with nncore.train_together([_net_job(*a) for a in students]):
+    with nncore.reuse_training():
         for name, args in zip(ABLATION_VARIANTS, students):
             student = _stage("student", timings,
-                             lambda: train_student(*args))
+                             lambda: train_student(*args, together=batch))
             out[name] = _stage("evaluate", timings,
                                lambda: nncore.evaluate(student, eval_set))
     return out

@@ -15,8 +15,8 @@ Training runs one SGD loop (`_train`) over a list of jobs that share a
 network spec and a schedule: one job is plain minibatch SGD, and several
 train as the rows of one parameter stack, each bit for bit as it would
 alone.  `train` is one job behind the training memo (`reuse_training`);
-`train_together` holds jobs back so that the first `train` call of one of
-them trains them all in one loop.
+on a miss it trains, in the same loop, the jobs of its `together` batch
+that the memo lacks.
 """
 
 import contextlib
@@ -150,7 +150,6 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class Metrics:
-    n: int
     top1: float = None
     mae: float = None
 
@@ -465,39 +464,23 @@ class SgdState:
 # Results of `memoized` calls while a `reuse_training` block runs, by the
 # SHA-256 digest of their inputs; None outside one.
 _memo = None
-# The trainings a `train_together` block holds back, by the same digest.
-_held = {}
 
 
 @contextlib.contextmanager
 def reuse_training():
-    """Runs the body with a fresh memo behind `train` and `cgen.train_cgan`:
-    each distinct training runs once, and a repeat gets a copy of the first
-    result.  The memo is dropped when the body ends, however it ends."""
+    """Runs the body with a memo behind `train` and `cgen.train_cgan`: each
+    distinct training runs once, and a repeat gets a copy of the first
+    result.  A block opened inside another shares its memo; the outermost
+    drops it when the body ends, however it ends."""
     global _memo
-    outer, _memo = _memo, {}
+    if _memo is not None:
+        yield
+        return
+    _memo = {}
     try:
         yield
     finally:
-        _memo = outer
-
-
-@contextlib.contextmanager
-def train_together(jobs):
-    """Runs the body with `jobs`, the argument lists of `train` calls to
-    come, held back: the first of those calls trains every held job the
-    memo lacks in one stacked SGD loop (`_train`), and each call takes its
-    copy from the memo.  Opens a memo (`reuse_training`) for the body when
-    none is open.  The jobs must share what `_train` requires them to."""
-    global _held
-    with contextlib.ExitStack() as stack:
-        if _memo is None:
-            stack.enter_context(reuse_training())
-        outer, _held = _held, {_digest("train", job): job for job in jobs}
-        try:
-            yield
-        finally:
-            _held = outer
+        _memo = None
 
 
 def _feed(h, obj):
@@ -530,23 +513,18 @@ def memoized(name, inputs, compute):
     Inside `reuse_training` it runs once per distinct (name, inputs), and
     every call gets its own deep copy of the result, so no caller sees
     another's arrays.  A `compute` that raises stores nothing.  Outside
-    `reuse_training` this is just `compute()`.  A training that
-    `train_together` holds back runs with the other held ones instead.
+    `reuse_training` this is just `compute()`.
     """
     if _memo is None:
         return compute()
     key = _digest(name, inputs)
     if key not in _memo:
-        if key in _held:
-            jobs = {k: job for k, job in _held.items() if k not in _memo}
-            _memo.update(zip(jobs, _train(list(jobs.values()))))
-        else:
-            _memo[key] = compute()
+        _memo[key] = compute()
     return copy.deepcopy(_memo[key])
 
 
 def train(params: NetParams, dataset: Dataset, config: TrainConfig,
-          teacher: NetParams = None):
+          teacher: NetParams = None, together=()):
     """SGD training; deterministic per config.seed.
 
     Returns (trained params, per-epoch mean-loss history).  The targets,
@@ -560,11 +538,27 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
     first result without running SGD.  The key digests everything the
     training reads: the initial params (spec, weight and bias bytes), the
     dataset (task, feature and label bytes with dtype and shape), the
-    config's repr, loss included, and the teacher's spec and arrays.
-    Inside `train_together` a held training runs together with the others.
+    config's repr, loss included, and the teacher's spec and arrays.  A miss
+    trains in one SGD loop (`_train`) with the jobs of `together`, argument
+    lists of `train` calls, that the memo lacks; outside the memo `together`
+    is ignored.
     """
     job = [params, dataset, config, teacher]
-    return memoized("train", job, lambda: _train([job])[0])
+    return memoized("train", job, lambda: _train_batch(job, together))
+
+
+def _train_batch(job: list, together) -> tuple:
+    """The result of `job`, trained in one loop with the jobs of `together`
+    the memo lacks, a repeat once, in batch order; the memo keeps all."""
+    if _memo is None:
+        return _train([job])[0]
+    batch = {}
+    for other in [*together, job]:  # `job` last: `key` ends as its key
+        key = _digest("train", other)
+        if key not in _memo:
+            batch.setdefault(key, other)
+    _memo.update(zip(batch, _train(list(batch.values()))))
+    return _memo[key]
 
 
 def _train(jobs: list) -> list:
@@ -685,7 +679,7 @@ def evaluate(params: NetParams, dataset: Dataset) -> Metrics:
     out = forward_batch(params, dataset.features)
     if dataset.task.kind == "classification":
         top1 = float(np.mean(out.argmax(axis=1) == dataset.labels))
-        return Metrics(n=dataset.n, top1=top1)
+        return Metrics(top1=top1)
     scale = dataset.task.label_hi - dataset.task.label_lo
     mae = float(np.mean(np.abs(out[:, 0] - dataset.labels)) * scale)
-    return Metrics(n=dataset.n, mae=mae)
+    return Metrics(mae=mae)

@@ -473,6 +473,23 @@ def test_a_seed_trains_its_sweep_and_ablation_students_in_one_loop(
     assert [len(jobs) for (jobs,) in runs] == [1, 1, 4]
 
 
+def test_direct_calls_train_their_students_in_one_loop(tmp_path, monkeypatch):
+    # Without `main` no command memo is open: `run_pipelines` and
+    # `run_ablation` open one for their student stages themselves.
+    config = build_pipeline_config(
+        load_config(_tiny_with(tmp_path, REGRESSION))[0])
+    runs = _counting(monkeypatch, nncore, "_train")
+    m3_distill.run_pipelines([replace(config, rho=rho)
+                              for rho in (0.3, 0.7, 1.0)])
+    # each cell's teacher, student-nokd and DR, then the three students
+    assert [len(jobs) for (jobs,) in runs] == [1, 1, 1] * 3 + [3]
+    runs.clear()
+    m3_distill.run_ablation(config)
+    # teacher, DR, then the four variants' students
+    assert [len(jobs) for (jobs,) in runs] == [1, 1, 4]
+    assert nncore._memo is None
+
+
 def test_cgan_sweep_trains_the_gan_once_per_seed(tmp_path, monkeypatch):
     runs = _counting(monkeypatch, cgen, "_train_cgan")
     assert main(["sweep", _tiny_with(tmp_path, CGAN), "--param", "rho",

@@ -763,8 +763,8 @@ def test_memo_stores_no_failed_training_and_ends_with_its_block(sgd_runs):
             with np.errstate(all="ignore"), pytest.raises(RuntimeError):
                 train(*args)
         assert outer == {}
-        with nncore.reuse_training():
-            assert nncore._memo is not outer
+        with nncore.reuse_training():  # shares the open memo
+            assert nncore._memo is outer
         assert nncore._memo is outer
     assert nncore._memo is None
     assert len(sgd_runs) == 2
@@ -867,27 +867,28 @@ def test_together_rejects_jobs_of_other_configs():
         nncore._train([a, b])
 
 
-def test_held_jobs_train_in_one_loop_without_hits_or_duplicates(sgd_runs):
+def test_together_jobs_train_in_one_loop_without_hits_or_duplicates(
+        sgd_runs):
     case = list(blkd_case())
     label = list(CHANGES["label"](*case))
     teacher = list(CHANGES["teacher-weight"](*case))
     want = [train(*job) for job in (case, label, teacher)]
+    batch = [case, label, label, teacher]
     before = len(sgd_runs)
     with nncore.reuse_training():
         assert_same_training(train(*case), want[0])
         assert len(sgd_runs) == before + 1
-        with nncore.train_together([case, label, label, teacher]):
-            assert_same_training(train(*teacher), want[2])
-            # one loop for the two jobs the memo lacks, the repeat folded
-            assert len(sgd_runs) == before + 2
-            assert len(sgd_runs[-1][0]) == 2
-            for job, result in zip((case, label, teacher), want):
-                assert_same_training(train(*job), result)
+        assert_same_training(train(*teacher, together=batch), want[2])
+        # one loop for the two jobs the memo lacks, in batch order, the
+        # repeat folded in
         assert len(sgd_runs) == before + 2
-    assert nncore._memo is None and nncore._held == {}
-    with nncore.train_together([case, label]):  # opens a memo of its own
-        assert nncore._memo == {}
-        assert_same_training(train(*label), want[1])
-        assert_same_training(train(*case), want[0])
-    assert len(sgd_runs) == before + 3
+        loop = sgd_runs[-1][0]
+        assert len(loop) == 2 and loop[0] is label and loop[1] is teacher
+        for job, result in zip((case, label, teacher), want):
+            assert_same_training(train(*job, together=batch), result)
+        assert len(sgd_runs) == before + 2
     assert nncore._memo is None
+    # outside a memo block each call trains alone
+    assert_same_training(train(*label, together=batch), want[1])
+    assert_same_training(train(*case, together=batch), want[0])
+    assert [len(args[0]) for args in sgd_runs[before + 2:]] == [1, 1]
