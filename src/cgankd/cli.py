@@ -31,7 +31,7 @@ from dataclasses import replace
 from .cgen import GanTrainConfig
 from .m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
                          run_ablation, run_pipeline, run_pipelines)
-from .nncore import Loss, TrainConfig, plain_loss, reuse_training
+from .nncore import SGD_BATCH, Loss, TrainConfig, plain_loss, reuse_training
 from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
 from .theory import standard_setup, verify_bound
 
@@ -61,7 +61,6 @@ SETUP_KEYS = {"n_real": int, "n_fake": int, "rho": float, "m1_mode": str,
               "real_label_noise": float, "gen_label_noise": float,
               "gen_skew": float}
 GAN_KEYS = {"batch_size": int, "lr_g": float, "lr_d": float, "noise_dim": int}
-RING_KEYS = {"radius_base": float, "radius_slope": float}
 TRAIN_KEYS = {"lr_decay_epochs": _int_tuple}
 
 
@@ -140,7 +139,7 @@ class _Reader:
 
 def _train_config(r: _Reader, role: str, epochs: int) -> TrainConfig:
     return TrainConfig(epochs=r.get(f"{role}.epochs", int, epochs),
-                       batch_size=r.get(f"{role}.batch_size", int, 64),
+                       batch_size=SGD_BATCH,
                        lr=r.get(f"{role}.lr", float, 0.05),
                        **r.given(f"{role}.", TRAIN_KEYS))
 
@@ -170,8 +169,7 @@ def build_pipeline_config(kv: dict) -> PipelineConfig:
     elif task == "regression":
         data = RingConfig(
             noise_std=r.get("data.noise_std", float, required=True),
-            n=r.get("data.n", int, required=True),
-            **r.given("data.", RING_KEYS))
+            n=r.get("data.n", int, required=True))
     else:
         raise ConfigError(f"unknown task {task!r}")
 

@@ -34,6 +34,7 @@ from .synthdata import Dataset
 PROB_FLOOR = 1e-12
 LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each lr_decay_epochs entry
 SGD_MOMENTUM = 0.9  # momentum of every network `train` fits
+SGD_BATCH = 64  # batch size of every network the pipeline trains
 
 OUTPUT_KINDS = ("logits", "nonneg_scalar", "linear")
 LOSS_KINDS = ("plain_ce", "plain_se", "blkd")
@@ -672,7 +673,7 @@ def _step(state: SgdState, ws: Workspace, X, targets, stash, loss: Loss,
 
 
 def evaluate(params: NetParams, dataset: Dataset) -> Metrics:
-    """Top-1 accuracy, or MAE in original (unnormalized) label units."""
+    """Top-1 accuracy, or MAE in label units."""
     if dataset.n == 0:
         raise ValueError("empty dataset")
     check_head(params.spec, dataset.task, "network")
@@ -680,6 +681,5 @@ def evaluate(params: NetParams, dataset: Dataset) -> Metrics:
     if dataset.task.kind == "classification":
         top1 = float(np.mean(out.argmax(axis=1) == dataset.labels))
         return Metrics(top1=top1)
-    scale = dataset.task.label_hi - dataset.task.label_lo
-    mae = float(np.mean(np.abs(out[:, 0] - dataset.labels)) * scale)
+    mae = float(np.mean(np.abs(out[:, 0] - dataset.labels)))
     return Metrics(mae=mae)

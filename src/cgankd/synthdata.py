@@ -1,10 +1,10 @@
 """Synthetic conditional dataset families, the dataset file writer and the
 key=value line codec that every cgankd text file shares.
 
-Two families stand in for real data: Gaussian blobs on a circle (classification)
-and a spiral "ring" curve with uniform scalar labels (regression).  Regression
-labels live in [0, 1] internally; the task carries (lo, hi) metadata used only
-when reporting MAE in original label units.
+Two families stand in for real data: 2-D Gaussian blobs on a circle
+(classification) and a spiral "ring" curve with uniform scalar labels in
+[0, 1] (regression).  The dimension (2), the ring's radii and the label
+range are constants, not settings, so MAE is reported in label units.
 
 Dataset files are written for inspection; `cgankd run <manifest>` rewrites
 them bit for bit, so nothing reads them back.
@@ -35,13 +35,6 @@ class ClassificationTask:
 
 @dataclass(frozen=True)
 class RegressionTask:
-    label_lo: float = 0.0
-    label_hi: float = 1.0
-
-    def __post_init__(self):
-        if not self.label_hi > self.label_lo:
-            raise ValueError("label_hi must exceed label_lo")
-
     kind = "regression"
 
 
@@ -100,17 +93,16 @@ def concat(a: Dataset, b: Dataset) -> Dataset:
 
 @dataclass(frozen=True)
 class BlobsConfig:
-    """Gaussian blobs, class means on a circle of radius `separation`."""
+    """2-D Gaussian blobs, class means on a circle of radius `separation`."""
     n_classes: int
     separation: float
     noise_std: float
-    dim: int = 2
     n: int = 0
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_classes < 2 or self.dim < 2:
-            raise ValueError("blobs need n_classes >= 2 and dim >= 2")
+        if self.n_classes < 2:
+            raise ValueError("blobs need n_classes >= 2")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
 
@@ -118,47 +110,41 @@ class BlobsConfig:
     def task(self) -> Task:
         return ClassificationTask(self.n_classes)
 
+    dim = 2
+
 
 @dataclass(frozen=True)
 class RingConfig:
     """Spiral curve: label y ~ U[0,1], point at angle 2*pi*y and radius
     radius_base + radius_slope * y, plus isotropic Gaussian noise.
 
-    A nonzero slope keeps y=0 and y=1 apart in radius, and a radius positive
-    for every label keeps each point on the side its angle names, so the
-    noiseless map from features back to the label is invertible (angle
-    determines y).
+    The radii are constants.  Their nonzero slope keeps y=0 and y=1 apart in
+    radius, and a radius positive for every label (2 to 3.5) keeps each point
+    on the side its angle names, so the noiseless map from features back to
+    the label is invertible (angle determines y).
     """
-    radius_base: float = 2.0
-    radius_slope: float = 1.5
     noise_std: float = 0.1
-    label_lo: float = 0.0
-    label_hi: float = 1.0
     n: int = 0
     seed: int = 0
 
     def __post_init__(self):
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
-        if self.radius_slope == 0:
-            raise ValueError("radius_slope must be nonzero")
-        if min(self.radius_base, self.radius_base + self.radius_slope) <= 0:
-            raise ValueError("the ring radius must be positive for every "
-                             "label: radius_base and radius_base + "
-                             "radius_slope must exceed 0")
 
     @property
     def task(self) -> Task:
-        return RegressionTask(self.label_lo, self.label_hi)
+        return RegressionTask()
 
     dim = 2
+    radius_base = 2.0
+    radius_slope = 1.5
 
 
 SynthConfig = Union[BlobsConfig, RingConfig]
 
 
 def blob_centers(cfg: BlobsConfig) -> np.ndarray:
-    """(C, dim) class means on a circle in the first two coordinates."""
+    """(C, 2) class means on a circle of radius `separation`."""
     angles = 2.0 * np.pi * np.arange(cfg.n_classes) / cfg.n_classes
     mu = np.zeros((cfg.n_classes, cfg.dim))
     mu[:, 0] = cfg.separation * np.cos(angles)
@@ -290,7 +276,7 @@ def parse_kv(lines) -> dict:
 def task_line(task: Task) -> str:
     if task.kind == "classification":
         return f"task=classification C={task.n_classes}"
-    return f"task=regression lo={task.label_lo!r} hi={task.label_hi!r}"
+    return "task=regression lo=0.0 hi=1.0"
 
 
 def write_dataset(dataset: Dataset, path, tag: str) -> None:

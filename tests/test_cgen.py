@@ -161,8 +161,7 @@ def test_cgan_learns_blob_means():
 
 
 def test_generator_roundtrip_oracle(tmp_path):
-    ring = RingConfig(radius_base=1.5, radius_slope=2.0, noise_std=0.2,
-                      label_hi=90.0)
+    ring = RingConfig(noise_std=0.2)
     for base, family in ((BASE, "blobs"), (ring, "ring")):
         handle = CorruptedOracle(base, flip_prob=0.1, label_gauss_std=0.05,
                                  junk_prob=0.2, junk_spread=30.0)

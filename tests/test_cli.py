@@ -262,7 +262,8 @@ REGRESSION = {"task": "regression", "data.classes": None,
               "data.separation": None}
 # Values that a constructor or a stage rejects, and keys that no field reads,
 # with the message naming why.  Every network trains with one SGD recipe, so
-# the momentum and weight-decay keys are unknown, at any value.
+# the momentum and weight-decay keys are unknown, at any value; the ring radii
+# are constants, so the radius keys are unknown too.
 BAD_VALUES = [
     ({**CGAN, "gan.iterations": "-1"}, "GAN config values must be positive"),
     ({"data.classes": "1"}, "n_classes >= 2"),
@@ -289,10 +290,14 @@ BAD_VALUES = [
     ({"data.n": "4"}, "class 1 has too few rows to split (1 < 2)"),
     ({"task": "regression", "data.classes": None, "data.separation": None,
       "data.n": "1"}, "the dataset has too few rows to split (1 < 2)"),
-    ({"data.radius_slope": "0", **REGRESSION}, "radius_slope must be nonzero"),
-    ({"data.radius_base": "-2", **REGRESSION}, "radius must be positive"),
-    ({"data.radius_base": "0", **REGRESSION}, "radius must be positive"),
-    ({"data.radius_slope": "-2.5", **REGRESSION}, "radius must be positive"),
+    ({"data.radius_slope": "0", **REGRESSION},
+     "unknown config keys: data.radius_slope"),
+    ({"data.radius_base": "-2", **REGRESSION},
+     "unknown config keys: data.radius_base"),
+    ({"data.radius_base": "0", **REGRESSION},
+     "unknown config keys: data.radius_base"),
+    ({"data.radius_slope": "-2.5", **REGRESSION},
+     "unknown config keys: data.radius_slope"),
 ]
 
 
@@ -305,6 +310,28 @@ def test_bad_config_value_exits_2_before_any_stage(
     assert main(["run", path, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+# Settings that are constants (SGD batch size 64, ring radii 2.0 and 1.5):
+# a config that sets one names an unknown key, even at the constant's value.
+CONSTANT_SETTINGS = [({}, "teacher.batch_size", "64"),
+                     ({}, "student.batch_size", "32"),
+                     ({}, "dr.batch_size", "0"),
+                     (REGRESSION, "data.radius_base", "2.0"),
+                     (REGRESSION, "data.radius_slope", "-2.5")]
+
+
+@pytest.mark.parametrize("edits,key,value", CONSTANT_SETTINGS,
+                         ids=[key for _, key, _ in CONSTANT_SETTINGS])
+def test_constant_setting_exits_2_and_writes_nothing(
+        tmp_path, monkeypatch, capsys, edits, key, value):
+    monkeypatch.setattr(m3_distill, "_stage", _no_training)
+    path = _tiny_with(tmp_path, {**edits, key: value})
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", path, "--out-dir", str(out)]) == 2
+    assert f"unknown config keys: {key}" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_diverged_training_exits_3(tmp_path, capsys):
@@ -687,7 +714,7 @@ def test_readme_config_table_lists_every_pipeline_key(tmp_path, monkeypatch):
 
 
 # Every optional key at the default the README config table documents.
-ROLE_DEFAULTS = {"lr": "0.05", "batch_size": "64", "lr_decay_epochs": ""}
+ROLE_DEFAULTS = {"lr": "0.05", "lr_decay_epochs": ""}
 DOCUMENTED_DEFAULTS = {
     "train_fraction": "0.5", "generator": "oracle", "oracle.flip": "0",
     "oracle.label_std": "0", "oracle.junk": "0", "oracle.junk_spread": "0",
@@ -704,8 +731,7 @@ REQUIRED = {"task": "classification", "data.n": "240", "data.classes": "3",
 # (bare edits of REQUIRED, documented defaults those edits bring in)
 DEFAULT_CASES = {
     "classification-oracle": ({}, {"rho": "0.9"}),
-    "regression": (REGRESSION, {"rho": "0.7", "data.radius_base": "2.0",
-                                "data.radius_slope": "1.5"}),
+    "regression": (REGRESSION, {"rho": "0.7"}),
     "cgan": (CGAN, {"rho": "0.9", "gan.batch_size": "64", "gan.lr_g": "0.02",
                     "gan.lr_d": "0.05", "gan.noise_dim": "4"}),
     "blkd": (BLKD, {"rho": "0.9"}),

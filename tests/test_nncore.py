@@ -349,8 +349,8 @@ def test_evaluate_perfect_and_constant_predictors():
     p, _ = train(init_params(spec, 0), ds, TrainConfig(200, 32, 0.05))
     assert evaluate(p, ds).top1 == 1.0
 
-    # constant-0.5 regressor on labels {0, 1}, range [0, 100] -> mae 50
-    task = RegressionTask(0.0, 100.0)
+    # constant-0.5 regressor on labels {0, 1} -> mae 0.5
+    task = RegressionTask()
     feats = np.zeros((10, 1))
     labels = np.array([0.0, 1.0] * 5)
     ds_reg = Dataset(task, feats, labels)
@@ -358,7 +358,7 @@ def test_evaluate_perfect_and_constant_predictors():
     const = NetParams(spec_r, [np.zeros((1, 1)), np.zeros((1, 1))],
                       [np.array([1.0]), np.array([0.5])])
     m = evaluate(const, ds_reg)
-    assert m.mae == pytest.approx(50.0)
+    assert m.mae == pytest.approx(0.5)
 
 
 def test_evaluate_all_class_zero():

@@ -43,12 +43,9 @@ def test_blobs_deterministic():
 
 
 def test_ring_zero_noise_is_deterministic_function():
-    # a negative slope whose radius stays positive keeps the map invertible
-    for slope in (1.5, -1.5):
-        cfg = RingConfig(radius_slope=slope, noise_std=0.0, n=200, seed=3)
-        ds = make_regression(cfg)
-        recovered = ring_true_label(ds.features)
-        assert np.max(np.abs(recovered - ds.labels)) < 1e-12
+    ds = make_regression(RingConfig(noise_std=0.0, n=200, seed=3))
+    recovered = ring_true_label(ds.features)
+    assert np.max(np.abs(recovered - ds.labels)) < 1e-12
 
 
 def test_ring_labels_uniform_ks():
@@ -167,12 +164,12 @@ def test_roundtrip_classification(tmp_path):
 
 
 def test_roundtrip_regression(tmp_path):
-    ds = make_regression(RingConfig(label_lo=0.0, label_hi=90.0, n=40, seed=7))
+    ds = make_regression(RingConfig(n=40, seed=7))
     path = tmp_path / "ds.txt"
     write_dataset(ds, path, "fake_m2")
     header, fields, labels, prov, features = _parse_written(path)
     assert header == synthdata.FORMAT_HEADER
-    assert fields == {"task": "regression", "lo": "0.0", "hi": "90.0",
+    assert fields == {"task": "regression", "lo": "0.0", "hi": "1.0",
                       "dim": "2"}
     assert [float(v) for v in labels] == ds.labels.tolist()
     assert prov == ["fake_m2"] * ds.n
@@ -183,7 +180,7 @@ def test_dataset_rejects_labels_out_of_range():
     with pytest.raises(ValueError, match="class label out of range"):
         Dataset(ClassificationTask(3), np.zeros((1, 1)), np.array([3]))
     with pytest.raises(ValueError, match="outside"):
-        Dataset(RegressionTask(0.0, 1.0), np.zeros((1, 1)),
+        Dataset(RegressionTask(), np.zeros((1, 1)),
                 np.array([1.0000001]))
 
 
@@ -213,11 +210,13 @@ def _reference_write_dataset(dataset, path, tag):
 @pytest.mark.parametrize("n", [0, 1, synthdata._WRITE_BLOCK,
                                2 * synthdata._WRITE_BLOCK + 5])
 def test_write_dataset_bytes_match_per_element_writer(tmp_path, n):
+    three_columns = Dataset(ClassificationTask(4),
+                            np.random.default_rng(3).normal(size=(3000, 3)),
+                            np.arange(3000) % 4)
     for full, tag in (
             (make_classification(BlobsConfig(3, 2.0, 0.8, n=3000, seed=1)),
              "fake_m1"),
-            (make_classification(BlobsConfig(4, 2.0, 0.8, dim=3, n=3000,
-                                             seed=3)), "fake_m2"),
+            (three_columns, "fake_m2"),
             (make_regression(RingConfig(n=3000, seed=2)), "real")):
         ds = full.subset(np.arange(n))
         write_dataset(ds, tmp_path / "got.txt", tag)
