@@ -4,16 +4,17 @@ and bound verification.
 Configs are flat ``section.key=value`` text files (see README for the full
 schema).  Every command writes its CSV artifacts plus a manifest under
 --out-dir; the manifest embeds a byte-identical snapshot of the executed
-config, and ``run`` accepts a manifest in place of a config to reproduce a
-run exactly.  Exit codes: 0 ok; 2 for any value rejected before the first
-stage (a config that cannot be read, decoded or validated, or a bad flag);
-3 for a pipeline stage failure or an output that cannot be written.  `main`
-alone maps failures to these codes: a `ValueError` that reaches it,
-`ConfigError` included, is a rejected value, since a stage wraps its own
-failures in `StageError`; an `OSError` is a failed write, since
-`load_config` maps a failed read to `ConfigError`.  Each command trains
-each distinct network once (`nncore.reuse_training`), and the students of
-one sweep seed, or of one ablation seed, in one stacked SGD loop.
+config, and every command accepts its own manifest in place of a config
+to reproduce a run exactly.  Exit codes: 0 ok; 2 for any value rejected
+before the first stage (a config that cannot be read, decoded or
+validated, or a bad flag); 3 for a pipeline stage failure or an output
+that cannot be written.  `main` alone maps failures to these codes: a
+`ValueError` that reaches it, `ConfigError` included, is a rejected value,
+since a stage wraps its own failures in `StageError`; an `OSError` is a
+failed write, since `load_config` maps a failed read to `ConfigError`.
+Each command trains each distinct network once (`nncore.reuse_training`),
+and the students of one sweep seed, or of one ablation seed, in one
+stacked SGD loop.
 """
 
 import argparse
@@ -31,7 +32,7 @@ from dataclasses import replace
 from .cgen import GanTrainConfig
 from .m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
                          run_ablation, run_pipeline, run_pipelines)
-from .nncore import SGD_BATCH, Loss, TrainConfig, plain_loss, reuse_training
+from .nncore import Loss, TrainConfig, plain_loss, reuse_training
 from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
 from .theory import standard_setup, verify_bound
 
@@ -139,7 +140,6 @@ class _Reader:
 
 def _train_config(r: _Reader, role: str, epochs: int) -> TrainConfig:
     return TrainConfig(epochs=r.get(f"{role}.epochs", int, epochs),
-                       batch_size=SGD_BATCH,
                        lr=r.get(f"{role}.lr", float, 0.05),
                        **r.given(f"{role}.", TRAIN_KEYS))
 

@@ -11,12 +11,14 @@ targets (1 - lam) * y + lam * p_t, which training blends once.
 Softmax probabilities are floored at PROB_FLOOR before any log so the loss
 stays bounded; the analytic gradients account for the floor exactly.
 
-Training runs one SGD loop (`_train`) over a list of jobs that share a
-network spec and a schedule: one job is plain minibatch SGD, and several
-train as the rows of one parameter stack, each bit for bit as it would
-alone.  `train` is one job behind the training memo (`reuse_training`);
-on a miss it trains, in the same loop, the jobs of its `together` batch
-that the memo lacks.
+Every network `train` fits takes minibatch SGD steps at batch SGD_BATCH
+with momentum SGD_MOMENTUM.  Training runs one SGD loop (`_train`) over a
+list of jobs that share a network spec and a schedule: one job is plain
+minibatch SGD, and several train as the rows of one parameter stack, each
+bit for bit as it would alone.  The loop fails as a whole, on its first invalid job or on
+the first epoch that leaves any network non-finite.  `train` is one job
+behind the training memo (`reuse_training`); on a miss it trains, in the
+same loop, the jobs of its `together` batch that the memo lacks.
 """
 
 import contextlib
@@ -34,7 +36,7 @@ from .synthdata import Dataset
 PROB_FLOOR = 1e-12
 LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each lr_decay_epochs entry
 SGD_MOMENTUM = 0.9  # momentum of every network `train` fits
-SGD_BATCH = 64  # batch size of every network the pipeline trains
+SGD_BATCH = 64  # batch size of every network `train` fits
 
 OUTPUT_KINDS = ("logits", "nonneg_scalar", "linear")
 LOSS_KINDS = ("plain_ce", "plain_se", "blkd")
@@ -133,7 +135,6 @@ def check_loss(loss: Loss, task):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int
-    batch_size: int
     lr: float
     lr_decay_epochs: tuple = ()
     seed: int = 0
@@ -143,10 +144,12 @@ class TrainConfig:
         object.__setattr__(self, "lr_decay_epochs", tuple(self.lr_decay_epochs))
         if self.lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("bad epochs/batch_size")
+        if self.epochs < 0:
+            raise ValueError("epochs must be nonnegative")
         if any(e < 0 for e in self.lr_decay_epochs):
             raise ValueError("lr_decay_epochs must be nonnegative")
+
+    batch_size = SGD_BATCH
 
 
 @dataclass(frozen=True)
@@ -259,12 +262,9 @@ def _forward(params, X: np.ndarray, ws: Workspace = None):
     # operands, reaches the BLAS routines np.matmul reaches, with less
     # dispatch overhead (for the k = 1 outer product of backprop through a
     # one-unit layer, np.matmul runs a slower loop of its own); np.matmul
-    # runs a stack through the same routines, matrix by matrix.  Both start
-    # each sum from +0.0 and agree bit for bit, as tests/test_nncore.py
-    # checks, except on a 1x1 by 1x1 product, where np.dot keeps
-    # -0.0 * 1.0 as -0.0 and np.matmul gives +0.0.  That needs a one-row
-    # batch through a layer with one input and one output, which `_train`
-    # never stacks.
+    # runs a stack through the same routines, matrix by matrix.  The two
+    # agree bit for bit on every product `_train` stacks, as
+    # tests/test_nncore.py checks: a stacked batch always has SGD_BATCH rows.
     product = np.dot if X.ndim == 2 else np.matmul
     a = X
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -567,37 +567,28 @@ def _train(jobs: list) -> list:
     of one `train` call; returns their results in order.
 
     The jobs share a spec and a config up to its seed.  Each network trains
-    as it would alone, with its own shuffles, loss history and per-epoch
-    divergence check, and a failure raises the error that training the jobs
-    one after another would raise first.  The networks are the rows of one
-    parameter stack, the largest dataset first.  At each step those with a
-    full batch left form a prefix of the stack and step as one; a lone one,
-    and each network's last, partial batch, step on 2-D views.  So one job
-    is plain minibatch SGD.
+    as it would alone, with its own shuffles and loss history.  Every job is
+    checked before the first step, and the first invalid one raises its
+    error; an epoch that ends with any network's parameters non-finite
+    raises RuntimeError.  The networks are the rows of one parameter stack,
+    the largest dataset first.  At each step those with a full batch left
+    form a prefix of the stack and step as one; a lone one, and each
+    network's last, partial batch, step on 2-D views.  So one job is plain
+    minibatch SGD.
     """
     spec, config = jobs[0][0].spec, jobs[0][2]
     loss, size = config.loss, config.batch_size
-    # A one-row batch through a 1x1 layer gets other signed zeros from a
-    # stacked product (see `_forward`), so such jobs train one at a time.
-    dims = spec.layer_dims
-    if size == 1 and (1, 1) in zip(dims, dims[1:]) and len(jobs) > 1:
-        return [_train([job])[0] for job in jobs]
-    errors, targets = {}, {}
-    for j, (params, dataset, cfg, teacher) in enumerate(jobs):
-        try:
-            if params.spec != spec or replace(cfg, seed=config.seed) != config:
-                raise ValueError("jobs trained together must share a spec "
-                                 "and a config up to its seed")
-            if dataset.n == 0:
-                raise ValueError("empty dataset")
-            if (teacher is not None) != (loss.kind == "blkd"):
-                raise ValueError("teacher is required exactly for blkd loss")
-            targets[j] = _prepare_targets(dataset, spec, loss, teacher)
-        except ValueError as exc:
-            errors[j] = exc
-    if 0 in errors:
-        raise errors[0]
-    live = sorted(targets, key=lambda j: -jobs[j][1].n)
+    targets = []
+    for params, dataset, cfg, teacher in jobs:
+        if params.spec != spec or replace(cfg, seed=config.seed) != config:
+            raise ValueError("jobs trained together must share a spec "
+                             "and a config up to its seed")
+        if dataset.n == 0:
+            raise ValueError("empty dataset")
+        if (teacher is not None) != (loss.kind == "blkd"):
+            raise ValueError("teacher is required exactly for blkd loss")
+        targets.append(_prepare_targets(dataset, spec, loss, teacher))
+    live = sorted(range(len(jobs)), key=lambda j: -jobs[j][1].n)
     ns = [jobs[j][1].n for j in live]
     # Per step: its first row, the count of networks that take it as one
     # stack (0 when fewer than two have a full batch left), and the
@@ -618,7 +609,7 @@ def _train(jobs: list) -> list:
     X = np.empty((len(live), ns[0], spec.input_dim))
     ts = np.empty((len(live), ns[0]) + targets[live[0]].shape[1:])
     stash = np.empty_like(ts)
-    histories = {j: [] for j in live}
+    histories = [[] for _ in live]
     lr = config.lr
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
@@ -640,26 +631,19 @@ def _train(jobs: list) -> list:
                     ws = spaces[stop - start] = Workspace(spec, stop - start)
                 _step(rows[i], ws, X[i, start:stop], ts[i, start:stop],
                       stash[i, start:stop], loss, lr)
-        finite = np.isfinite(state.theta).all(axis=1)
-        for i, j in enumerate(live):
-            if not finite[i]:
-                errors.setdefault(j, RuntimeError(
-                    f"training diverged in epoch {epoch}: "
-                    "non-finite parameters"))
-            n = ns[i]
+        if not np.isfinite(state.theta).all():
+            raise RuntimeError(f"training diverged in epoch {epoch}: "
+                               "non-finite parameters")
+        for i, n in enumerate(ns):
             total = 0.0
             for b, value in enumerate(_batch_means(
                     stash[i, :n], ts[i, :n], loss, size)):
                 total += value * min(size, n - b * size)
-            histories[j].append(total / n)
-        if 0 in errors:
-            raise errors[0]
-    if errors:
-        raise errors[min(errors)]
+            histories[i].append(total / n)
     results = [None] * len(jobs)
     for i, j in enumerate(live):
         theta = state.theta[i].copy()
-        results[j] = NetParams(spec, *_layer_views(spec, theta)), histories[j]
+        results[j] = NetParams(spec, *_layer_views(spec, theta)), histories[i]
     return results
 
 

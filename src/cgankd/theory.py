@@ -70,7 +70,6 @@ class FiniteHypothesisClass:
 
 @dataclass
 class BoundReport:
-    c_l: float
     r_hat: float
     complexity_term: float
     statistical_term: float
@@ -173,7 +172,7 @@ def bound_rhs(r_hat: float, c_l: float, n: int, delta: float, theta: float,
     statistical = 2.0 * c_l * math.sqrt((4.0 / n) * math.log(2.0 / delta))
     gap = 4.0 * c_l * (1.0 - theta) * tv
     rhs = complexity + statistical + gap + approx_gap
-    return BoundReport(c_l=c_l, r_hat=r_hat, complexity_term=complexity,
+    return BoundReport(r_hat=r_hat, complexity_term=complexity,
                        statistical_term=statistical, gap_term=gap,
                        approx_term=approx_gap, rhs=rhs)
 

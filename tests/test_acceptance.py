@@ -193,7 +193,7 @@ def test_criterion_05_label_consistency_direction():
     cfg = replace(base,
                   data=replace(base.data, separation=4.0, noise_std=0.9),
                   oracle_junk=0.0,
-                  dr_hidden=(16,), dr_train=TrainConfig(20, 64, 0.02))
+                  dr_hidden=(16,), dr_train=TrainConfig(20, 0.02))
     afters, strict, teacher_ok = [], True, True
     for seed in SEEDS:
         rep = run_pipeline(replace(cfg, master_seed=seed))

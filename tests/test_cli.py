@@ -157,7 +157,7 @@ def _no_training(*args, **kwargs):
 @pytest.mark.parametrize("param,values,message", [
     ("rho", "0.5,1.5", "rho must lie in [0, 1]"),
     ("rho", "nan", "rho must lie in [0, 1]"),
-    ("teacher-epochs", "5,-1", "bad epochs/batch_size"),
+    ("teacher-epochs", "5,-1", "epochs must be nonnegative"),
     ("mg", "-3", "fake_cap must be nonnegative")],
     ids=["rho-0.5,1.5", "rho-nan", "teacher-epochs-5,-1", "mg--3"])
 def test_sweep_out_of_range_value_exits_2_before_training(

@@ -46,7 +46,7 @@ def test_ratio_prior_correction():
 
 def dr_config(seed=0, epochs=60):
     """The (hidden, train_cfg, gamma, seed) arguments of `train_dr`."""
-    return (16,), TrainConfig(epochs, 64, 0.05, seed=seed), 1.2, seed
+    return (16,), TrainConfig(epochs, 0.05, seed=seed), 1.2, seed
 
 
 def make_blob_sets(seed, n=600, flip=0.0, junk=0.0):
@@ -109,7 +109,7 @@ def test_trained_ratio_matches_closed_form_on_two_point_space():
     labels = np.zeros(n, dtype=np.int64)
     real = Dataset(task, real_x, labels)
     fake = Dataset(task, fake_x, labels)
-    cfg = TrainConfig(300, 64, 0.02, lr_decay_epochs=(200,), seed=4)
+    cfg = TrainConfig(300, 0.02, lr_decay_epochs=(200,), seed=4)
     model = train_dr(real, fake, (16,), cfg, 1.2, 4)
     r0 = ratio(model, (pts[0], 0))
     r1 = ratio(model, (pts[1], 0))

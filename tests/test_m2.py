@@ -257,7 +257,7 @@ def test_consistency_improves_on_flip_corrupted_oracle():
             BlobsConfig(3, 4.0, 0.5, n=600, seed=seed))
         spec = NetSpec(2, (16,), "logits", 3)
         teacher, _ = train(init_params(spec, seed), train_set,
-                           TrainConfig(150, 64, 0.05, seed=seed))
+                           TrainConfig(150, 0.05, seed=seed))
         assert nncore.evaluate(teacher, train_set).top1 > 0.95
         oracle = cgen.CorruptedOracle(base, flip_prob=0.2)
         labels = np.arange(3000) % 3
@@ -270,7 +270,7 @@ def test_filter_classification_matches_separate_passes():
     # Overlapping blobs: the trained teacher disagrees with some fakes.
     train_set = make_classification(BlobsConfig(3, 1.5, 1.0, n=600, seed=3))
     teacher, _ = train(init_params(NetSpec(2, (16,), "logits", 3), 3),
-                       train_set, TrainConfig(30, 64, 0.05, seed=3))
+                       train_set, TrainConfig(30, 0.05, seed=3))
     fakes = make_classification(BlobsConfig(3, 1.5, 1.0, n=2000, seed=4))
     rows = []
     forward = nncore.forward_batch

@@ -16,9 +16,9 @@ from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
 COMMON = dict(
     train_fraction=0.5, generator_kind="oracle", oracle_junk=0.15,
     oracle_junk_spread=30.0, gan=None,
-    teacher_hidden=(32,), teacher_train=TrainConfig(60, 64, 0.05),
-    student_hidden=(8,), student_train=TrainConfig(40, 64, 0.05),
-    dr_hidden=(32,), dr_train=TrainConfig(40, 64, 0.05), dr_gamma=1.2,
+    teacher_hidden=(32,), teacher_train=TrainConfig(60, 0.05),
+    student_hidden=(8,), student_train=TrainConfig(40, 0.05),
+    dr_hidden=(32,), dr_train=TrainConfig(40, 0.05), dr_gamma=1.2,
     n_fake=900, fake_cap=0)
 
 
@@ -68,7 +68,7 @@ def test_augment_task_mismatch_rejected():
 
 def test_train_student_blkd_lambda_zero_matches_plain():
     real = make_classification(BlobsConfig(2, 4.0, 0.5, n=200, seed=3))
-    cfg = TrainConfig(20, 64, 0.05)
+    cfg = TrainConfig(20, 0.05)
     teacher = nncore.init_params(
         nncore.NetSpec(2, (8,), "logits", 2), 9)
     plain = train_student(real, (8,), cfg, Loss("plain_ce"), seed=5,
@@ -84,13 +84,13 @@ def test_train_student_blkd_lambda_zero_matches_plain():
 def test_train_student_blkd_requires_teacher_and_classification():
     real = make_classification(BlobsConfig(2, 4.0, 0.5, n=100, seed=4))
     with pytest.raises(ValueError, match="teacher"):
-        train_student(real, (8,), TrainConfig(5, 64, 0.05),
+        train_student(real, (8,), TrainConfig(5, 0.05),
                       Loss("blkd", lam=0.5), seed=0)
     reg = make_regression(RingConfig(n=100, seed=1))
     teacher = nncore.init_params(nncore.NetSpec(2, (8,), "nonneg_scalar"), 0)
     with pytest.raises(ValueError,
                        match="blkd loss does not fit a regression task"):
-        train_student(reg, (8,), TrainConfig(5, 64, 0.05),
+        train_student(reg, (8,), TrainConfig(5, 0.05),
                       Loss("blkd", lam=0.5), seed=0, teacher=teacher)
 
 

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -263,7 +263,7 @@ def test_train_zero_epochs_is_identity():
     ds = blob_dataset()
     spec = NetSpec(2, (4,), "logits", 2)
     p0 = init_params(spec, 0)
-    p1, hist = train(p0, ds, TrainConfig(0, 32, 0.1))
+    p1, hist = train(p0, ds, TrainConfig(0, 0.1))
     assert hist == []
     for a, b in zip(p0.weights, p1.weights):
         assert np.array_equal(a, b)
@@ -278,16 +278,16 @@ def test_train_separable_blobs_reach_perfect_top1():
     assert np.mean(d.argmin(axis=1) == ds.labels) == 1.0
 
     spec = NetSpec(2, (8,), "logits", 2)
-    p, _ = train(init_params(spec, 0), ds, TrainConfig(200, 32, 0.05, seed=3))
+    p, _ = train(init_params(spec, 0), ds, TrainConfig(200, 0.05, seed=3))
     assert evaluate(p, ds).top1 == 1.0
 
 
 def test_train_blkd_lambda_zero_equals_plain_ce():
     ds = blob_dataset()
     spec = NetSpec(2, (4,), "logits", 2)
-    teacher, _ = train(init_params(spec, 5), ds, TrainConfig(30, 32, 0.05, seed=5))
-    cfg_plain = TrainConfig(20, 32, 0.05, seed=9, loss=Loss("plain_ce", temperature=5.0))
-    cfg_blkd = TrainConfig(20, 32, 0.05, seed=9,
+    teacher, _ = train(init_params(spec, 5), ds, TrainConfig(30, 0.05, seed=5))
+    cfg_plain = TrainConfig(20, 0.05, seed=9, loss=Loss("plain_ce", temperature=5.0))
+    cfg_blkd = TrainConfig(20, 0.05, seed=9,
                            loss=Loss("blkd", lam=0.0, temperature=5.0))
     p0 = init_params(spec, 1)
     pa, _ = train(p0, ds, cfg_plain)
@@ -299,7 +299,7 @@ def test_train_blkd_lambda_zero_equals_plain_ce():
 def test_train_deterministic():
     ds = blob_dataset()
     spec = NetSpec(2, (4,), "logits", 2)
-    cfg = TrainConfig(15, 16, 0.05, seed=4)
+    cfg = TrainConfig(15, 0.05, seed=4)
     pa, ha = train(init_params(spec, 2), ds, cfg)
     pb, hb = train(init_params(spec, 2), ds, cfg)
     assert ha == hb
@@ -313,8 +313,8 @@ def test_train_lr_decay_applied():
     p0 = init_params(spec, 0)
     # a decay before the first epoch is one 0.1 step for the whole run, and
     # 0.5 * 0.1 is exactly 0.05 (halving is exact)
-    p1, h1 = train(p0, ds, TrainConfig(4, 8, 0.5, lr_decay_epochs=(0,)))
-    p2, h2 = train(p0, ds, TrainConfig(4, 8, 0.05))
+    p1, h1 = train(p0, ds, TrainConfig(4, 0.5, lr_decay_epochs=(0,)))
+    p2, h2 = train(p0, ds, TrainConfig(4, 0.05))
     assert h1 == h2
     for a, b in zip(p1.weights + p1.biases, p2.weights + p2.biases):
         assert np.array_equal(a, b)
@@ -324,7 +324,7 @@ def test_train_rejects_empty_dataset():
     spec = NetSpec(2, (4,), "logits", 2)
     ds = blob_dataset().subset(np.array([], dtype=int))
     with pytest.raises(ValueError):
-        train(init_params(spec, 0), ds, TrainConfig(1, 8, 0.1))
+        train(init_params(spec, 0), ds, TrainConfig(1, 0.1))
 
 
 def test_train_and_evaluate_reject_head_of_other_task():
@@ -332,21 +332,21 @@ def test_train_and_evaluate_reject_head_of_other_task():
     scalar = init_params(NetSpec(2, (4,), "nonneg_scalar"), 0)
     logits = init_params(NetSpec(2, (4,), "logits", 2), 0)
     with pytest.raises(ValueError, match="network head does not match"):
-        train(scalar, ds, TrainConfig(1, 8, 0.1))
+        train(scalar, ds, TrainConfig(1, 0.1))
     with pytest.raises(ValueError, match="network head does not match"):
         evaluate(scalar, ds)
     with pytest.raises(ValueError, match="teacher head does not match"):
-        train(logits, ds, TrainConfig(1, 8, 0.1, loss=Loss("blkd", lam=0.5)),
+        train(logits, ds, TrainConfig(1, 0.1, loss=Loss("blkd", lam=0.5)),
               teacher=scalar)
     with pytest.raises(ValueError, match="plain_se loss does not fit"):
-        train(logits, ds, TrainConfig(1, 8, 0.1, loss=Loss("plain_se")))
+        train(logits, ds, TrainConfig(1, 0.1, loss=Loss("plain_se")))
 
 
 def test_evaluate_perfect_and_constant_predictors():
     # perfect classifier
     ds = blob_dataset(n=100, sep=6.0, noise=0.2)
     spec = NetSpec(2, (8,), "logits", 2)
-    p, _ = train(init_params(spec, 0), ds, TrainConfig(200, 32, 0.05))
+    p, _ = train(init_params(spec, 0), ds, TrainConfig(200, 0.05))
     assert evaluate(p, ds).top1 == 1.0
 
     # constant-0.5 regressor on labels {0, 1} -> mae 0.5
@@ -482,9 +482,9 @@ def test_train_matches_reference_loop_bit_for_bit(kind):
         spec = NetSpec(ds.dim, (16, 8), "logits", 3)
         if kind == "blkd":
             teacher, _ = train(init_params(NetSpec(ds.dim, (8,), "logits", 3), 4),
-                               ds, TrainConfig(5, 32, 0.05, seed=4))
-    # 150 rows at batch 32: four full batches and one of 22 per epoch.
-    cfg = TrainConfig(6, 32, 0.05, lr_decay_epochs=(4,), seed=2,
+                               ds, TrainConfig(5, 0.05, seed=4))
+    # 150 rows at batch 64: two full batches and one of 22 per epoch.
+    cfg = TrainConfig(6, 0.05, lr_decay_epochs=(4,), seed=2,
                       loss=Loss(kind, lam=0.3, temperature=4.0))
     p0 = init_params(spec, 3)
     got, got_hist = train(p0, ds, cfg, teacher=teacher)
@@ -497,12 +497,13 @@ def test_train_matches_reference_loop_bit_for_bit(kind):
 
 
 def test_train_raises_on_nonfinite_parameters():
-    # lr 1e300: the first update sends the weights past the float range
-    ds = blob_dataset(n=64)
+    # lr 1e300: the first update sends the weights past the float range, and
+    # 128 rows give epoch 0 a second step, which turns them non-finite
+    ds = blob_dataset(n=128)
     spec = NetSpec(2, (8,), "logits", 2)
     with np.errstate(all="ignore"), pytest.raises(RuntimeError,
                                                   match="epoch 0: non-finite"):
-        train(init_params(spec, 0), ds, TrainConfig(3, 16, 1e300))
+        train(init_params(spec, 0), ds, TrainConfig(3, 1e300))
 
 
 @pytest.mark.parametrize("kind, hidden", [("plain_se", (1, 8)),
@@ -518,7 +519,7 @@ def test_train_matches_reference_loop_on_degenerate_shapes(kind, hidden):
     else:
         ds = blob_dataset(n=129, sep=2.0, noise=1.0, classes=3)
         spec = NetSpec(ds.dim, hidden, "logits", 3)
-    cfg = TrainConfig(5, 64, 0.05, seed=2, loss=Loss(kind))
+    cfg = TrainConfig(5, 0.05, seed=2, loss=Loss(kind))
     for seed in range(4):
         p0 = init_params(spec, seed)
         got, got_hist = train(p0, ds, cfg)
@@ -537,8 +538,8 @@ def test_train_matches_reference_loop_at_temperature_one(kind):
     teacher = None
     if kind == "blkd":
         teacher, _ = train(init_params(NetSpec(ds.dim, (8,), "logits", 3), 4),
-                           ds, TrainConfig(5, 32, 0.05, seed=4))
-    cfg = TrainConfig(4, 32, 0.05, seed=2, loss=Loss(kind, lam=0.3))
+                           ds, TrainConfig(5, 0.05, seed=4))
+    cfg = TrainConfig(4, 0.05, seed=2, loss=Loss(kind, lam=0.3))
     p0 = init_params(spec, 3)
     got, got_hist = train(p0, ds, cfg, teacher=teacher)
     want, want_hist = _reference_train(p0, ds, cfg, teacher=teacher)
@@ -676,8 +677,8 @@ def blkd_case():
     that every input `train` reads takes part."""
     ds = blob_dataset(n=60, sep=2.0, noise=1.0, classes=3)
     spec = NetSpec(ds.dim, (6,), "logits", 3)
-    teacher, _ = train(init_params(spec, 4), ds, TrainConfig(3, 16, 0.05, seed=4))
-    cfg = TrainConfig(3, 16, 0.05, seed=2,
+    teacher, _ = train(init_params(spec, 4), ds, TrainConfig(3, 0.05, seed=4))
+    cfg = TrainConfig(3, 0.05, seed=2,
                       loss=Loss("blkd", lam=0.3, temperature=4.0))
     return init_params(spec, 3), ds, cfg, teacher
 
@@ -755,7 +756,7 @@ def test_memo_hit_is_a_copy_its_caller_may_change(sgd_runs):
 def test_memo_stores_no_failed_training_and_ends_with_its_block(sgd_runs):
     # lr 1e300: the first update sends the weights past the float range
     args = (init_params(NetSpec(2, (8,), "logits", 2), 0), blob_dataset(n=64),
-            TrainConfig(3, 16, 1e300))
+            TrainConfig(3, 1e300))
     assert nncore._memo is None
     with nncore.reuse_training():
         outer = nncore._memo
@@ -775,37 +776,41 @@ def test_memo_stores_no_failed_training_and_ends_with_its_block(sgd_runs):
 
 # -- training jobs together ---------------------------------------------------
 
-def stack_jobs(kind, rows, seeds, epochs=5):
+def stack_jobs(kind, rows, seeds, epochs=5, hidden=None):
     """`train` argument lists that share a spec and a config up to its seed:
     one job per (rows, seed) pair, with its own dataset and, for blkd, its
-    own teacher.  Batch size 32."""
+    own teacher.  Batch size 64; hidden widths (8,) for squared error and
+    (8, 4) for cross entropy unless `hidden` is given."""
     jobs = []
     for j, (n, seed) in enumerate(zip(rows, seeds)):
         teacher = None
         if kind == "plain_se":
             ds = ring_dataset(seed=j, n=n)
-            spec = NetSpec(ds.dim, (8,), "nonneg_scalar")
+            spec = NetSpec(ds.dim, hidden or (8,), "nonneg_scalar")
         else:
             ds = blob_dataset(seed=j, n=n, sep=2.0, noise=1.0, classes=3)
-            spec = NetSpec(ds.dim, (8, 4), "logits", 3)
+            spec = NetSpec(ds.dim, hidden or (8, 4), "logits", 3)
             if kind == "blkd":
                 teacher = init_params(NetSpec(ds.dim, (5,), "logits", 3), j)
-        cfg = TrainConfig(epochs, 32, 0.05, lr_decay_epochs=(3,), seed=seed,
+        cfg = TrainConfig(epochs, 0.05, lr_decay_epochs=(3,), seed=seed,
                           loss=Loss(kind, lam=0.3, temperature=4.0))
         jobs.append([init_params(spec, 7), ds, cfg, teacher])
     return jobs
 
 
 @pytest.mark.parametrize("kind", ["plain_ce", "plain_se", "blkd"])
-@pytest.mark.parametrize("rows,seeds", [
-    ((150, 64, 200, 129, 20, 96), (1, 2, 3, 4, 5, 6)),  # ragged, n < batch
-    ((96, 64, 128), (1, 1, 2)),                         # exact multiples
-    ((100, 100, 100), (3, 4, 5)),                       # equal n
-    ((77,), (2,)),                                      # one job
-], ids=["ragged", "multiples", "equal", "one"])
+@pytest.mark.parametrize("rows,seeds,hidden", [
+    ((150, 64, 200, 129, 20, 96), (1, 2, 3, 4, 5, 6), None),  # n < batch
+    ((128, 64, 192), (1, 1, 2), None),                        # multiples
+    ((100, 100, 100), (3, 4, 5), None),                       # equal n
+    ((77,), (2,), None),                                      # one job
+    # A one-unit layer, and a job whose last batch has one row: for squared
+    # error a 1x1 layer, whose dead unit gives signed zeros.
+    ((130, 65, 129), (1, 2, 3), (1,)),
+], ids=["ragged", "multiples", "equal", "one", "one-unit"])
 def test_jobs_trained_together_equal_separate_trainings(kind, rows, seeds,
-                                                        sgd_runs):
-    jobs = stack_jobs(kind, rows, seeds)
+                                                        hidden, sgd_runs):
+    jobs = stack_jobs(kind, rows, seeds, hidden=hidden)
     together = nncore._train(jobs)
     assert len(sgd_runs) == 1
     for job, got in zip(jobs, together):
@@ -819,45 +824,49 @@ def test_jobs_trained_together_equal_separate_trainings(kind, rows, seeds,
                           init_params(jobs[0][0].spec, 7).weights[0])
 
 
-def test_one_row_batches_through_a_1x1_layer_train_one_at_a_time(sgd_runs):
-    # The stacked product would turn a -0.0 of np.dot's into +0.0 there.
-    jobs = []
-    for seed in range(3):
-        ds = ring_dataset(seed=seed, n=9)
-        spec = NetSpec(ds.dim, (1,), "nonneg_scalar")
-        jobs.append([init_params(spec, seed), ds,
-                     TrainConfig(3, 1, 0.05, seed=seed, loss=Loss("plain_se")),
-                     None])
-    together = nncore._train(jobs)
-    assert [len(args[0]) for args in sgd_runs] == [3, 1, 1, 1]
-    for job, got in zip(jobs, together):
-        alone = train(*job)
-        assert_same_training(got, alone)
-        for a, b in zip(got[0].weights + got[0].biases,
-                        alone[0].weights + alone[0].biases):
-            assert np.array_equal(np.signbit(a), np.signbit(b))
+def _no_step(*args):
+    raise AssertionError("an SGD step ran")
 
 
-def test_together_raises_the_error_a_serial_loop_raises_first(monkeypatch):
+def test_together_raises_the_first_invalid_job_or_the_earliest_divergence(
+        monkeypatch, sgd_runs):
     # With the decay factor at 1e300, every network diverges in the epoch
     # its lr decays, 3; a network started at weights of 1e160 overflows in
-    # its first step, in epoch 0.
+    # its first step, in epoch 0.  The stack fails as a whole, at the first
+    # epoch that leaves any of its networks non-finite.
     monkeypatch.setattr(nncore, "LR_DECAY_FACTOR", 1e300)
-    early, late = stack_jobs("plain_ce", (64, 64), (1, 2), epochs=6)
+    early, late = stack_jobs("plain_ce", (128, 128), (1, 2), epochs=6)
     params = early[0]
     early[0] = NetParams(params.spec, [w * 1e160 for w in params.weights],
                          params.biases)
     with np.errstate(all="ignore"):
-        for jobs, epoch in (([late, early], 3), ([early, late], 0),
+        for jobs, epoch in (([late, early], 0), ([early, late], 0),
                             ([late], 3)):
             with pytest.raises(RuntimeError, match=f"epoch {epoch}: non-fin"):
                 nncore._train(jobs)
-        bad = [early[0], early[1].subset(np.zeros(64, dtype=bool)),
+        # an invalid job fails before any SGD step, wherever it sits
+        bad = [early[0], early[1].subset(np.zeros(128, dtype=bool)),
                *early[2:]]
-        with pytest.raises(RuntimeError, match="epoch 3: non-fin"):
-            nncore._train([late, bad])
-        with pytest.raises(ValueError, match="empty dataset"):
-            nncore._train([bad, late])
+        with monkeypatch.context() as mp:
+            mp.setattr(nncore, "_step", _no_step)
+            for jobs in ([late, bad], [bad, late], [late, early, bad]):
+                with pytest.raises(ValueError, match="empty dataset"):
+                    nncore._train(jobs)
+        # a failed stack stores nothing in the memo
+        before = len(sgd_runs)
+        with nncore.reuse_training():
+            for _ in range(2):
+                with pytest.raises(RuntimeError, match="epoch 0: non-fin"):
+                    train(*late, together=[late, early])
+            assert nncore._memo == {}
+        assert len(sgd_runs) == before + 2
+
+
+def test_train_config_has_no_batch_size_setting():
+    assert TrainConfig(3, 0.05).batch_size == nncore.SGD_BATCH
+    assert "batch_size" not in {f.name for f in fields(TrainConfig)}
+    with pytest.raises(TypeError):
+        TrainConfig(3, 0.05, batch_size=32)
 
 
 def test_together_rejects_jobs_of_other_configs():
