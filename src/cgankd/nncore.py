@@ -15,10 +15,15 @@ Every network `train` fits takes minibatch SGD steps at batch SGD_BATCH
 with momentum SGD_MOMENTUM.  Training runs one SGD loop (`_train`) over a
 list of jobs that share a network spec and a schedule: one job is plain
 minibatch SGD, and several train as the rows of one parameter stack, each
-bit for bit as it would alone.  The loop fails as a whole, on its first invalid job or on
-the first epoch that leaves any network non-finite.  `train` is one job
-behind the training memo (`reuse_training`); on a miss it trains, in the
-same loop, the jobs of its `together` batch that the memo lacks.
+bit for bit as it would alone.  The loop fails as a whole, on its first
+invalid job or on the first epoch that leaves any network non-finite.
+`train` is one job behind the training memo (`reuse_training`); on a miss
+it trains, in the same loop, the jobs of its `together` batch that the memo
+lacks.
+
+Inference (`forward_batch`) runs the same layer loop in row blocks of
+INFER_ROWS, so its memory stays bounded whatever the batch, and its outputs
+equal one pass over the whole batch bit for bit.
 """
 
 import contextlib
@@ -37,6 +42,7 @@ PROB_FLOOR = 1e-12
 LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each lr_decay_epochs entry
 SGD_MOMENTUM = 0.9  # momentum of every network `train` fits
 SGD_BATCH = 64  # batch size of every network `train` fits
+INFER_ROWS = 1024  # rows per block of an inference pass (`forward_batch`)
 
 OUTPUT_KINDS = ("logits", "nonneg_scalar", "linear")
 LOSS_KINDS = ("plain_ce", "plain_se", "blkd")
@@ -278,13 +284,22 @@ def _forward(params, X: np.ndarray, ws: Workspace = None):
 def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
     """Network outputs for a batch, shape (n, n_outputs).
 
-    Inference only: the layer loop of training without its buffers.  The
-    batch runs whole, as a BLAS row result can vary with the row count.
+    Inference only: the layer loop of training without its buffers, run in
+    blocks of INFER_ROWS rows, the last block taking the remainder, so no
+    layer output outgrows 2 * INFER_ROWS - 1 rows.  A BLAS row result can
+    vary with the row count of its product, but blocks of 1024 rows or more
+    give the whole batch's results bit for bit, as tests/test_nncore.py
+    checks; a short tail block could not.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
         raise ValueError("input dimension mismatch")
-    return _forward(params, X)
+    n = len(X)
+    out = np.empty((n, params.spec.n_outputs))
+    edges = [k * INFER_ROWS for k in range(max(n // INFER_ROWS, 1))] + [n]
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi] = _forward(params, X[lo:hi])
+    return out
 
 
 def backward(params, ws: Workspace, d_out: np.ndarray, grads):

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cgankd import nncore, rng
+from cgankd import cli, m2_labeladjust, nncore, rng
 from cgankd.nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
                            evaluate, forward_batch, init_params, one_hot,
                            train)
@@ -619,22 +619,20 @@ def test_relu_mask_of_outputs_equals_mask_of_pre_activations():
         assert np.array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
 
 
-@pytest.mark.parametrize("nonfinite", [False, True])
-@pytest.mark.parametrize("rows", [1, 64, 8000])
-@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
-@pytest.mark.parametrize("head", [("logits", 3), ("nonneg_scalar", 1),
-                                  ("linear", 2)])
-def test_forward_batch_matches_training_forward_bit_for_bit(
-        head, hidden, rows, nonfinite):
-    spec = NetSpec(5, hidden, *head)
+def assert_forward_batch_matches_training_forward(spec, rows, nonfinite):
     params = init_params(spec, 2)
-    X = 3.0 * np.random.default_rng(rows).normal(size=(rows, 5))
+    X = 3.0 * np.random.default_rng(rows).normal(size=(rows, spec.input_dim))
     if nonfinite:
-        X[0, 1] = np.nan
-        X[-1, 2] = np.inf
-        X[rows // 2, 3] = -np.inf
+        X[0, 1 % spec.input_dim] = np.nan
+        X[-1, 2 % spec.input_dim] = np.inf
+        X[rows // 2, 3 % spec.input_dim] = -np.inf
+    # The reference runs on one BLAS thread, as every command does: on two
+    # threads a whole pass of the 64 -> 1 regression head over 7,901 rows
+    # or more can differ from it in the last bit, which the blocks of
+    # forward_batch do not.
     with np.errstate(invalid="ignore"):  # inf - inf in the products
-        want = nncore._forward(params, X, nncore.Workspace(spec, rows))
+        with cli._one_blas_thread():
+            want = nncore._forward(params, X, nncore.Workspace(spec, rows))
         got = forward_batch(params, X)
     assert got.shape == (rows, spec.n_outputs)
     assert np.array_equal(got, want, equal_nan=True)
@@ -642,18 +640,78 @@ def test_forward_batch_matches_training_forward_bit_for_bit(
     assert np.isnan(got).any() == nonfinite
 
 
-def test_forward_batch_keeps_no_backprop_buffers():
-    params = init_params(NetSpec(2, (64, 64), "logits", 4), 0)
-    X = np.random.default_rng(0).normal(size=(8000, 2))
+@pytest.mark.parametrize("nonfinite", [False, True])
+@pytest.mark.parametrize("rows", [1, 64, 8000])
+@pytest.mark.parametrize("hidden", [(16,), (16, 8)])
+@pytest.mark.parametrize("head", [("logits", 3), ("nonneg_scalar", 1),
+                                  ("linear", 2)])
+def test_forward_batch_matches_training_forward_bit_for_bit(
+        head, hidden, rows, nonfinite):
+    assert_forward_batch_matches_training_forward(
+        NetSpec(5, hidden, *head), rows, nonfinite)
+
+
+# The wide layer shapes the pipeline builds: the teachers on 4 blob classes
+# and on the ring, the density-ratio nets on (features ++ label encoding)
+# of the ring and of the blobs, and the ring's cGAN generator on 4 noise
+# lanes and the label.
+PIPELINE_SPECS = {
+    "teacher-cls": NetSpec(2, (64, 64), "logits", 4),
+    "teacher-reg": NetSpec(2, (64, 64), "nonneg_scalar"),
+    "dr-reg": NetSpec(3, (64,), "logits", 2),
+    "dr-cls": NetSpec(6, (64,), "logits", 2),
+    "generator": NetSpec(5, (32, 32), "linear", 2),
+}
+
+
+@pytest.mark.parametrize("nonfinite", [False, True])
+@pytest.mark.parametrize("rows", [2047, 2048, 2049, 3071, 3072, 4096, 8191])
+@pytest.mark.parametrize("net", sorted(PIPELINE_SPECS))
+def test_forward_batch_matches_training_forward_at_block_edges(
+        net, rows, nonfinite):
+    # forward_batch runs blocks of INFER_ROWS rows, the last one taking the
+    # remainder; the whole pass through a Workspace stays the reference.
+    # These row counts put the block edges on either side of a multiple of
+    # INFER_ROWS, which a BLAS kernel whose row results depend on the row
+    # count above INFER_ROWS would fail.
+    assert nncore.INFER_ROWS == 1024
+    assert_forward_batch_matches_training_forward(
+        PIPELINE_SPECS[net], rows, nonfinite)
+
+
+def traced_peak(run):
+    """Peak bytes tracemalloc sees while `run()` runs."""
     tracemalloc.start()
     try:
-        forward_batch(params, X)
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # Two 8000 x 64 hidden outputs and the 8000 x 4 logits take 8.4 MB; a
-    # training workspace adds pre-activations, masks, deltas and loss terms.
-    assert peak <= 9e6
+
+
+def test_forward_batch_keeps_no_backprop_buffers():
+    params = init_params(NetSpec(2, (64, 64), "logits", 4), 0)
+    X = np.random.default_rng(0).normal(size=(20000, 2))
+    # The 20000 x 4 logits take 0.64 MB and two 64-wide hidden outputs of
+    # the largest block (1568 rows) 1.6 MB.  A whole-batch pass holds two
+    # 20000 x 64 hidden outputs, 20.5 MB; a training workspace adds
+    # pre-activations, masks, deltas and loss terms.
+    assert traced_peak(lambda: forward_batch(params, X)) <= 3e6
+    # M2 on 8000 regression fakes runs the teacher over all of them, then
+    # over the kept ones.  Its peak is two 64-wide hidden outputs of a
+    # block under 2 * INFER_ROWS rows, plus 64 bytes a fake for the outputs,
+    # errors, mask and kept copy; one whole pass held 8.2 MB.
+    teacher = init_params(NetSpec(2, (64, 64), "nonneg_scalar"), 0)
+    g = np.random.default_rng(1)
+    fakes = Dataset(RegressionTask(), g.normal(size=(8000, 2)),
+                    g.uniform(size=8000))
+    # A first call keeps numpy's lazy imports out of the traced peak.
+    m2_labeladjust.run_m2(teacher, fakes.subset(np.arange(10)), 0.5)
+    bound = 2 * (2 * nncore.INFER_ROWS) * 64 * 8 + 64 * fakes.n
+    for rho in (0.5, 1.0):
+        peak = traced_peak(
+            lambda: m2_labeladjust.run_m2(teacher, fakes, rho))
+        assert peak <= bound
 
 
 # -- the training memo ------------------------------------------------------
