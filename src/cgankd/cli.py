@@ -4,14 +4,16 @@ and bound verification.
 Configs are flat ``section.key=value`` text files (see README for the full
 schema).  Every command writes its CSV artifacts plus a manifest under
 --out-dir; the manifest embeds a byte-identical snapshot of the executed
-config, and every command accepts its own manifest in place of a config
-to reproduce a run exactly.  Exit codes: 0 ok; 2 for any value rejected
-before the first stage (a config that cannot be read, decoded or
-validated, or a bad flag); 3 for a pipeline stage failure or an output
-that cannot be written.  `main` alone maps failures to these codes: a
-`ValueError` that reaches it, `ConfigError` included, is a rejected value,
-since a stage wraps its own failures in `StageError`; an `OSError` is a
-failed write, since `load_config` maps a failed read to `ConfigError`.
+config, and every command accepts its own manifest in place of a config.
+A `run` or `verify-bound` manifest reproduces its command exactly; `sweep`
+and `ablation` take their flags again and ignore the recorded seed.  Exit
+codes: 0 ok; 2 for any value rejected before the first stage (a config
+that cannot be read, decoded or validated, or a bad flag); 3 for a
+pipeline stage failure or an output that cannot be written.  `main` alone
+maps failures to these codes: a `ValueError` that reaches it,
+`ConfigError` included, is a rejected value, since a stage wraps its own
+failures in `StageError`; an `OSError` is a failed write, since
+`load_config` maps a failed read to `ConfigError`.
 Each command trains each distinct network once (`nncore.reuse_training`),
 and the students of one sweep seed, or of one ablation seed, in one
 stacked SGD loop.
@@ -80,9 +82,10 @@ def load_config(path, command=None):
     """Returns (key-value dict, raw snapshot text, embedded seed or None).
 
     A manifest file is accepted in place of a config; its snapshot section
-    and recorded seed are used, reproducing the original run.  Given a
-    `command`, a manifest that names another command is rejected: it does
-    not record that command's flags, so no stage may run on it.
+    is the config, and only `run` uses its recorded seed (`sweep` and
+    `ablation` take theirs from `--seeds`).  Given a `command`, a manifest
+    that names another command is rejected: it does not record that
+    command's flags, so no stage may run on it.
     """
     try:
         with open(path) as f:

@@ -7,7 +7,9 @@ class for classification, one global threshold for regression.  rho=1 keeps
 everything; rho=0 is special-cased to keep nothing.  Classification labels
 are never changed, only scored as the teacher's consistency with them.
 Replacement overwrites each surviving regression label with the teacher's
-prediction, clamped to [0, 1].
+prediction, clamped to [0, 1].  Each filter runs the teacher once over all
+fakes; regression relabels from that same pass, since one row's prediction
+can differ in its last bits between passes over different row subsets.
 """
 
 import math
@@ -33,13 +35,6 @@ class FilterReport:
     error_quantiles: dict = field(default_factory=dict)
 
 
-def _teacher_outputs(teacher: NetParams, samples: Dataset) -> np.ndarray:
-    """The teacher's outputs on the samples, after checking that its head
-    matches their task."""
-    nncore.check_head(teacher.spec, samples.task, "teacher")
-    return nncore.forward_batch(teacher, samples.features)
-
-
 def _errors(outputs: np.ndarray, samples: Dataset) -> np.ndarray:
     """Per-sample teacher-vs-assigned-label error from the teacher's outputs.
 
@@ -52,11 +47,6 @@ def _errors(outputs: np.ndarray, samples: Dataset) -> np.ndarray:
         picked = probs[np.arange(samples.n), samples.labels]
         return -np.log(np.maximum(picked, nncore.PROB_FLOOR))
     return np.abs(outputs[:, 0] - samples.labels)
-
-
-def sample_errors(teacher: NetParams, samples: Dataset) -> np.ndarray:
-    """Per-sample teacher-vs-assigned-label error, order-preserving."""
-    return _errors(_teacher_outputs(teacher, samples), samples)
 
 
 def quantile_threshold(errors: np.ndarray, rho: float) -> float:
@@ -106,7 +96,8 @@ def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
         raise ValueError(f"classes absent from the fake set: {missing.tolist()}")
     # One teacher pass gives the errors and both consistencies; the kept
     # set's consistency reads its rows through the keep mask.
-    logits = _teacher_outputs(teacher, fakes)
+    nncore.check_head(teacher.spec, fakes.task, "teacher")
+    logits = nncore.forward_batch(teacher, fakes.features)
     keep, report = _filter(fakes, _errors(logits, fakes), rho)
     agree = logits.argmax(axis=1) == fakes.labels
     report.consistency_before = float(np.mean(agree))
@@ -115,30 +106,32 @@ def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
 
 
 def filter_regression(teacher: NetParams, fakes: Dataset, rho: float):
-    """Global-threshold quantile filtering; returns (kept set, report)."""
+    """Global-threshold quantile filtering, then label replacement from the
+    same teacher pass; returns (kept set, relabelled kept set, report)."""
     if fakes.task.kind != "regression":
         raise ValueError("regression filter on non-regression data")
     if fakes.n == 0:
         raise ValueError("empty fake set")
-    keep, report = _filter(fakes, sample_errors(teacher, fakes), rho)
-    return fakes.subset(keep), report
+    nncore.check_head(teacher.spec, fakes.task, "teacher")
+    preds = nncore.forward_batch(teacher, fakes.features)
+    keep, report = _filter(fakes, _errors(preds, fakes), rho)
+    kept = fakes.subset(keep)
+    return kept, replace_labels(kept, preds[keep, 0]), report
 
 
-def replace_labels(teacher: NetParams, fakes: Dataset) -> Dataset:
-    """Pseudo-labeling: overwrite assigned labels with teacher predictions."""
+def replace_labels(fakes: Dataset, preds: np.ndarray) -> Dataset:
+    """Pseudo-labeling: overwrite assigned labels with the teacher's
+    predictions on the same rows, clamped to [0, 1]."""
     if fakes.task.kind != "regression":
         raise ValueError("label replacement is enabled for regression only")
-    preds = nncore.forward_batch(teacher, fakes.features)[:, 0]
-    labels = np.clip(preds, 0.0, 1.0)
-    return Dataset(fakes.task, fakes.features, labels)
+    return Dataset(fakes.task, fakes.features, np.clip(preds, 0.0, 1.0))
 
 
 def run_m2(teacher: NetParams, fakes: Dataset, rho: float):
-    """Module M2: the fakes' quantile filter, then label replacement for a
-    non-empty regression set.  Returns (filtered, adjusted, report), where
-    adjusted is filtered for classification."""
+    """Module M2: the fakes' quantile filter, with label replacement for
+    regression.  Returns (filtered, adjusted, report), where adjusted is
+    filtered for classification."""
     if fakes.task.kind == "classification":
         kept, report = filter_classification(teacher, fakes, rho)
         return kept, kept, report
-    kept, report = filter_regression(teacher, fakes, rho)
-    return kept, replace_labels(teacher, kept) if kept.n else kept, report
+    return filter_regression(teacher, fakes, rho)

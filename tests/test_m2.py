@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cgankd import cgen, m2_labeladjust, nncore
-from cgankd.m2_labeladjust import (filter_classification, filter_regression,
-                                   quantile_threshold, replace_labels, run_m2,
-                                   sample_errors)
+from cgankd import cgen, cli, nncore
+from cgankd.m2_labeladjust import (_errors, filter_classification,
+                                   filter_regression, quantile_threshold,
+                                   replace_labels, run_m2)
 from cgankd.nncore import NetParams, NetSpec, TrainConfig, init_params, train
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, make_classification)
@@ -39,22 +39,27 @@ def reg_dataset(labels, feats=None):
     return Dataset(RegressionTask(), feats, labels)
 
 
+def teacher_errors(teacher, samples):
+    """Per-sample error of the teacher's own pass over the samples."""
+    return _errors(nncore.forward_batch(teacher, samples.features), samples)
+
+
 def test_sample_errors_exact_match_is_zero():
     teacher = const_logits_teacher([80.0, 0.0, 0.0])
     ds = cls_dataset([0, 0, 0])
-    assert np.max(sample_errors(teacher, ds)) < 1e-9
+    assert np.max(teacher_errors(teacher, ds)) < 1e-9
 
 
 def test_sample_errors_regression_arithmetic():
     teacher = const_scalar_teacher(0.7)
     ds = reg_dataset([0.4])
-    assert sample_errors(teacher, ds)[0] == pytest.approx(0.3)
+    assert teacher_errors(teacher, ds)[0] == pytest.approx(0.3)
 
 
 def test_sample_errors_uniform_teacher_log_c():
     teacher = const_logits_teacher([0.0, 0.0, 0.0, 0.0])
     ds = cls_dataset([2])
-    assert sample_errors(teacher, ds)[0] == pytest.approx(math.log(4.0))
+    assert teacher_errors(teacher, ds)[0] == pytest.approx(math.log(4.0))
 
 
 @pytest.mark.parametrize("teacher, fakes, task", [
@@ -144,7 +149,7 @@ def test_filter_regression_global_count():
     g = np.random.default_rng(4)
     ds = reg_dataset(g.uniform(0, 1, size=1000), g.normal(size=(1000, 2)))
     teacher = init_params(NetSpec(2, (4,), "nonneg_scalar"), 2)
-    kept, report = filter_regression(teacher, ds, 0.7)
+    kept, _, report = filter_regression(teacher, ds, 0.7)
     assert kept.n == 700
     assert report.thresholds["global"] >= 0.0
 
@@ -153,7 +158,7 @@ def test_filter_regression_ties_keep_all():
     teacher = const_scalar_teacher(0.5)
     ds = reg_dataset([0.4] * 10)
     for rho in (0.1, 0.5, 0.9):
-        kept, _ = filter_regression(teacher, ds, rho)
+        kept, _, _ = filter_regression(teacher, ds, rho)
         assert kept.n == 10
 
 
@@ -163,7 +168,7 @@ def test_filter_monotone_nesting_in_rho():
     teacher = init_params(NetSpec(2, (4,), "nonneg_scalar"), 3)
     prev = set()
     for rho in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
-        kept, _ = filter_regression(teacher, ds, rho)
+        kept, _, _ = filter_regression(teacher, ds, rho)
         cur = set(map(tuple, kept.features))
         assert prev <= cur
         prev = cur
@@ -183,26 +188,26 @@ def test_filter_never_alters_features_or_labels():
 def test_replace_labels_definition_and_fixed_point():
     teacher = const_scalar_teacher(0.55)
     ds = reg_dataset([0.40, 0.90])
-    out = replace_labels(teacher, ds)
+    _, out, _ = filter_regression(teacher, ds, 1.0)
     assert np.allclose(out.labels, 0.55)
     assert np.array_equal(out.features, ds.features)
     # idempotence
-    again = replace_labels(teacher, out)
+    _, again, _ = run_m2(teacher, out, 1.0)
     assert np.array_equal(again.labels, out.labels)
     # post-replacement teacher error is identically zero
-    assert np.max(sample_errors(teacher, out)) == 0.0
+    assert np.max(teacher_errors(teacher, out)) == 0.0
 
 
 def test_replace_labels_clamps_to_unit_interval():
-    teacher = const_scalar_teacher(1.7)
-    out = replace_labels(teacher, reg_dataset([0.2]))
+    _, out, _ = run_m2(const_scalar_teacher(1.7), reg_dataset([0.2]), 1.0)
     assert out.labels[0] == 1.0
+    out = replace_labels(reg_dataset([0.2, 0.3]), np.array([-0.4, 1.7]))
+    assert np.array_equal(out.labels, [0.0, 1.0])
 
 
 def test_replace_labels_rejects_classification():
-    teacher = const_logits_teacher([0.0, 0.0])
     with pytest.raises(ValueError, match="regression only"):
-        replace_labels(teacher, cls_dataset([0, 1]))
+        replace_labels(cls_dataset([0, 1]), np.zeros(2))
 
 
 def test_run_m2_dispatch():
@@ -217,15 +222,59 @@ def test_run_m2_dispatch():
     reg = reg_dataset(g.uniform(0, 1, size=100), g.normal(size=(100, 2)))
     teacher_r = init_params(NetSpec(2, (4,), "nonneg_scalar"), 6)
     filtered_r, adjusted_r, rep_r = run_m2(teacher_r, reg, 0.7)
-    want, _ = filter_regression(teacher_r, reg, 0.7)
+    want, _, _ = filter_regression(teacher_r, reg, 0.7)
     assert filtered_r.n == adjusted_r.n == 70
     assert np.array_equal(filtered_r.features, want.features)
     assert np.array_equal(filtered_r.labels, want.labels)
     assert np.array_equal(adjusted_r.features, want.features)
     # adjusted labels are the teacher's predictions, clipped to [0, 1]
-    preds = nncore.forward_batch(teacher_r, want.features)[:, 0]
-    assert np.array_equal(adjusted_r.labels, np.clip(preds, 0.0, 1.0))
-    assert np.max(sample_errors(teacher_r, adjusted_r)) < 1e-12
+    preds = nncore.forward_batch(teacher_r, reg.features)[:, 0]
+    keep = np.abs(preds - reg.labels) <= rep_r.thresholds["global"]
+    assert np.array_equal(adjusted_r.labels, np.clip(preds[keep], 0.0, 1.0))
+    assert np.max(teacher_errors(teacher_r, adjusted_r)) < 1e-12
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_run_m2_runs_the_teacher_once(task, monkeypatch):
+    g = np.random.default_rng(8)
+    if task == "classification":
+        fakes = cls_dataset(np.tile([0, 1], 50), g.normal(size=(100, 2)))
+        teacher = init_params(NetSpec(2, (4,), "logits", 2), 5)
+    else:
+        fakes = reg_dataset(g.uniform(0, 1, size=100), g.normal(size=(100, 2)))
+        teacher = init_params(NetSpec(2, (4,), "nonneg_scalar"), 6)
+    calls = []
+    forward = nncore.forward_batch
+
+    def counted(params, X):
+        calls.append(len(X))
+        return forward(params, X)
+
+    monkeypatch.setattr(nncore, "forward_batch", counted)
+    run_m2(teacher, fakes, 0.7)
+    assert calls == [fakes.n]
+
+
+def test_run_m2_relabels_from_its_scoring_pass():
+    # At kept counts 1023 and 2047, not multiples of 4, a separate pass over
+    # the kept rows gave 1-2 of them other last bits than this pass over
+    # all 8000 fakes (OpenBLAS, one thread); 2400 and 5600 are the kept
+    # counts of the bench configs' rho 0.3 and 0.7.
+    teacher = init_params(NetSpec(2, (64, 64), "nonneg_scalar"), 0)
+    g = np.random.default_rng(3)
+    features = g.normal(size=(8000, 2))
+    fakes = reg_dataset(g.uniform(size=8000), features)
+    with cli._one_blas_thread():
+        preds = nncore.forward_batch(teacher, fakes.features)[:, 0]
+        errors = np.abs(preds - fakes.labels)
+        for n_kept in (1023, 2047, 2400, 5600):
+            filtered, adjusted, report = run_m2(teacher, fakes,
+                                                n_kept / fakes.n)
+            keep = errors <= report.thresholds["global"]
+            assert filtered.n == keep.sum() == n_kept
+            assert np.array_equal(adjusted.features, fakes.features[keep])
+            assert np.array_equal(adjusted.labels,
+                                  np.clip(preds[keep], 0.0, 1.0))
 
 
 def test_run_m2_keeps_an_empty_regression_set_unadjusted():
@@ -239,8 +288,8 @@ def test_filter_regression_reports_one_global_group():
     g = np.random.default_rng(3)
     fakes = reg_dataset(g.uniform(0, 1, size=40), g.normal(size=(40, 2)))
     teacher = init_params(NetSpec(2, (4,), "nonneg_scalar"), 2)
-    kept, report = filter_regression(teacher, fakes, 0.5)
-    errors = sample_errors(teacher, fakes)
+    kept, _, report = filter_regression(teacher, fakes, 0.5)
+    errors = teacher_errors(teacher, fakes)
     assert report.thresholds == {"global": quantile_threshold(errors, 0.5)}
     assert report.counts_in == {"global": 40, "total": 40}
     assert report.counts_out == {"global": kept.n, "total": kept.n}
@@ -284,7 +333,7 @@ def test_filter_classification_matches_separate_passes():
         kept, report = filter_classification(teacher, fakes, 0.8)
     assert sum(rows) == fakes.n  # one pass: errors and both consistencies
 
-    errors = sample_errors(teacher, fakes)
+    errors = teacher_errors(teacher, fakes)
     keep = np.zeros(fakes.n, dtype=bool)
     thresholds = {}
     for c in range(3):

@@ -156,8 +156,8 @@ def test_pipeline_checkpoints(tmp_path):
 
 
 def test_pipeline_nan_teacher_errors_fail_stage_m2(monkeypatch):
-    monkeypatch.setattr(m2_labeladjust, "sample_errors",
-                        lambda teacher, fakes: np.full(fakes.n, np.nan))
+    monkeypatch.setattr(m2_labeladjust, "_errors",
+                        lambda outputs, fakes: np.full(fakes.n, np.nan))
     with pytest.raises(StageError, match="'m2'.*non-finite"):
         run_pipeline(reg_config(seed=20))
 

@@ -697,8 +697,8 @@ def test_forward_batch_keeps_no_backprop_buffers():
     # 20000 x 64 hidden outputs, 20.5 MB; a training workspace adds
     # pre-activations, masks, deltas and loss terms.
     assert traced_peak(lambda: forward_batch(params, X)) <= 3e6
-    # M2 on 8000 regression fakes runs the teacher over all of them, then
-    # over the kept ones.  Its peak is two 64-wide hidden outputs of a
+    # M2 on 8000 regression fakes runs the teacher once over all of them
+    # and relabels the kept ones from that pass.  Its peak is two 64-wide hidden outputs of a
     # block under 2 * INFER_ROWS rows, plus 64 bytes a fake for the outputs,
     # errors, mask and kept copy; one whole pass held 8.2 MB.
     teacher = init_params(NetSpec(2, (64, 64), "nonneg_scalar"), 0)
