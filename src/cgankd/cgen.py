@@ -140,9 +140,9 @@ def _oracle_features(handle: CorruptedOracle, labels: np.ndarray, seed: int,
                                         rng.derive_key("oracle-x", seed), idx)
     if handle.junk_prob > 0.0:
         u_junk = rng.uniforms(rng.derive_key("oracle-junk", seed), idx)
-        junk = handle.junk_spread * rng.row_normals(
-            rng.derive_key("oracle-junk-x", seed), idx, handle.dim)
-        feats = np.where((u_junk < handle.junk_prob)[:, None], junk, feats)
+        junk = u_junk < handle.junk_prob
+        feats[junk] = handle.junk_spread * rng.row_normals(
+            rng.derive_key("oracle-junk-x", seed), idx[junk], handle.dim)
     return feats
 
 

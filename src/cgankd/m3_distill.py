@@ -335,6 +335,9 @@ def run_ablation(config: PipelineConfig) -> dict:
     students = [_student_args(config, real_train, _cap_fakes(
         fakes, config.fake_cap, seed_of("fake-cap")), teacher, seed_of)
         for fakes in (d_raw, d_m1, d_filtered, d_full)]
+    # The students hold copies of the fakes they train on; the sets
+    # themselves would otherwise stay alive through the students' training.
+    del d_raw, d_m1, d_filtered, d_full
     batch = [_net_job(*a) for a in students]
     out = {}
     with nncore.reuse_training():

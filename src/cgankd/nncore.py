@@ -415,15 +415,16 @@ def _batch_means(stash, targets, loss: Loss, size: int) -> list:
 
 def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss,
                      teacher: NetParams = None):
-    """Per-sample targets of one training run: scalar labels (plain_se),
-    one-hot rows (plain_ce), or for blkd the cross-entropy targets
+    """Per-sample targets of one training run: the dataset's own label
+    array (plain_se; training only reads its targets), one-hot rows
+    (plain_ce), or for blkd the cross-entropy targets
     (1 - lam) * one_hot + lam * p_t, the teacher's soft labels p_t taken at
     the loss temperature, so the blended loss is plain cross entropy."""
     task = dataset.task
     check_head(spec, task, "network")
     check_loss(loss, task)
     if loss.kind == "plain_se":
-        return dataset.labels.astype(np.float64)
+        return np.asarray(dataset.labels, dtype=np.float64)
     targets = one_hot(dataset.labels, spec.n_outputs)
     if loss.kind == "blkd":
         check_head(teacher.spec, task, "teacher")

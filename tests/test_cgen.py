@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -72,6 +72,31 @@ def test_oracle_regression_label_noise():
     err = y_true - 0.5
     assert abs(err.std() - 0.1) < 0.01
     assert abs(err.mean()) < 0.01
+
+
+def where_junk_features(handle, labels, seed, idx):
+    """The oracle's features from whole-batch draws: junk noise for every
+    row, kept where the row is junk."""
+    clean = sample_features(replace(handle, junk_prob=0.0), labels, seed, idx)
+    u_junk = rng.uniforms(rng.derive_key("oracle-junk", seed), idx)
+    junk = handle.junk_spread * rng.row_normals(
+        rng.derive_key("oracle-junk-x", seed), idx, handle.dim)
+    return np.where((u_junk < handle.junk_prob)[:, None], junk, clean)
+
+
+@pytest.mark.parametrize("junk_prob", [0.0, 0.2, 1.0])
+@pytest.mark.parametrize("handle, labels", [
+    (CorruptedOracle(BASE, flip_prob=0.3, junk_spread=30.0),
+     np.arange(3000) % 3),
+    (CorruptedOracle(RingConfig(), label_gauss_std=0.1, junk_spread=30.0),
+     np.linspace(0.0, 1.0, 3000)),
+], ids=["blobs", "ring"])
+def test_oracle_draws_junk_rows_alone_bit_for_bit(handle, labels, junk_prob):
+    handle = replace(handle, junk_prob=junk_prob)
+    idx = np.arange(1000, 4000)
+    got = sample_features(handle, labels, 8, idx)
+    want = where_junk_features(handle, labels, 8, idx)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_prefix_property():

@@ -1,5 +1,7 @@
 import csv
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -755,3 +757,32 @@ def test_documented_defaults_cover_the_readme_table():
         *(extra for _, extra in DEFAULT_CASES.values()))
     required = set(REQUIRED) | {"gan.iterations"}
     assert spelled | required == _readme_config_keys()
+
+
+# Run in a fresh interpreter: a classification and a regression `run`, a
+# `sweep` and an `ablation` on the configs its arguments name, then whether
+# numpy.ma was imported.
+NO_MA_SCRIPT = """\
+import sys
+sys.path.insert(0, sys.argv[1])
+from cgankd import cli
+cls, reg, out = sys.argv[2:]
+for argv in (["run", cls], ["run", reg],
+             ["sweep", cls, "--param", "rho", "--values", "0.5,1",
+              "--seeds", "0"],
+             ["ablation", reg, "--seeds", "0"]):
+    assert cli.main(argv + ["--out-dir", out]) == 0, argv
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_command_imports_numpy_ma(tiny_cfg, tmp_path):
+    """np.unique, which np.percentile and np.setdiff1d call, imports
+    numpy.ma, a module that no command needs."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_MA_SCRIPT, src, tiny_cfg,
+         _tiny_with(tmp_path, REGRESSION), str(tmp_path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -679,6 +679,17 @@ def test_forward_batch_matches_training_forward_at_block_edges(
         PIPELINE_SPECS[net], rows, nonfinite)
 
 
+def test_regression_targets_alias_their_labels():
+    ds = make_dataset(RingConfig(n=200, seed=1))
+    spec = NetSpec(2, (8,), "nonneg_scalar")
+    loss = Loss("plain_se")
+    assert np.shares_memory(nncore._prepare_targets(ds, spec, loss),
+                            ds.labels)
+    before = ds.labels.tobytes()
+    train(init_params(spec, 0), ds, TrainConfig(3, 0.05, seed=2, loss=loss))
+    assert ds.labels.tobytes() == before
+
+
 def traced_peak(run):
     """Peak bytes tracemalloc sees while `run()` runs."""
     tracemalloc.start()
