@@ -6,12 +6,14 @@ density-ratio subsampling, quantile filtering with optional label
 replacement, augmentation, student training, and evaluation.  Every stage
 draws its randomness from a key derived from (master seed, stage name), so
 two runs with the same config are bit-identical and the student seed is
-shared between the NOKD baseline and the augmented student: with no
-surviving fakes and a plain loss the two students coincide exactly.
-`run_pipelines` runs several configs, such as the cells of one sweep seed,
-and `run_ablation` its four variants; each student stage passes all their
-students to `nncore.train` as its `together` batch, so the first trains
-them in one stacked SGD loop.  Each is the student a lone run trains.
+shared between the NOKD baseline and the augmented students: with no
+surviving fakes and a plain loss the two coincide exactly.
+`run_pipeline` is the one stage sequence: its `variants` name the networks
+it reports, and a stage runs only when one of them reads it.
+`run_pipelines` runs several configs, such as the cells of one sweep seed;
+each student stage passes all their students to `nncore.train` as its
+`together` batch, so the first trains them in one stacked SGD loop.  Each
+is the student a lone run trains.
 """
 
 import time
@@ -90,15 +92,25 @@ class PipelineConfig:
 
 @dataclass
 class PipelineReport:
-    teacher: Metrics
-    student_nokd: Metrics
-    student_cgankd: Metrics
+    metrics: dict                # each variant's network -> its Metrics
     filter_report: FilterReport
     n_real: int
     n_fake: int
     m_fake: int                  # fakes surviving the filter (and cap)
     theta: float
     timings: dict = field(default_factory=dict)
+
+    @property
+    def teacher(self) -> Metrics:
+        return self.metrics["teacher"]
+
+    @property
+    def student_nokd(self) -> Metrics:
+        return self.metrics["nokd"]
+
+    @property
+    def student_cgankd(self) -> Metrics:
+        return self.metrics["full"]
 
 
 class StageError(RuntimeError):
@@ -145,16 +157,6 @@ def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, loss: Loss,
     params, _ = nncore.train(*_net_job(d_aug, hidden, train_cfg, loss, seed,
                                        teacher), together=together)
     return params
-
-
-def _student_args(config: PipelineConfig, real_train: Dataset,
-                  fakes: Dataset, teacher: NetParams, seed_of) -> tuple:
-    """The `train_student` arguments of the run's student on the real set
-    plus `fakes`, under `config.student_loss`; `run_pipeline` and every
-    ablation variant train it in stage "student"."""
-    return (augment(real_train, fakes), config.student_hidden,
-            config.student_train, config.student_loss, seed_of("student"),
-            teacher)
 
 
 def _oracle(config: PipelineConfig) -> CorruptedOracle:
@@ -206,11 +208,33 @@ def _save(checkpoint_dir, name, writer, obj, *args):
         writer(obj, f"{checkpoint_dir}/{name}", *args)
 
 
-def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
-                   checkpoint_dir):
-    """Data, teacher, generator and M1, the stages a run and an ablation
-    share; returns (real train set, eval set, teacher, generator, M1 fakes).
+RUN_VARIANTS = ("teacher", "nokd", "full")
+ABLATION_VARIANTS = ("raw", "m1", "m1m2", "full")
+
+
+def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
+                 variants=RUN_VARIANTS):
+    """Execute the run's stages for the networks `variants` names and
+    report their metrics; optionally checkpoint artifacts per stage.
+
+    "teacher" reports the teacher, which every run trains for M2, and
+    "nokd" the baseline student on the real set alone (stage
+    "student-nokd").  Each other variant is the run's student, under
+    `student_loss`, on the real set plus a fake set capped at `fake_cap`,
+    in a stage of its own, "student" for "full" and "student-<variant>"
+    otherwise: "raw" the generator's unprocessed fakes (stage "raw", run
+    only for it), "m1" the subsampled ones, "m1m2" those M2 keeps and
+    "full" those relabelled too (for classification, "m1m2" again).  No
+    fake set outlives the stages before the students.
+
+    With a `batch` list (see `run_pipelines`), the run stops before its
+    student stages: it appends its students' `nncore.train` arguments to
+    `batch` and returns a function that runs the rest, with `batch` as each
+    student's `together` jobs, and returns the report.
     """
+    timings = {}
+    seed_of = partial(rng.derive_key, config.master_seed)
+
     def data_stage():
         full = make_dataset(replace(config.data, seed=seed_of("data")))
         return split(full, config.train_fraction, seed_of("split"))
@@ -224,126 +248,87 @@ def _shared_stages(config: PipelineConfig, seed_of, timings: dict,
         plain_loss(real_train.task), seed_of("teacher")))[0])
     _save(checkpoint_dir, "teacher.txt", modelio.write_netparams, teacher)
 
-    generator = _stage("generator", timings, lambda: _prepare_generator(
-        config, real_train, seed_of("generator")))
-    _save(checkpoint_dir, "generator.txt", cgen.save_generator, generator)
+    nets = {"teacher": teacher}
 
-    d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
-        config, generator, real_train, seed_of))
-    _save(checkpoint_dir, "fakes_m1.txt", write_dataset, d_m1, "fake_m1")
-    return real_train, eval_set, teacher, generator, d_m1
+    # The stages up to M2, in a scope of their own so that the fake sets die
+    # when it returns.
+    def prefix():
+        generator = _stage("generator", timings, lambda: _prepare_generator(
+            config, real_train, seed_of("generator")))
+        _save(checkpoint_dir, "generator.txt", cgen.save_generator, generator)
+        d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
+            config, generator, real_train, seed_of))
+        _save(checkpoint_dir, "fakes_m1.txt", write_dataset, d_m1, "fake_m1")
+        if "nokd" in variants:
+            nets["nokd"] = _stage("student-nokd", timings, lambda: (
+                train_student(real_train, config.student_hidden,
+                              config.student_train,
+                              plain_loss(real_train.task), seed_of("student"))))
+            _save(checkpoint_dir, "student_nokd.txt", modelio.write_netparams,
+                  nets["nokd"])
+        sets = {"m1": d_m1}
+        if "raw" in variants:
+            sets["raw"] = _stage("raw", timings, lambda: cgen.sample(
+                generator, cgen.sample_labels(real_train, config.n_fake,
+                                              seed=seed_of("raw-labels")),
+                seed=seed_of("raw-fakes")))
+        sets["m1m2"], sets["full"], filter_report = _stage("m2", timings, (
+            lambda: m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
+        capped = {v: _cap_fakes(sets[v], config.fake_cap, seed_of("fake-cap"))
+                  for v in variants if v in sets}
+        if capped["full"].n:
+            _save(checkpoint_dir, "fakes_m2.txt", write_dataset,
+                  capped["full"], "fake_m2")
+        return filter_report, capped["full"].n, {v: (
+            augment(real_train, fakes), config.student_hidden,
+            config.student_train, config.student_loss, seed_of("student"),
+            teacher) for v, fakes in capped.items()}
 
-
-def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None):
-    """Execute the full run; optionally checkpoint artifacts per stage.
-
-    With a `batch` list (see `run_pipelines`), the run stops before its
-    student stage: it appends the student's `nncore.train` arguments to
-    `batch` and returns a function that runs the rest, with `batch` as its
-    student's `together` jobs, and returns the report.
-    """
-    timings = {}
-    seed_of = partial(rng.derive_key, config.master_seed)
-    real_train, eval_set, teacher, _, d_m1 = _shared_stages(
-        config, seed_of, timings, checkpoint_dir)
-
-    student_nokd = _stage("student-nokd", timings, lambda: train_student(
-        real_train, config.student_hidden, config.student_train,
-        plain_loss(real_train.task), seed_of("student")))
-    _save(checkpoint_dir, "student_nokd.txt", modelio.write_netparams,
-          student_nokd)
-
-    _, d_m2, filter_report = _stage("m2", timings, lambda: (
-        m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
-    d_m2 = _cap_fakes(d_m2, config.fake_cap, seed_of("fake-cap"))
-    if d_m2.n:
-        _save(checkpoint_dir, "fakes_m2.txt", write_dataset, d_m2, "fake_m2")
-    student_args = _student_args(config, real_train, d_m2, teacher, seed_of)
-    m_fake = d_m2.n
+    filter_report, m_fake, student_args = prefix()
+    if batch is not None:
+        batch += [_net_job(*args) for args in student_args.values()]
 
     def finish():
-        student = _stage("student", timings, lambda: train_student(
-            *student_args, together=batch or ()))
-        _save(checkpoint_dir, "student.txt", modelio.write_netparams, student)
-
-        def eval_stage():
-            return (nncore.evaluate(teacher, eval_set),
-                    nncore.evaluate(student_nokd, eval_set),
-                    nncore.evaluate(student, eval_set))
-
-        t_metrics, nokd_metrics, student_metrics = _stage(
-            "evaluate", timings, eval_stage)
+        # "full" first, so that its "student" stage times the stacked loop
+        for name in sorted(student_args, key=lambda v: v != "full"):
+            stage = "student" if name == "full" else f"student-{name}"
+            nets[name] = _stage(stage, timings, lambda: train_student(
+                *student_args[name], together=batch or ()))
+        _save(checkpoint_dir, "student.txt", modelio.write_netparams,
+              nets["full"])
+        metrics = _stage("evaluate", timings, lambda: {
+            name: nncore.evaluate(nets[name], eval_set) for name in variants})
         return PipelineReport(
-            teacher=t_metrics, student_nokd=nokd_metrics,
-            student_cgankd=student_metrics, filter_report=filter_report,
+            metrics=metrics, filter_report=filter_report,
             n_real=real_train.n, n_fake=config.n_fake, m_fake=m_fake,
             theta=real_train.n / (real_train.n + m_fake), timings=timings)
 
-    if batch is None:
-        return finish()
-    batch.append(_net_job(*student_args))
-    return finish
+    return finish() if batch is None else finish
 
 
-def run_pipelines(configs) -> list:
-    """`run_pipeline` of each config, with the students of all the runs
-    trained together in one stacked SGD loop.
+def run_pipelines(configs, variants=RUN_VARIANTS) -> list:
+    """`run_pipeline` of each config for `variants`, with the students of
+    all the runs trained together in one stacked SGD loop.
 
-    Each run executes its stages up to M2 in turn; then, inside one training
-    memo (`nncore.reuse_training`), each run executes its student and
-    evaluate stages in turn, and the first student stage trains every
-    student.  The runs' students must share their network, schedule and
-    loss, as the cells of one sweep seed do.  With two failing runs, the
-    stage named may differ from one-by-one runs, since every run reaches M2
-    before any student trains; it is a StageError either way.  Each run's
-    stages up to M2 execute inside its own `run_pipeline` call, where the
-    benchmark's traced stage-repeat check (bench/spans.py) finds them.
+    Each run executes its stages up to M2 in turn, inside its own
+    `run_pipeline` call, where the benchmark's traced stage-repeat check
+    (bench/spans.py) finds them; then, inside one training memo
+    (`nncore.reuse_training`), each run executes its student and evaluate
+    stages in turn, and the first student stage trains every student.  The
+    runs' students must share their network, schedule and loss, as the
+    cells of one sweep seed do.  With two failing runs, the stage named may
+    differ from one-by-one runs, since every run reaches M2 before any
+    student trains; it is a StageError either way.
     """
     batch = []
-    finishes = [run_pipeline(config, batch=batch) for config in configs]
+    finishes = [run_pipeline(config, batch=batch, variants=variants)
+                for config in configs]
     with nncore.reuse_training():
         return [finish() for finish in finishes]
 
 
-ABLATION_VARIANTS = ("raw", "m1", "m1m2", "full")
-
-
 def run_ablation(config: PipelineConfig) -> dict:
-    """Metrics for four fake-processing variants under shared seeds.
-
-    raw: unprocessed fakes; m1: subsampled; m1m2: subsampled + filtered;
-    full: m1m2 plus label replacement (regression; identical to m1m2 for
-    classification, where no replacement step exists).  Every variant's
-    fakes are capped at `fake_cap` and train the run's student under its
-    `student_loss`, so `full` is `run_pipeline`'s student for the config.
-    The four students train together in one stacked SGD loop, in the first
-    variant's student stage, inside one memo (`nncore.reuse_training`).
-    """
-    timings = {}
-    seed_of = partial(rng.derive_key, config.master_seed)
-    real_train, eval_set, teacher, generator, d_m1 = _shared_stages(
-        config, seed_of, timings, None)
-
-    def raw_stage():
-        raw_labels = cgen.sample_labels(real_train, config.n_fake,
-                                        seed=seed_of("raw-labels"))
-        return cgen.sample(generator, raw_labels, seed=seed_of("raw-fakes"))
-
-    d_raw = _stage("raw", timings, raw_stage)
-    d_filtered, d_full, _ = _stage("m2", timings, lambda: (
-        m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
-    students = [_student_args(config, real_train, _cap_fakes(
-        fakes, config.fake_cap, seed_of("fake-cap")), teacher, seed_of)
-        for fakes in (d_raw, d_m1, d_filtered, d_full)]
-    # The students hold copies of the fakes they train on; the sets
-    # themselves would otherwise stay alive through the students' training.
-    del d_raw, d_m1, d_filtered, d_full
-    batch = [_net_job(*a) for a in students]
-    out = {}
-    with nncore.reuse_training():
-        for name, args in zip(ABLATION_VARIANTS, students):
-            student = _stage("student", timings,
-                             lambda: train_student(*args, together=batch))
-            out[name] = _stage("evaluate", timings,
-                               lambda: nncore.evaluate(student, eval_set))
-    return out
+    """Metrics of the module ablation's students by variant, in
+    `ABLATION_VARIANTS` order (see `run_pipeline`), all trained in one
+    stacked SGD loop; `full` is `run_pipeline`'s student for the config."""
+    return run_pipelines([config], ABLATION_VARIANTS)[0].metrics

@@ -1,16 +1,21 @@
 import csv
+import gc
+import importlib.util
 import os
+import pathlib
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cgankd import cgen, cli, m3_distill, nncore
+from cgankd import cgen, cli, m2_labeladjust, m3_distill, nncore
 from cgankd.cli import (MANIFEST_HEADER, ConfigError, build_pipeline_config,
                         load_config, main, write_manifest)
+from cgankd.synthdata import Dataset
 
 TINY_CFG = """\
 task=classification
@@ -489,17 +494,59 @@ def test_a_seed_trains_its_sweep_and_ablation_students_in_one_loop(
         tmp_path, monkeypatch):
     # Guards the stacked loop: training the cells one at a time would give
     # one SGD loop per student.
+    # It also guards that each command runs only the stages its students
+    # read.
     path = _tiny_with(tmp_path, REGRESSION)
     runs = _counting(monkeypatch, nncore, "_train")
+    stages = _counting(monkeypatch, m3_distill, "_stage")
     assert main(["sweep", path, "--param", "rho", "--values", "0.3,0.7,1",
                  "--seeds", "4", "--out-dir", str(tmp_path)]) == 0
-    # teacher, student-nokd, DR, then the three students
+    # teacher, DR, student-nokd, then the three students
     assert [len(jobs) for (jobs,) in runs] == [1, 1, 1, 3]
+    # every stage but "raw", once per cell
+    assert Counter(name for name, *_ in stages) == Counter(
+        {name: 3 for name in ("data", "teacher", "student-nokd", "generator",
+                              "m1", "m2", "student", "evaluate")})
     runs.clear()
+    stages.clear()
     assert main(["ablation", path, "--seeds", "4",
                  "--out-dir", str(tmp_path)]) == 0
     # teacher, DR, then the four variants' students
     assert [len(jobs) for (jobs,) in runs] == [1, 1, 4]
+    # raw fakes but no baseline, a student stage per variant, "full" first,
+    # one evaluation, and no stage name twice
+    assert [name for name, *_ in stages] == [
+        "data", "teacher", "generator", "m1", "raw", "m2", "student",
+        "student-raw", "student-m1", "student-m1m2", "evaluate"]
+    stages.clear()
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
+    assert [name for name, *_ in stages] == [
+        "data", "teacher", "generator", "m1", "student-nokd", "m2", "student",
+        "evaluate"]
+
+
+def test_traced_ablation_repeats_no_stage(tmp_path):
+    # The benchmark's span recorder (bench/spans.py) keys each stage inside
+    # a `run_pipeline` call by its name and config, and fails a traced round
+    # whose stage of one key gives two outputs; so the ablation's variant
+    # students must run under stage names of their own.  The command's
+    # students train after `run_pipeline` returns, and a lone call's inside
+    # it.
+    spec = importlib.util.spec_from_file_location(
+        "spans", pathlib.Path(__file__).resolve().parent.parent / "bench"
+        / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    path = _tiny_with(tmp_path, REGRESSION)
+    tracer = spans.Tracer()
+    with tracer:
+        assert cli.main(["ablation", path, "--seeds", "4,5",
+                         "--out-dir", str(tmp_path)]) == 0
+        m3_distill.run_pipeline(build_pipeline_config(load_config(path)[0]),
+                                variants=m3_distill.ABLATION_VARIANTS)
+    m = spans.layer_metrics(tracer)
+    assert not tracer.stage_mismatches
+    assert (m["m3.stage_runs"], m["m3.stage_runs_repeat"]) == (3 * 11, 0)
 
 
 def test_direct_calls_train_their_students_in_one_loop(tmp_path, monkeypatch):
@@ -510,13 +557,53 @@ def test_direct_calls_train_their_students_in_one_loop(tmp_path, monkeypatch):
     runs = _counting(monkeypatch, nncore, "_train")
     m3_distill.run_pipelines([replace(config, rho=rho)
                               for rho in (0.3, 0.7, 1.0)])
-    # each cell's teacher, student-nokd and DR, then the three students
+    # each cell's teacher, DR and student-nokd, then the three students
     assert [len(jobs) for (jobs,) in runs] == [1, 1, 1] * 3 + [3]
     runs.clear()
     m3_distill.run_ablation(config)
     # teacher, DR, then the four variants' students
     assert [len(jobs) for (jobs,) in runs] == [1, 1, 4]
     assert nncore._memo is None
+
+
+def test_no_fake_set_outlives_the_stages_before_the_students(
+        tmp_path, monkeypatch):
+    # The students train on copies of their fake sets, so no set that M1,
+    # M2 or raw sampling returned is alive when the first student trains.
+    config = build_pipeline_config(
+        load_config(_tiny_with(tmp_path, REGRESSION))[0])
+    refs, alive, stage = [], [], m3_distill._stage
+
+    def keeping(fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            refs.extend(weakref.ref(d) for d in
+                        (out if isinstance(out, tuple) else (out,))
+                        if isinstance(d, Dataset))
+            return out
+        return call
+
+    def recording(name, timings, fn):
+        if name.startswith("student") and name != "student-nokd":
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in refs))
+        return stage(name, timings, fn)
+
+    monkeypatch.setattr(m3_distill, "_subsample_fakes",
+                        keeping(m3_distill._subsample_fakes))
+    monkeypatch.setattr(m2_labeladjust, "run_m2",
+                        keeping(m2_labeladjust.run_m2))
+    monkeypatch.setattr(cgen, "sample", keeping(cgen.sample))
+    monkeypatch.setattr(m3_distill, "_stage", recording)
+    for command in (
+            lambda: m3_distill.run_pipeline(config),
+            lambda: m3_distill.run_pipelines(
+                [config, replace(config, rho=0.5)]),
+            lambda: m3_distill.run_ablation(config)):
+        refs.clear()
+        alive.clear()
+        command()
+        assert refs and alive and set(alive) == {0}
 
 
 def test_cgan_sweep_trains_the_gan_once_per_seed(tmp_path, monkeypatch):

@@ -3,7 +3,8 @@ public method and property of those classes, has a caller in src/cgankd
 itself: a name that only tests reach belongs in the tests.  The same holds
 for a defaulted parameter, which some src call must pass, and for a
 dataclass field, which src must read.  It also checks that `PipelineConfig`
-declares no field default."""
+declares no field default, and that `m3_distill.run_pipeline` is the one
+function that runs pipeline stages."""
 
 import ast
 import pathlib
@@ -169,9 +170,22 @@ def tally(report, c):
 def run():
     opt = Optimizer(0.1, 0.9)
     return opt.step(scale_of(Report(1, 2, {}), offset=1.0), 0.5)
+
+def _stage(name, fn):
+    return fn()
+
+def run_pipeline(config):
+    def finish():
+        return _stage("student", lambda: config)
+    _stage("data", lambda: config)
+    return finish
+
+def run_ablation(config):
+    return _stage("raw", lambda: config)
 """)
 PLANTED_UNPASSED = {"planted.Optimizer.step(clip)", "planted.scale_of(factor)"}
 PLANTED_UNREAD = {"planted.Report.dropped", "planted.Report.per_class"}
+PLANTED_STAGE_CALLERS = {"planted.run_ablation"}
 
 
 def _calls_by_name(modules):
@@ -283,3 +297,30 @@ def test_unpassed_default_rule_flags_a_planted_violation():
 
 def test_unread_field_rule_flags_a_planted_violation():
     assert _unread_fields({"planted": PLANTED}) == PLANTED_UNREAD
+
+
+def _stage_callers(modules):
+    """`module.name` of each top-level definition but `run_pipeline` that
+    calls `_stage`, by name or as an attribute, anywhere in its body, nested
+    functions included; `module.<module>` for a call outside any."""
+    out = set()
+    for mod, tree in modules.items():
+        for top in tree.body:
+            name = getattr(top, "name", "<module>")
+            if name != "run_pipeline" and any(
+                    isinstance(node, ast.Call) and "_stage" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None))
+                    for node in ast.walk(top)):
+                out.add(f"{mod}.{name}")
+    return out
+
+
+def test_only_run_pipeline_runs_stages():
+    """Run, sweep and ablation share one stage sequence: a second function
+    that calls the stage executor would be a second copy of it."""
+    assert sorted(_stage_callers(MODULES)) == []
+
+
+def test_stage_caller_rule_flags_a_planted_violation():
+    assert _stage_callers({"planted": PLANTED}) == PLANTED_STAGE_CALLERS
