@@ -24,8 +24,8 @@ import numpy as np
 
 from . import modelio, rng, synthdata
 from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
-    flat_params, forward_batch, _forward, _layer_views, init_params, \
-    input_gradient, memoized, one_hot
+    forward_batch, _forward, _layer_views, init_params, input_gradient, \
+    memoized, one_hot
 from .synthdata import BlobsConfig, Dataset, SynthConfig, kv_lines
 
 GENERATOR_HEADER = "cgankd-generator v1"
@@ -73,6 +73,9 @@ class CorruptedOracle:
         for p in (self.flip_prob, self.junk_prob):
             if not 0.0 <= p <= 1.0:
                 raise ValueError("probabilities must lie in [0, 1]")
+        for name in ("label_gauss_std", "junk_spread"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     @property
     def task(self):
@@ -216,8 +219,8 @@ def _train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
     if config.iterations == 0:
         return TrainedCgan(gen, config.noise_dim, task, d)
 
-    opt_g = SgdState(g_spec, flat_params(gen), GAN_MOMENTUM)
-    opt_d = SgdState(d_spec, flat_params(dis), GAN_MOMENTUM)
+    opt_g = SgdState(g_spec, gen.theta.copy(), GAN_MOMENTUM)
+    opt_d = SgdState(d_spec, dis.theta.copy(), GAN_MOMENTUM)
     # The discriminator's fake-batch gradient, added to its real-batch one.
     d_fake = np.empty_like(opt_d.grad)
     d_fake_grads = _layer_views(d_spec, d_fake)

@@ -149,14 +149,14 @@ def _train_config(r: _Reader, role: str, epochs: int) -> TrainConfig:
 
 def _loss(r: _Reader, task) -> Loss:
     """The student loss `student.loss` names; its blkd mix and temperature
-    are read in either mode but checked only for blkd."""
+    are read and checked in either mode."""
     mode = r.get("student.loss", str, "plain")
-    lam = r.get("student.lam_kd", float, 0.5)
-    temperature = r.get("student.temperature", float, 5.0)
+    blkd = Loss("blkd", lam=r.get("student.lam_kd", float, 0.5),
+                temperature=r.get("student.temperature", float, 5.0))
     if mode == "plain":
         return plain_loss(task)
     if mode == "blkd":
-        return Loss("blkd", lam=lam, temperature=temperature)
+        return blkd
     raise ConfigError(f"unknown student loss {mode!r}")
 
 

@@ -76,8 +76,7 @@ class PipelineConfig:
                              "regression set, at least once")
         if self.generator_kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.generator_kind!r}")
-        if self.generator_kind == "oracle":
-            _oracle(self)
+        _oracle(self)
         if self.generator_kind == "cgan" and self.gan is None:
             raise ValueError("cgan generator requires a GanTrainConfig")
         if self.fake_cap < 0:

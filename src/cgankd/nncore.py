@@ -11,6 +11,9 @@ targets (1 - lam) * y + lam * p_t, which training blends once.
 Softmax probabilities are floored at PROB_FLOOR before any log so the loss
 stays bounded; the analytic gradients account for the floor exactly.
 
+A network's parameters are one flat vector (`NetParams`), which only
+`_layer_views` cuts into per-layer weights and biases.
+
 Every network `train` fits takes minibatch SGD steps at batch SGD_BATCH
 with momentum SGD_MOMENTUM.  Training runs one SGD loop (`_train`) over a
 list of jobs that share a network spec and a schedule: one job is plain
@@ -31,7 +34,6 @@ import copy
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -74,6 +76,12 @@ class NetSpec:
     def layer_dims(self):
         return (self.input_dim,) + self.hidden_widths + (self.n_outputs,)
 
+    @property
+    def n_params(self) -> int:
+        """Number of weights and biases of the network."""
+        dims = self.layer_dims
+        return sum((i + 1) * o for i, o in zip(dims, dims[1:]))
+
 
 def task_head(task) -> tuple:
     """(output_kind, n_outputs) of a network for `task`: C logits for
@@ -95,19 +103,20 @@ def check_head(spec: NetSpec, task, role: str):
 
 @dataclass
 class NetParams:
+    """One network's flat parameter vector `theta`, or a (k, P) stack of
+    them; `weights` and `biases` are per-layer views into `theta`."""
     spec: NetSpec
-    weights: list  # per layer, shape (out, in)
-    biases: list   # per layer, shape (out,)
+    theta: np.ndarray
 
     def __post_init__(self):
-        dims = self.spec.layer_dims
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise ValueError("layer count mismatch")
-        for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (dims[l + 1], dims[l]) or b.shape != (dims[l + 1],):
-                raise ValueError(f"shape mismatch at layer {l}")
-            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-                raise ValueError("non-finite parameters")
+        if self.theta.shape[-1:] != (self.spec.n_params,):
+            raise ValueError("parameter count mismatch")
+        if not np.isfinite(self.theta).all():
+            raise ValueError("non-finite parameters")
+        self.weights, self.biases = _layer_views(self.spec, self.theta)
+
+    def __deepcopy__(self, memo):
+        return NetParams(self.spec, self.theta.copy())
 
 
 @dataclass(frozen=True)
@@ -177,21 +186,13 @@ def init_params(spec: NetSpec, seed: int) -> NetParams:
     clamp passes no gradient, so such networks would never train.
     """
     g = rng.generator(rng.derive_key("init", seed))
-    dims = spec.layer_dims
-    weights, biases = [], []
-    for l in range(len(dims) - 1):
-        scale = 1.0 / math.sqrt(dims[l])
-        weights.append(g.uniform(-scale, scale, size=(dims[l + 1], dims[l])))
-        biases.append(np.zeros(dims[l + 1]))
+    params = NetParams(spec, np.zeros(spec.n_params))
+    for w in params.weights:
+        scale = 1.0 / math.sqrt(w.shape[1])
+        w[:] = g.uniform(-scale, scale, size=w.shape)
     if spec.output_kind == "nonneg_scalar":
-        biases[-1][:] = 0.5
-    return NetParams(spec, weights, biases)
-
-
-def flat_params(params: NetParams) -> np.ndarray:
-    """One network's parameters as one flat vector (see `_layer_views`)."""
-    return np.concatenate([w.ravel() for w in params.weights]
-                          + list(params.biases))
+        params.biases[-1][:] = 0.5
+    return params
 
 
 def _layer_views(spec: NetSpec, flat: np.ndarray):
@@ -255,10 +256,10 @@ def _mT(a: np.ndarray) -> np.ndarray:
 def _forward(params, X: np.ndarray, ws: Workspace = None):
     """The layer loop of training and inference; returns the outputs.
 
-    `X` is one batch (2-D) or a stack of batches (3-D), one per network of
-    the stacked `params` (see `_layer_views`).  Each layer's product is
-    biased and clamped in place: into `ws.acts`, kept for backprop, or
-    without `ws` into one fresh array per layer.
+    `X` is one batch (2-D) or a stack of batches (3-D), one per row of a
+    stacked `params`.  Each layer's product is biased and clamped in place:
+    into `ws.acts`, kept for backprop, or without `ws` into one fresh array
+    per layer.
     """
     if ws is None:
         clamped = _clamped_layers(params.spec)
@@ -435,40 +436,30 @@ def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss,
     return targets
 
 
-class _Stack(NamedTuple):
-    """Per-layer weight and bias views of a stack of networks."""
-    weights: list
-    biases: list
-
-
 class SgdState:
     """SGD with momentum on flat parameter vectors.
 
-    `theta` holds one network's parameters (see `_layer_views`) or, for a
-    stack of networks, one network per row; `grad` and `velocity` share its
-    shape.  `params` and `grads` are per-layer views into `theta` and
-    `grad`: a `NetParams` for one network.  `backward` writes into `grads`,
-    and `step` updates every layer of every network at once as
-    v = m*v + g, w = w - lr*v.
+    `theta` holds one network's parameters or, for a stack of networks,
+    one network per row; `grad` and `velocity` share its shape.  `params`
+    is the `NetParams` on `theta`, and `grads` the per-layer views into
+    `grad`.  `backward` writes into `grads`, and `step` updates every layer
+    of every network at once as v = m*v + g, w = w - lr*v.
     """
 
     def __init__(self, spec: NetSpec, theta: np.ndarray, momentum: float,
                  grad=None, velocity=None):
-        self.spec = spec
         self.theta = theta
         self.grad = np.zeros_like(theta) if grad is None else grad
         self.velocity = np.zeros_like(theta) if velocity is None else velocity
         self._scaled = np.empty_like(theta)
         self.momentum = momentum
-        views = _layer_views(spec, theta)
-        self.params = (NetParams(spec, *views) if theta.ndim == 1
-                       else _Stack(*views))
+        self.params = NetParams(spec, theta)
         self.grads = _layer_views(spec, self.grad)
 
     def part(self, rows) -> "SgdState":
         """The state of some networks of a stack, on views of its arrays:
         one network for an index, a stack for a slice."""
-        return SgdState(self.spec, self.theta[rows], self.momentum,
+        return SgdState(self.params.spec, self.theta[rows], self.momentum,
                         self.grad[rows], self.velocity[rows])
 
     def step(self, lr: float):
@@ -616,7 +607,7 @@ def _train(jobs: list) -> list:
         if full == 1:
             alone.insert(0, (0, start + size))
         plan.append((start, full if full > 1 else 0, alone))
-    state = SgdState(spec, np.stack([flat_params(jobs[j][0]) for j in live]),
+    state = SgdState(spec, np.stack([jobs[j][0].theta for j in live]),
                      SGD_MOMENTUM)
     rows = [state.part(i) for i in range(len(live))]
     heads = {k: (state.part(slice(0, k)), Workspace(spec, k, size))
@@ -658,8 +649,7 @@ def _train(jobs: list) -> list:
             histories[i].append(total / n)
     results = [None] * len(jobs)
     for i, j in enumerate(live):
-        theta = state.theta[i].copy()
-        results[j] = NetParams(spec, *_layer_views(spec, theta)), histories[i]
+        results[j] = NetParams(spec, state.theta[i].copy()), histories[i]
     return results
 
 

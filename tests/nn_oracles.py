@@ -9,9 +9,12 @@ backprop with an optional input gradient and the cGAN training loop that
 so the new code must match them bit for bit.  `ring_true_label` inverts
 the noiseless ring map, the ground truth that regression samples are held
 against.  `constant_labels` is a rejection label source that gives every
-candidate one label, the draw M1's per-class pools reduce to.
+candidate one label, the draw M1's per-class pools reduce to.  `layers`
+builds a network from per-layer arrays, and `reference_init_params` keeps
+the per-layer draws whose values `nncore.init_params` must give.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,15 +25,33 @@ from cgankd.cgen import (GAN_HIDDEN_D, GAN_HIDDEN_G, GAN_MOMENTUM,
                          label_encoding)
 from cgankd.nncore import (PROB_FLOOR, Loss, NetParams, NetSpec, SgdState,
                            Workspace, _batch_means, _clamped_layers, _forward,
-                           _layer_views, _loss_grad, backward, flat_params,
-                           forward_batch, init_params, softmax)
+                           _layer_views, _loss_grad, backward, forward_batch,
+                           init_params, softmax)
 from cgankd.synthdata import Dataset
 
 
-def n_params(spec: NetSpec) -> int:
-    """Number of weights and biases of a network."""
+def layers(spec: NetSpec, weights, biases) -> NetParams:
+    """The network with these per-layer weights, shape (out, in), and
+    biases, shape (out,): every layer's weights, then every layer's biases,
+    in one flat vector."""
+    return NetParams(spec, np.concatenate(
+        [np.ravel(a) for a in [*weights, *biases]]))
+
+
+def reference_init_params(spec: NetSpec, seed: int):
+    """The per-layer (weights, biases) that `init_params` draws: one
+    scaled-uniform draw per layer, in layer order, zero biases, and 0.5 on
+    the output bias of a nonnegative scalar head."""
+    g = rng.generator(rng.derive_key("init", seed))
     dims = spec.layer_dims
-    return sum((dims[l] + 1) * dims[l + 1] for l in range(len(dims) - 1))
+    weights, biases = [], []
+    for l in range(len(dims) - 1):
+        scale = 1.0 / math.sqrt(dims[l])
+        weights.append(g.uniform(-scale, scale, size=(dims[l + 1], dims[l])))
+        biases.append(np.zeros(dims[l + 1]))
+    if spec.output_kind == "nonneg_scalar":
+        biases[-1][:] = 0.5
+    return weights, biases
 
 
 def pre_activations(params: NetParams, X: np.ndarray) -> list:
@@ -141,9 +162,9 @@ def gradients(params: NetParams, batch, loss: Loss, teacher: NetParams = None) -
     out = _forward(params, X, ws)
     targets = blended_targets(targets, loss, teacher, X)
     d_out = _loss_grad(out, targets, loss, ws, loss_stash(out, targets))
-    grads = _layer_views(params.spec, np.empty(n_params(params.spec)))
-    backward(params, ws, d_out, grads)
-    return NetParams(params.spec, *grads)
+    theta = np.empty(params.spec.n_params)
+    backward(params, ws, d_out, _layer_views(params.spec, theta))
+    return NetParams(params.spec, theta)
 
 
 def loss_stash(out: np.ndarray, targets) -> np.ndarray:
@@ -211,8 +232,8 @@ def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedC
     if config.iterations == 0:
         return TrainedCgan(gen, config.noise_dim, task, d)
 
-    opt_g = SgdState(g_spec, flat_params(gen), GAN_MOMENTUM)
-    opt_d = SgdState(d_spec, flat_params(dis), GAN_MOMENTUM)
+    opt_g = SgdState(g_spec, gen.theta.copy(), GAN_MOMENTUM)
+    opt_d = SgdState(d_spec, dis.theta.copy(), GAN_MOMENTUM)
     # The discriminator's fake-batch gradient, added to its real-batch one.
     d_fake = np.empty_like(opt_d.grad)
     d_fake_grads = _layer_views(d_spec, d_fake)

@@ -281,7 +281,13 @@ BAD_VALUES = [
     ({"dr.gamma": "0.5"}, "gamma must be >= 1"),
     ({**BLKD, "student.lam_kd": "2"}, "lam must lie in [0, 1]"),
     ({**BLKD, "student.temperature": "0"}, "temperature must be positive"),
+    ({"student.lam_kd": "2"}, "lam must lie in [0, 1]"),
+    ({"student.temperature": "0"}, "temperature must be positive"),
     ({"oracle.flip": "2"}, "probabilities must lie in [0, 1]"),
+    ({**CGAN, "oracle.flip": "2"}, "probabilities must lie in [0, 1]"),
+    ({**REGRESSION, "oracle.label_std": "-0.08"},
+     "label_gauss_std must be nonnegative"),
+    ({"oracle.junk_spread": "-1"}, "junk_spread must be nonnegative"),
     ({"data.classes": "4", "n_fake": "3"}, "cover every class"),
     ({"teacher.hidden": "0"}, "hidden_widths must be non-empty"),
     ({"teacher.momentum": "-0.5"}, "unknown config keys: teacher.momentum"),

@@ -1,6 +1,7 @@
-"""Every public module-level function and class in src/cgankd, and every
-public method and property of those classes, has a caller in src/cgankd
-itself: a name that only tests reach belongs in the tests.  The same holds
+"""Every module-level function and class in src/cgankd, private ones
+included, and every public method and property of those classes, has a
+caller in src/cgankd itself: a name that only tests reach belongs in the
+tests, and a private one that nothing reaches is a leftover.  The same holds
 for a defaulted parameter, which some src call must pass, and for a
 dataclass field, which src must read.  It also checks that `PipelineConfig`
 declares no field default, and that `m3_distill.run_pipeline` is the one
@@ -14,10 +15,13 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cgankd"
 MODULES = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
 
-def _public_definitions():
-    return [(mod, node) for mod, tree in MODULES.items() for node in tree.body
+def _unreferenced(modules):
+    """`module.name` of each module-level function and class that nothing
+    in `modules` names outside its own definition."""
+    return {f"{mod}.{node.name}" for mod, tree in modules.items()
+            for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            and not _is_referenced(modules, mod, node)}
 
 
 def _aliases(tree, module, name):
@@ -34,10 +38,10 @@ def _aliases(tree, module, name):
     return direct, modules
 
 
-def _is_referenced(module, definition):
+def _is_referenced(modules, module, definition):
     name = definition.name
-    for mod, tree in MODULES.items():
-        direct, modules = _aliases(tree, module, name)
+    for mod, tree in modules.items():
+        direct, module_names = _aliases(tree, module, name)
         if mod == module:
             direct.add(name)
         stack = [tree]
@@ -49,17 +53,22 @@ def _is_referenced(module, definition):
                 return True
             if (isinstance(node, ast.Attribute) and node.attr == name
                     and isinstance(node.value, ast.Name)
-                    and node.value.id in modules):
+                    and node.value.id in module_names):
                 return True
             stack.extend(ast.iter_child_nodes(node))
     return False
 
 
 def test_every_public_name_is_used_in_src():
-    unused = [f"{module}.{definition.name}"
-              for module, definition in _public_definitions()
-              if not _is_referenced(module, definition)]
+    unused = sorted(name for name in _unreferenced(MODULES)
+                    if not name.split(".")[1].startswith("_"))
     assert unused == [], "reached only from outside src/cgankd"
+
+
+def test_every_private_name_is_used_in_src():
+    unused = sorted(name for name in _unreferenced(MODULES)
+                    if name.split(".")[1].startswith("_"))
+    assert unused == [], "reached from nowhere"
 
 
 def _functions(modules):
@@ -182,10 +191,19 @@ def run_pipeline(config):
 
 def run_ablation(config):
     return _stage("raw", lambda: config)
+
+def _flat_params(params):
+    return _flat_params(params.weights)
+
+class _Stack:
+    pass
 """)
 PLANTED_UNPASSED = {"planted.Optimizer.step(clip)", "planted.scale_of(factor)"}
 PLANTED_UNREAD = {"planted.Report.dropped", "planted.Report.per_class"}
 PLANTED_STAGE_CALLERS = {"planted.run_ablation"}
+PLANTED_UNREFERENCED = {"planted.tally", "planted.run", "planted.run_pipeline",
+                        "planted.run_ablation", "planted._flat_params",
+                        "planted._Stack"}
 
 
 def _calls_by_name(modules):
@@ -289,6 +307,10 @@ def test_every_dataclass_field_is_read_in_src():
         "dataclass field that src writes and never reads")
     assert sorted(set(UNREAD_FIELDS_ALLOWED) - unread) == [], (
         "stale allowlist entry")
+
+
+def test_caller_rule_flags_a_planted_violation():
+    assert _unreferenced({"planted": PLANTED}) == PLANTED_UNREFERENCED
 
 
 def test_unpassed_default_rule_flags_a_planted_violation():

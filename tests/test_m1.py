@@ -4,10 +4,10 @@ import pytest
 from cgankd import cgen, m1_subsample, nncore
 from cgankd.m1_subsample import (DensityRatioModel, empirical_labels,
                                  ratio_batch, rejection_sample, train_dr)
-from cgankd.nncore import NetParams, NetSpec, TrainConfig
+from cgankd.nncore import NetSpec, TrainConfig
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               label_groups, make_classification)
-from nn_oracles import constant_labels
+from nn_oracles import constant_labels, layers
 
 
 def ratio(model, sample):
@@ -21,9 +21,9 @@ def fixed_odds_model(logit_diff, prior_correction=1.0, task=None, in_dim=3):
     """DR model whose classifier emits a constant logit difference."""
     task = task or ClassificationTask(2)
     spec = NetSpec(in_dim + 2, (1,), "logits", 2)
-    net = NetParams(spec,
-                    [np.zeros((1, in_dim + 2)), np.zeros((2, 1))],
-                    [np.zeros(1), np.array([0.0, logit_diff])])
+    net = layers(spec,
+                 [np.zeros((1, in_dim + 2)), np.zeros((2, 1))],
+                 [np.zeros(1), np.array([0.0, logit_diff])])
     return DensityRatioModel(net, prior_correction, m_max=1.0, task=task)
 
 

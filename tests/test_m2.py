@@ -7,23 +7,24 @@ from cgankd import cgen, cli, nncore
 from cgankd.m2_labeladjust import (_errors, _filter, filter_classification,
                                    filter_regression, quantile_threshold,
                                    replace_labels, run_m2)
-from cgankd.nncore import NetParams, NetSpec, TrainConfig, init_params, train
+from cgankd.nncore import NetSpec, TrainConfig, init_params, train
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, make_classification)
+from nn_oracles import layers
 
 
 def const_logits_teacher(logits):
     """2-input teacher emitting fixed logits regardless of features."""
     C = len(logits)
     spec = NetSpec(2, (1,), "logits", C)
-    return NetParams(spec, [np.zeros((1, 2)), np.zeros((C, 1))],
-                     [np.zeros(1), np.asarray(logits, dtype=float)])
+    return layers(spec, [np.zeros((1, 2)), np.zeros((C, 1))],
+                  [np.zeros(1), np.asarray(logits, dtype=float)])
 
 
 def const_scalar_teacher(value):
     spec = NetSpec(2, (1,), "nonneg_scalar")
-    return NetParams(spec, [np.zeros((1, 2)), np.zeros((1, 1))],
-                     [np.zeros(1), np.array([float(value)])])
+    return layers(spec, [np.zeros((1, 2)), np.zeros((1, 1))],
+                  [np.zeros(1), np.array([float(value)])])
 
 
 def cls_dataset(labels, feats=None):

@@ -13,14 +13,15 @@ from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, make_classification,
                               make_dataset)
 from nn_oracles import (SoftLabel, batch_loss, blended_targets, ce_rows,
-                        forward, gradients, loss_stash, loss_value, n_params,
-                        pre_activations, reference_backward, soft_labels)
+                        forward, gradients, layers, loss_stash, loss_value,
+                        pre_activations, reference_backward,
+                        reference_init_params, soft_labels)
 
 
 def zero_net(spec):
     p = init_params(spec, 0)
-    return NetParams(spec, [np.zeros_like(w) for w in p.weights],
-                     [np.zeros_like(b) for b in p.biases])
+    return layers(spec, [np.zeros_like(w) for w in p.weights],
+                  [np.zeros_like(b) for b in p.biases])
 
 
 def test_spec_rejects_empty_hidden():
@@ -50,6 +51,29 @@ def test_init_scale():
     spec = NetSpec(16, (64,), "logits", 4)
     p = init_params(spec, 1)
     assert np.abs(p.weights[0]).max() <= 1.0 / math.sqrt(16)
+
+
+@pytest.mark.parametrize("spec", [NetSpec(2, (4,), "logits", 3),
+                                  NetSpec(3, (8, 5), "nonneg_scalar"),
+                                  NetSpec(6, (32, 32), "linear", 2)])
+def test_init_params_equals_the_per_layer_reference_draw(spec):
+    for seed in (0, 7):
+        want = layers(spec, *reference_init_params(spec, seed))
+        assert np.array_equal(init_params(spec, seed).theta, want.theta)
+
+
+def test_net_params_reject_a_theta_of_wrong_length_or_non_finite():
+    spec = NetSpec(2, (4,), "logits", 3)
+    theta = init_params(spec, 0).theta
+    assert spec.n_params == len(theta) == (2 + 1) * 4 + (4 + 1) * 3
+    for bad in (theta[:-1], np.append(theta, 0.0), np.empty(0)):
+        with pytest.raises(ValueError, match="parameter count mismatch"):
+            NetParams(spec, bad)
+    for value in (np.nan, np.inf):
+        bad = theta.copy()
+        bad[5] = value
+        with pytest.raises(ValueError, match="non-finite parameters"):
+            NetParams(spec, bad)
 
 
 def test_forward_zero_network():
@@ -246,8 +270,8 @@ def test_gradients_duplicated_batch_invariance():
 def test_gradients_zero_at_perfect_regression_fit():
     # single linear-ish net that exactly reproduces the targets
     spec = NetSpec(1, (1,), "nonneg_scalar")
-    p = NetParams(spec, [np.array([[1.0]]), np.array([[1.0]])],
-                  [np.zeros(1), np.zeros(1)])
+    p = layers(spec, [np.array([[1.0]]), np.array([[1.0]])],
+               [np.zeros(1), np.zeros(1)])
     X = np.array([[0.2], [0.5], [0.9]])
     targets = X[:, 0].copy()
     g = gradients(p, (X, targets), Loss("plain_se"))
@@ -355,8 +379,8 @@ def test_evaluate_perfect_and_constant_predictors():
     labels = np.array([0.0, 1.0] * 5)
     ds_reg = Dataset(task, feats, labels)
     spec_r = NetSpec(1, (1,), "nonneg_scalar")
-    const = NetParams(spec_r, [np.zeros((1, 1)), np.zeros((1, 1))],
-                      [np.array([1.0]), np.array([0.5])])
+    const = layers(spec_r, [np.zeros((1, 1)), np.zeros((1, 1))],
+                   [np.array([1.0]), np.array([0.5])])
     m = evaluate(const, ds_reg)
     assert m.mae == pytest.approx(0.5)
 
@@ -367,8 +391,8 @@ def test_evaluate_all_class_zero():
     labels = np.array([0, 1, 2] * 3)
     ds = Dataset(task, feats, labels)
     spec = NetSpec(2, (2,), "logits", 3)
-    p = NetParams(spec, [np.zeros((2, 2)), np.zeros((3, 2))],
-                  [np.zeros(2), np.array([1.0, 0.0, 0.0])])
+    p = layers(spec, [np.zeros((2, 2)), np.zeros((3, 2))],
+               [np.zeros(2), np.array([1.0, 0.0, 0.0])])
     assert evaluate(p, ds).top1 == pytest.approx(1.0 / 3.0)
 
 
@@ -439,8 +463,8 @@ def _reference_train(params, dataset, config, teacher=None):
     if loss.kind == "blkd":
         teacher_probs = nncore.softmax(forward_batch(teacher, X),
                                        loss.temperature)
-    p = NetParams(params.spec, [w.copy() for w in params.weights],
-                  [b.copy() for b in params.biases])
+    p = layers(params.spec, [w.copy() for w in params.weights],
+               [b.copy() for b in params.biases])
     vw = [np.zeros_like(w) for w in p.weights]
     vb = [np.zeros_like(b) for b in p.biases]
     lr = config.lr
@@ -600,9 +624,9 @@ def test_backprop_matches_reference_backward(head, hidden, rows):
     with np.errstate(invalid="ignore"):
         nncore._forward(params, X, ws)
         got = nncore.input_gradient(params, ws, d_out).copy()
-        got_grads = nncore._layer_views(spec, np.empty(n_params(spec)))
+        got_grads = nncore._layer_views(spec, np.empty(spec.n_params))
         nncore.backward(params, ws, d_out, got_grads)
-        grads = nncore._layer_views(spec, np.empty(n_params(spec)))
+        grads = nncore._layer_views(spec, np.empty(spec.n_params))
         gw, gb, want = reference_backward(params, ws, d_out, grads)
     for a, b in zip([got] + got_grads[0] + got_grads[1], [want] + gw + gb):
         assert np.array_equal(a, b, equal_nan=True)
@@ -754,8 +778,8 @@ def blkd_case():
 
 def flip_bit(net):
     """A copy of `net` with the lowest bit of its first weight flipped."""
-    net = NetParams(net.spec, [w.copy() for w in net.weights],
-                    [b.copy() for b in net.biases])
+    net = layers(net.spec, [w.copy() for w in net.weights],
+                 [b.copy() for b in net.biases])
     net.weights[0].reshape(-1).view(np.uint64)[0] ^= np.uint64(1)
     return net
 
@@ -820,6 +844,17 @@ def test_memo_hit_is_a_copy_its_caller_may_change(sgd_runs):
         again = train(*case)
     assert len(sgd_runs) == before + 1
     assert_same_training(again, want)
+
+
+def test_trained_params_are_views_of_their_own_theta_only():
+    # the second call is a memo hit: a deep copy of the first result
+    case = blkd_case()
+    with nncore.reuse_training():
+        (a, _), (b, _) = train(*case), train(*case)
+    for params, other in ((a, b), (b, a)):
+        for view in params.weights + params.biases:
+            assert np.shares_memory(view, params.theta)
+            assert not np.shares_memory(view, other.theta)
 
 
 def test_memo_stores_no_failed_training_and_ends_with_its_block(sgd_runs):
@@ -906,8 +941,8 @@ def test_together_raises_the_first_invalid_job_or_the_earliest_divergence(
     monkeypatch.setattr(nncore, "LR_DECAY_FACTOR", 1e300)
     early, late = stack_jobs("plain_ce", (128, 128), (1, 2), epochs=6)
     params = early[0]
-    early[0] = NetParams(params.spec, [w * 1e160 for w in params.weights],
-                         params.biases)
+    early[0] = layers(params.spec, [w * 1e160 for w in params.weights],
+                      params.biases)
     with np.errstate(all="ignore"):
         for jobs, epoch in (([late, early], 0), ([early, late], 0),
                             ([late], 3)):
