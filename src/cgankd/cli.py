@@ -2,18 +2,19 @@
 and bound verification.
 
 Configs are flat ``section.key=value`` text files (see README for the full
-schema).  Every command writes its CSV artifacts plus a manifest under
---out-dir; the manifest embeds a byte-identical snapshot of the executed
-config, and every command accepts its own manifest in place of a config.
-A `run` or `verify-bound` manifest reproduces its command exactly; `sweep`
-and `ablation` take their flags again and ignore the recorded seed.  Exit
-codes: 0 ok; 2 for any value rejected before the first stage (a config
-that cannot be read, decoded or validated, or a bad flag); 3 for a
-pipeline stage failure or an output that cannot be written.  `main` alone
-maps failures to these codes: a `ValueError` that reaches it,
-`ConfigError` included, is a rejected value, since a stage wraps its own
-failures in `StageError`; an `OSError` is a failed write, since
-`load_config` maps a failed read to `ConfigError`.
+schema).  `main` is the one driver: it loads and decodes the config a
+command names in `COMMANDS`, runs the command, and writes the command's
+CSV plus a manifest under --out-dir; the manifest embeds a byte-identical
+snapshot of the executed config, and every command accepts its own
+manifest in place of a config.  A `run` or `verify-bound` manifest
+reproduces its command exactly; `sweep` and `ablation` manifests record no
+seed, and those commands take their flags again.  Exit codes: 0 ok; 2 for
+any value rejected before the first stage (a config that cannot be read,
+decoded or validated, or a bad flag); 3 for a pipeline stage failure or an
+output that cannot be written.  `main` alone maps failures to these codes:
+a `ValueError` that reaches it, `ConfigError` included, is a rejected
+value, since a stage wraps its own failures in `StageError`; an `OSError`
+is a failed write, since `load_config` maps a failed read to `ConfigError`.
 Each command trains each distinct network once (`nncore.reuse_training`),
 and the students of one sweep seed, or of one ablation seed, in one
 stacked SGD loop.
@@ -83,7 +84,7 @@ def load_config(path, command=None):
 
     A manifest file is accepted in place of a config; its snapshot section
     is the config, and only `run` uses its recorded seed (`sweep` and
-    `ablation` take theirs from `--seeds`).  Given a `command`, a manifest
+    `ablation` manifests record none).  Given a `command`, a manifest
     that names another command is rejected: it does not record that
     command's flags, so no stage may run on it.
     """
@@ -228,46 +229,30 @@ def write_csv(path, columns, rows):
 
 
 def write_manifest(out_dir, command, config_path, snapshot, seed, artifacts):
-    lines = [MANIFEST_HEADER] + kv_lines([
-        ("command", command), ("config_path", config_path), ("seed", seed),
-        ("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S")),
-        ("artifact", tuple(artifacts))])
-    path = f"{out_dir}/manifest.txt"
-    with open(path, "w") as f:
+    """Writes the manifest; a `seed` of None leaves its line out."""
+    pairs = [("command", command), ("config_path", config_path),
+             ("seed", seed), ("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S")),
+             ("artifact", tuple(artifacts))]
+    lines = [MANIFEST_HEADER] + kv_lines(p for p in pairs if p[1] is not None)
+    with open(f"{out_dir}/manifest.txt", "w") as f:
         f.write("\n".join(lines) + "\n---\n" + snapshot)
-    return path
 
 
-def _write_result(args, config_path, snapshot, seed, name, columns, rows,
-                  note=""):
-    """Writes `name` and a manifest listing it under --out-dir."""
-    path = f"{args.out_dir}/{name}"
-    write_csv(path, columns, rows)
-    write_manifest(args.out_dir, args.command, config_path, snapshot, seed,
-                   (name,))
-    print(path + note)
-    return 0
-
-
-def _report_row(config, report):
-    fr = report.filter_report
-    return (config.data.task.kind, report.n_real, report.n_fake,
-            report.m_fake, config.rho, report.theta,
-            report.teacher.primary, report.student_nokd.primary,
-            report.student_cgankd.primary, fr.consistency_before,
-            fr.consistency_after, config.master_seed)
-
-
-def cmd_run(args) -> int:
-    kv, snapshot, manifest_seed = load_config(args.config, args.command)
-    config = build_pipeline_config(kv)
+# Each command takes the parsed arguments, the decoded config and a
+# manifest's recorded seed, and returns the seed its own manifest records
+# (None where each cell takes its seed from --seeds), its CSV rows and a
+# note that `main` prints after the CSV path.
+def cmd_run(args, config, manifest_seed):
     seed = args.seed if args.seed is not None else manifest_seed
     if seed is not None:
         config = replace(config, master_seed=seed)
     report = run_pipeline(config, checkpoint_dir=args.out_dir)
-    return _write_result(args, args.config, snapshot, config.master_seed,
-                         "report.csv", RUN_COLUMNS,
-                         [_report_row(config, report)])
+    fr = report.filter_report
+    return config.master_seed, [(
+        config.data.task.kind, report.n_real, report.n_fake, report.m_fake,
+        config.rho, report.theta, report.teacher.primary,
+        report.student_nokd.primary, report.student_cgankd.primary,
+        fr.consistency_before, fr.consistency_after, config.master_seed)], ""
 
 
 def _sweep_variant(config: PipelineConfig, param: str, value):
@@ -309,9 +294,7 @@ def _distinct(text, cast, what):
     return entries
 
 
-def cmd_sweep(args) -> int:
-    kv, snapshot, _ = load_config(args.config, args.command)
-    base = build_pipeline_config(kv)
+def cmd_sweep(args, base, _):
     values = _distinct(args.values, float if args.param == "rho" else int,
                        "value")
     seeds = _distinct(args.seeds, int, "seed")
@@ -326,34 +309,40 @@ def cmd_sweep(args) -> int:
             (seed, (rep.teacher.primary, rep.student_nokd.primary,
                     rep.student_cgankd.primary, rep.m_fake, rep.theta))
             for seed, rep in zip(seeds, per_seed)])
-    return _write_result(args, args.config, snapshot, base.master_seed,
-                         "sweep.csv", SWEEP_COLUMNS, rows)
+    return None, rows, ""
 
 
-def cmd_ablation(args) -> int:
-    kv, snapshot, _ = load_config(args.config, args.command)
-    base = build_pipeline_config(kv)
+def cmd_ablation(args, base, _):
     seeds = _distinct(args.seeds, int, "seed")
     tables = [run_ablation(replace(base, master_seed=s)) for s in seeds]
     rows = []
     for variant in ABLATION_VARIANTS:
         rows += _seed_rows((variant,), [(seed, (table[variant].primary,))
                                         for seed, table in zip(seeds, tables)])
-    return _write_result(args, args.config, snapshot, base.master_seed,
-                         "ablation.csv", ABLATION_COLUMNS, rows)
+    return None, rows, ""
 
 
-def cmd_verify_bound(args) -> int:
-    kv, snapshot, _ = load_config(args.setup, args.command)
-    setup, extras = build_bound_setup(kv)
+def cmd_verify_bound(args, setup_extras, _):
+    setup, extras = setup_extras
     report = verify_bound(setup, **extras)
     frac = report.holds_fraction
     rows = [(t, lhs, report.bound.rhs, int(held), frac)
             for t, (lhs, held) in enumerate(zip(report.lhs_values,
                                                 report.holds_flags))]
-    return _write_result(args, args.setup, snapshot, extras["seed"],
-                         "bound.csv", BOUND_COLUMNS, rows,
-                         note=f" holds_fraction={frac!r}")
+    return extras["seed"], rows, f" holds_fraction={frac!r}"
+
+
+# Subcommand: (help, config decoder, command, CSV name, CSV columns).
+COMMANDS = {
+    "run": ("execute one pipeline run", build_pipeline_config, cmd_run,
+            "report.csv", RUN_COLUMNS),
+    "sweep": ("sensitivity sweep over a parameter", build_pipeline_config,
+              cmd_sweep, "sweep.csv", SWEEP_COLUMNS),
+    "ablation": ("four-variant module ablation", build_pipeline_config,
+                 cmd_ablation, "ablation.csv", ABLATION_COLUMNS),
+    "verify-bound": ("numerical bound verification", build_bound_setup,
+                     cmd_verify_bound, "bound.csv", BOUND_COLUMNS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,38 +350,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cgankd",
         description="Generated-sample knowledge distillation experiments")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, (text, *_) in COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
+        sp.add_argument("config", metavar="setup" if name == "verify-bound"
+                        else "config")
         sp.add_argument("--out-dir", default=".")
         # Cells run one after another: a thread pool doubled wall and CPU
         # time, so the option stays only for existing command lines.
         sp.add_argument("--jobs", type=int, default=1,
                         help="accepted and ignored")
-
-    run = sub.add_parser("run", help="execute one pipeline run")
-    run.add_argument("config")
+    run, sweep, ablation = (sub.choices[n] for n in ("run", "sweep",
+                                                     "ablation"))
     run.add_argument("--seed", type=int, default=None)
-    common(run)
-    run.set_defaults(fn=cmd_run)
-
-    sweep = sub.add_parser("sweep", help="sensitivity sweep over a parameter")
-    sweep.add_argument("config")
     sweep.add_argument("--param", required=True, choices=SWEEP_PARAMS)
     sweep.add_argument("--values", required=True)
-    sweep.add_argument("--seeds", required=True)
-    common(sweep)
-    sweep.set_defaults(fn=cmd_sweep)
-
-    abl = sub.add_parser("ablation", help="four-variant module ablation")
-    abl.add_argument("config")
-    abl.add_argument("--seeds", required=True)
-    common(abl)
-    abl.set_defaults(fn=cmd_ablation)
-
-    vb = sub.add_parser("verify-bound", help="numerical bound verification")
-    vb.add_argument("setup")
-    common(vb)
-    vb.set_defaults(fn=cmd_verify_bound)
+    for sp in (sweep, ablation):
+        sp.add_argument("--seeds", required=True)
     return p
 
 
@@ -441,12 +414,25 @@ def _one_blas_thread():
 
 
 def main(argv=None) -> int:
+    """Runs one command: loads and decodes its config, runs it, and writes
+    its CSV and a manifest listing that CSV under --out-dir."""
     args = build_parser().parse_args(argv)
+    _, decode, command, name, columns = COMMANDS[args.command]
     try:
         if not os.path.isdir(args.out_dir):
             raise ConfigError(f"no output directory {args.out_dir!r}")
+        # Loading, writing and printing all stay inside both contexts: moved
+        # out, they shift the heap layout that bench's `peak_rss_mb` reads.
         with _one_blas_thread(), reuse_training():
-            return args.fn(args)
+            kv, snapshot, manifest_seed = load_config(args.config,
+                                                      args.command)
+            seed, rows, note = command(args, decode(kv), manifest_seed)
+            path = f"{args.out_dir}/{name}"
+            write_csv(path, columns, rows)
+            write_manifest(args.out_dir, args.command, args.config, snapshot,
+                           seed, (name,))
+            print(path + note)
+            return 0
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -275,9 +275,8 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
             lambda: m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
         capped = {v: _cap_fakes(sets[v], config.fake_cap, seed_of("fake-cap"))
                   for v in variants if v in sets}
-        if capped["full"].n:
-            _save(checkpoint_dir, "fakes_m2.txt", write_dataset,
-                  capped["full"], "fake_m2")
+        _save(checkpoint_dir, "fakes_m2.txt", write_dataset, capped["full"],
+              "fake_m2")
         return filter_report, capped["full"].n, {v: (
             augment(real_train, fakes), config.student_hidden,
             config.student_train, config.student_loss, seed_of("student"),

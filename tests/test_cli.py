@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from cgankd import cgen, cli, m2_labeladjust, m3_distill, nncore
-from cgankd.cli import (MANIFEST_HEADER, ConfigError, build_pipeline_config,
-                        load_config, main, write_manifest)
+from cgankd.cli import (MANIFEST_HEADER, RUN_COLUMNS, ConfigError,
+                        build_pipeline_config, load_config, main,
+                        write_manifest)
 from cgankd.synthdata import Dataset
 
 TINY_CFG = """\
@@ -696,6 +697,39 @@ def test_run_tags_each_dataset_file_with_its_stage(tmp_path, edits):
                       ("fakes_m2.txt", "fake_m2")):
         rows = (out / name).read_text().splitlines()[3:]
         assert rows and {row.split(",")[1] for row in rows} == {tag}
+
+
+def test_a_run_that_keeps_no_fakes_rewrites_fakes_m2_empty(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    kept = []
+    for rho in ("0.9", "0"):
+        assert main(["run", _tiny_with(tmp_path, {"rho": rho}),
+                     "--out-dir", str(out)]) == 0
+        m_fake = int(read(out / "report.csv")[1][RUN_COLUMNS.index("m_fake")])
+        rows = (out / "fakes_m2.txt").read_text().splitlines()[3:]
+        kept.append((m_fake, len(rows)))
+    assert kept[0][0] > 0 and kept == [(kept[0][0], kept[0][0]), (0, 0)]
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["sweep", "--param", "rho", "--values", "0.5", "--seeds", "3"],
+     "sweep.csv"),
+    (["ablation", "--seeds", "3"], "ablation.csv")],
+    ids=["sweep", "ablation"])
+def test_sweep_and_ablation_manifests_record_no_seed(tiny_cfg, tmp_path,
+                                                     argv, name):
+    # each cell takes its seed from --seeds, so no one seed describes them
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        out.mkdir()
+        config = tiny_cfg if out == first else str(first / "manifest.txt")
+        assert main([argv[0], config, *argv[1:], "--out-dir", str(out)]) == 0
+    manifest = (first / "manifest.txt").read_text()
+    assert "\nseed=" not in manifest.partition("\n---\n")[0]
+    assert load_config(first / "manifest.txt", argv[0])[1:] == (TINY_CFG,
+                                                                 None)
+    assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_verify_bound_csv(tmp_path):

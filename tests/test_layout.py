@@ -4,8 +4,9 @@ caller in src/cgankd itself: a name that only tests reach belongs in the
 tests, and a private one that nothing reaches is a leftover.  The same holds
 for a defaulted parameter, which some src call must pass, and for a
 dataclass field, which src must read.  It also checks that `PipelineConfig`
-declares no field default, and that `m3_distill.run_pipeline` is the one
-function that runs pipeline stages."""
+declares no field default, that `m3_distill.run_pipeline` is the one
+function that runs pipeline stages, and that `cli.main` is the one that
+loads configs and writes results."""
 
 import ast
 import pathlib
@@ -197,13 +198,23 @@ def _flat_params(params):
 
 class _Stack:
     pass
+
+def _write_result(out_dir, rows):
+    write_csv(out_dir, rows)
+    return write_manifest(out_dir)
+
+def main(path, out_dir):
+    write_csv(out_dir, load_config(path))
+    return write_manifest(out_dir)
 """)
 PLANTED_UNPASSED = {"planted.Optimizer.step(clip)", "planted.scale_of(factor)"}
 PLANTED_UNREAD = {"planted.Report.dropped", "planted.Report.per_class"}
 PLANTED_STAGE_CALLERS = {"planted.run_ablation"}
+PLANTED_DRIVER_CALLERS = {"planted._write_result"}
 PLANTED_UNREFERENCED = {"planted.tally", "planted.run", "planted.run_pipeline",
                         "planted.run_ablation", "planted._flat_params",
-                        "planted._Stack"}
+                        "planted._Stack", "planted._write_result",
+                        "planted.main"}
 
 
 def _calls_by_name(modules):
@@ -321,21 +332,32 @@ def test_unread_field_rule_flags_a_planted_violation():
     assert _unread_fields({"planted": PLANTED}) == PLANTED_UNREAD
 
 
-def _stage_callers(modules):
-    """`module.name` of each top-level definition but `run_pipeline` that
-    calls `_stage`, by name or as an attribute, anywhere in its body, nested
+def _callers(modules, callees, owner):
+    """`module.name` of each top-level definition but `owner` that calls one
+    of `callees`, by name or as an attribute, anywhere in its body, nested
     functions included; `module.<module>` for a call outside any."""
     out = set()
     for mod, tree in modules.items():
         for top in tree.body:
             name = getattr(top, "name", "<module>")
-            if name != "run_pipeline" and any(
-                    isinstance(node, ast.Call) and "_stage" in (
+            if name != owner and any(
+                    isinstance(node, ast.Call) and callees & {
                         getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None))
+                        getattr(node.func, "attr", None)}
                     for node in ast.walk(top)):
                 out.add(f"{mod}.{name}")
     return out
+
+
+def _stage_callers(modules):
+    """Callers of the stage executor `_stage` but `run_pipeline`."""
+    return _callers(modules, {"_stage"}, "run_pipeline")
+
+
+def _driver_callers(modules):
+    """Callers of the config loader and the result writers but `main`."""
+    return _callers(modules, {"load_config", "write_csv", "write_manifest"},
+                    "main")
 
 
 def test_only_run_pipeline_runs_stages():
@@ -346,3 +368,14 @@ def test_only_run_pipeline_runs_stages():
 
 def test_stage_caller_rule_flags_a_planted_violation():
     assert _stage_callers({"planted": PLANTED}) == PLANTED_STAGE_CALLERS
+
+
+def test_only_main_loads_configs_and_writes_results():
+    """Every command's config is loaded, and its CSV and manifest written,
+    by `cli.main`: a second function that does either would be a second
+    copy of the command driver."""
+    assert sorted(_driver_callers(MODULES)) == []
+
+
+def test_driver_caller_rule_flags_a_planted_violation():
+    assert _driver_callers({"planted": PLANTED}) == PLANTED_DRIVER_CALLERS
