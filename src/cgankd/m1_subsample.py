@@ -21,12 +21,9 @@ from .synthdata import ClassificationTask, Dataset
 _LOGIT_CLIP = 30.0  # keeps exp() finite; equivalent to the probability floor
 _COLLAPSE_RATE = 1e-4
 _COLLAPSE_WINDOW = 200_000
-# Candidates per rejection batch.  A chunk's ratios (and a trained
-# generator's features) come from four nncore.INFER_ROWS-row blocks, whose
-# row results match a pass over any larger batch.  The chunk size is still
-# part of the output: the collapse check runs at chunk boundaries, once
-# _COLLAPSE_WINDOW candidates are in, and a chunk under INFER_ROWS rows
-# would run as one short block, whose BLAS row results can differ.
+# Candidates per rejection batch.  The chunk size is part of the output:
+# the collapse check runs at chunk boundaries, once _COLLAPSE_WINDOW
+# candidates are in.
 _CHUNK = 4096
 
 

@@ -8,8 +8,7 @@ everything; rho=0 is special-cased to keep nothing.  Classification labels
 are never changed, only scored as the teacher's consistency with them.
 Replacement overwrites each surviving regression label with the teacher's
 prediction, clamped to [0, 1].  Each filter runs the teacher once over all
-fakes; regression relabels from that same pass, since one row's prediction
-can differ in its last bits between passes over different row subsets.
+fakes, and regression relabels the kept ones from that same pass.
 """
 
 import math

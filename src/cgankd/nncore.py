@@ -24,9 +24,8 @@ invalid job or on the first epoch that leaves any network non-finite.
 it trains, in the same loop, the jobs of its `together` batch that the memo
 lacks.
 
-Inference (`forward_batch`) runs the same layer loop in row blocks of
-INFER_ROWS, so its memory stays bounded whatever the batch, and its outputs
-equal one pass over the whole batch bit for bit.
+Inference (`forward_batch`) runs the same layer loop on blocks of exactly
+INFER_ROWS rows, so its memory stays bounded whatever the batch.
 """
 
 import contextlib
@@ -285,21 +284,21 @@ def _forward(params, X: np.ndarray, ws: Workspace = None):
 def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
     """Network outputs for a batch, shape (n, n_outputs).
 
-    Inference only: the layer loop of training without its buffers, run in
-    blocks of INFER_ROWS rows, the last block taking the remainder, so no
-    layer output outgrows 2 * INFER_ROWS - 1 rows.  A BLAS row result can
-    vary with the row count of its product, but blocks of 1024 rows or more
-    give the whole batch's results bit for bit, as tests/test_nncore.py
-    checks; a short tail block could not.
+    Inference only: the layer loop of training without its buffers, run on
+    one INFER_ROWS-row block at a time, the last one zero-padded.  Every
+    product then has one shape, so a row's outputs depend on that row alone.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.spec.input_dim:
         raise ValueError("input dimension mismatch")
     n = len(X)
     out = np.empty((n, params.spec.n_outputs))
-    edges = [k * INFER_ROWS for k in range(max(n // INFER_ROWS, 1))] + [n]
-    for lo, hi in zip(edges, edges[1:]):
-        out[lo:hi] = _forward(params, X[lo:hi])
+    block = np.zeros((INFER_ROWS, X.shape[1]))
+    for lo in range(0, n, INFER_ROWS):
+        rows = min(n - lo, INFER_ROWS)
+        block[:rows] = X[lo:lo + rows]
+        block[rows:] = 0.0
+        out[lo:lo + rows] = _forward(params, block)[:rows]
     return out
 
 

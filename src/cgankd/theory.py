@@ -146,10 +146,11 @@ def empirical_rademacher(hypotheses: FiniteHypothesisClass, samples, loss,
                          c_l: float, n_mc: int = 2000, seed: int = 0):
     """Estimate E_sigma[ sup_f (1/n)|sum_i sigma_i loss(f(x_i), y_i)/c_l| ].
 
-    Returns (estimate, standard error) over n_mc random sign vectors.
+    Returns (estimate, standard error) over n_mc random sign vectors; the
+    standard error needs at least two.
     """
-    if n_mc < 1:
-        raise ValueError("n_mc must be positive")
+    if n_mc < 2:
+        raise ValueError("n_mc must be at least 2")
     L = _loss_matrix(hypotheses, samples, loss, c_l)
     n = L.shape[1]
     key = rng.derive_key("rademacher", seed)

@@ -246,7 +246,7 @@ def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedC
         enc = enc_all[idx]
         # discriminator step: real up, fake down
         z = g.normal(size=(config.batch_size, config.noise_dim))
-        fake = forward_batch(opt_g.params, np.hstack([z, enc]))
+        fake = _forward(opt_g.params, np.hstack([z, enc]))
         xr = np.hstack([train_set.features[idx], enc])
         xf = np.hstack([fake, enc])
         out_r = _forward(opt_d.params, xr, ws_real)

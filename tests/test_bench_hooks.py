@@ -15,7 +15,8 @@ TREE = ast.parse(SPANS.read_text())
 # Wrapped names the program lacks, each with why the recorder still lists it.
 MISSING_ALLOWED = {
     "cgen.make_oracle": "stale in bench/: cgen no longer has it, and "
-                        "ROADMAP item 2(a) drops it from WRAPPED",
+                        "the benchmark revision (ROADMAP item 1) drops it "
+                        "from WRAPPED",
 }
 
 # Every argument some hook reads; a hook the parser below stops seeing

@@ -751,11 +751,13 @@ def test_verify_bound_csv(tmp_path):
 @pytest.mark.parametrize("key,value,message", [
     ("n_real", "0", "bad sample counts"),
     ("rho", "0", "rho must lie in (0, 1]"),
-    ("trials", "0", "trials must be positive")])
+    ("trials", "0", "trials must be positive"),
+    ("n_mc", "1", "n_mc must be at least 2")])
 def test_verify_bound_bad_setup_exits_2_and_writes_no_csv(
         tmp_path, capsys, key, value, message):
     setup = tmp_path / "bound.cfg"
-    setup.write_text(f"kind=bound\nn_mc=20\n{key}={value}\n")
+    keys = {"kind": "bound", "n_mc": "20", key: value}
+    setup.write_text("".join(f"{k}={v}\n" for k, v in keys.items()))
     out = tmp_path / "vb"
     out.mkdir()
     assert main(["verify-bound", str(setup), "--out-dir", str(out)]) == 2

@@ -280,10 +280,10 @@ def test_run_m2_runs_the_teacher_once(task, monkeypatch):
 
 
 def test_run_m2_relabels_from_its_scoring_pass():
-    # At kept counts 1023 and 2047, not multiples of 4, a separate pass over
-    # the kept rows gave 1-2 of them other last bits than this pass over
-    # all 8000 fakes (OpenBLAS, one thread); 2400 and 5600 are the kept
-    # counts of the bench configs' rho 0.3 and 0.7.
+    # The kept rows' labels are the clamped predictions of one pass over
+    # all 8000 fakes, which a pass over the kept rows alone would repeat bit
+    # for bit; 2400 and 5600 are the kept counts of the bench configs' rho
+    # 0.3 and 0.7.
     teacher = init_params(NetSpec(2, (64, 64), "nonneg_scalar"), 0)
     g = np.random.default_rng(3)
     features = g.normal(size=(8000, 2))

@@ -643,6 +643,20 @@ def test_relu_mask_of_outputs_equals_mask_of_pre_activations():
         assert np.array_equal(np.maximum(z, 0.0) > 0.0, z > 0.0)
 
 
+def padded_training_forward(params, X):
+    """The training layer loop through one INFER_ROWS-row workspace, over
+    blocks of INFER_ROWS rows of `X`, the last one zero-padded."""
+    size = nncore.INFER_ROWS
+    ws = nncore.Workspace(params.spec, size)
+    parts = []
+    for lo in range(0, len(X), size):
+        part = X[lo:lo + size]
+        block = np.zeros((size, X.shape[1]))
+        block[:len(part)] = part
+        parts.append(nncore._forward(params, block, ws)[:len(part)].copy())
+    return np.concatenate(parts)
+
+
 def assert_forward_batch_matches_training_forward(spec, rows, nonfinite):
     params = init_params(spec, 2)
     X = 3.0 * np.random.default_rng(rows).normal(size=(rows, spec.input_dim))
@@ -650,13 +664,11 @@ def assert_forward_batch_matches_training_forward(spec, rows, nonfinite):
         X[0, 1 % spec.input_dim] = np.nan
         X[-1, 2 % spec.input_dim] = np.inf
         X[rows // 2, 3 % spec.input_dim] = -np.inf
-    # The reference runs on one BLAS thread, as every command does: on two
-    # threads a whole pass of the 64 -> 1 regression head over 7,901 rows
-    # or more can differ from it in the last bit, which the blocks of
-    # forward_batch do not.
+    # The reference runs on one BLAS thread, as every command does, and
+    # forward_batch on the caller's count.
     with np.errstate(invalid="ignore"):  # inf - inf in the products
         with cli._one_blas_thread():
-            want = nncore._forward(params, X, nncore.Workspace(spec, rows))
+            want = padded_training_forward(params, X)
         got = forward_batch(params, X)
     assert got.shape == (rows, spec.n_outputs)
     assert np.array_equal(got, want, equal_nan=True)
@@ -693,14 +705,27 @@ PIPELINE_SPECS = {
 @pytest.mark.parametrize("net", sorted(PIPELINE_SPECS))
 def test_forward_batch_matches_training_forward_at_block_edges(
         net, rows, nonfinite):
-    # forward_batch runs blocks of INFER_ROWS rows, the last one taking the
-    # remainder; the whole pass through a Workspace stays the reference.
-    # These row counts put the block edges on either side of a multiple of
-    # INFER_ROWS, which a BLAS kernel whose row results depend on the row
-    # count above INFER_ROWS would fail.
+    # These row counts end the last block on either side of a multiple of
+    # INFER_ROWS, full or padded.
     assert nncore.INFER_ROWS == 1024
     assert_forward_batch_matches_training_forward(
         PIPELINE_SPECS[net], rows, nonfinite)
+
+
+@pytest.mark.parametrize("net", sorted(PIPELINE_SPECS))
+def test_forward_batch_row_depends_on_that_row_alone(net):
+    # A subset's outputs are the same rows of the whole batch's outputs,
+    # whatever the subset's size against INFER_ROWS.
+    params = init_params(PIPELINE_SPECS[net], 3)
+    g = np.random.default_rng(4)
+    X = 3.0 * g.normal(size=(8000, params.spec.input_dim))
+    with cli._one_blas_thread():
+        whole = forward_batch(params, X)
+        for size in (1, 7, 64, 333, 1023, 1025, 2047, 2049, 5000):
+            idx = g.permutation(len(X))[:size]
+            got = forward_batch(params, X[idx])
+            assert np.array_equal(got, whole[idx]), size
+            assert np.array_equal(np.signbit(got), np.signbit(whole[idx]))
 
 
 def test_regression_targets_alias_their_labels():
@@ -728,13 +753,13 @@ def test_forward_batch_keeps_no_backprop_buffers():
     params = init_params(NetSpec(2, (64, 64), "logits", 4), 0)
     X = np.random.default_rng(0).normal(size=(20000, 2))
     # The 20000 x 4 logits take 0.64 MB and two 64-wide hidden outputs of
-    # the largest block (1568 rows) 1.6 MB.  A whole-batch pass holds two
+    # one INFER_ROWS-row block 1.05 MB.  A whole-batch pass holds two
     # 20000 x 64 hidden outputs, 20.5 MB; a training workspace adds
     # pre-activations, masks, deltas and loss terms.
-    assert traced_peak(lambda: forward_batch(params, X)) <= 3e6
+    assert traced_peak(lambda: forward_batch(params, X)) <= 2e6
     # M2 on 8000 regression fakes runs the teacher once over all of them
-    # and relabels the kept ones from that pass.  Its peak is two 64-wide hidden outputs of a
-    # block under 2 * INFER_ROWS rows, plus 64 bytes a fake for the outputs,
+    # and relabels the kept ones from that pass.  Its peak is two 64-wide
+    # hidden outputs of one block, plus 64 bytes a fake for the outputs,
     # errors, mask and kept copy; one whole pass held 8.2 MB.
     teacher = init_params(NetSpec(2, (64, 64), "nonneg_scalar"), 0)
     g = np.random.default_rng(1)
@@ -742,7 +767,7 @@ def test_forward_batch_keeps_no_backprop_buffers():
                     g.uniform(size=8000))
     # A first call keeps numpy's lazy imports out of the traced peak.
     m2_labeladjust.run_m2(teacher, fakes.subset(np.arange(10)), 0.5)
-    bound = 2 * (2 * nncore.INFER_ROWS) * 64 * 8 + 64 * fakes.n
+    bound = 2 * nncore.INFER_ROWS * 64 * 8 + 64 * fakes.n
     for rho in (0.5, 1.0):
         peak = traced_peak(
             lambda: m2_labeladjust.run_m2(teacher, fakes, rho))

@@ -113,6 +113,15 @@ def test_rademacher_estimate_agrees_with_exact_enumeration():
     assert abs(est - exact_rademacher(H, samples, zero_one_loss, 1.0)) < 3 * se
 
 
+def test_rademacher_needs_two_sign_vectors_for_its_standard_error():
+    H = threshold_rules(range(4))
+    samples = [(i % 4, i % 2) for i in range(10)]
+    with pytest.raises(ValueError, match="n_mc must be at least 2"):
+        empirical_rademacher(H, samples, zero_one_loss, 1.0, n_mc=1)
+    est, se = empirical_rademacher(H, samples, zero_one_loss, 1.0, n_mc=2)
+    assert math.isfinite(est) and math.isfinite(se)
+
+
 def test_rademacher_duplicate_hypothesis_invariance():
     base = threshold_rules(range(4))
     doubled = FiniteHypothesisClass(base.predictors + base.predictors[:2])
