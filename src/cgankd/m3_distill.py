@@ -10,10 +10,12 @@ shared between the NOKD baseline and the augmented students: with no
 surviving fakes and a plain loss the two coincide exactly.
 `run_pipeline` is the one stage sequence: its `variants` name the networks
 it reports, and a stage runs only when one of them reads it.
-`run_pipelines` runs several configs, such as the cells of one sweep seed;
-each student stage passes all their students to `nncore.train` as its
-`together` batch, so the first trains them in one stacked SGD loop.  Each
-is the student a lone run trains.
+`run_pipelines` runs several configs, such as the cells of one sweep seed,
+inside one training memo (`nncore.reuse_training`).  Cells with the same
+data, train fraction and master seed share one train/eval split, which no
+stage writes into.  Each student stage passes all their students to
+`nncore.train` as its `together` batch, so the first trains them in one
+stacked SGD loop.  Each is the student a lone run trains.
 """
 
 import time
@@ -212,7 +214,7 @@ ABLATION_VARIANTS = ("raw", "m1", "m1m2", "full")
 
 
 def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
-                 variants=RUN_VARIANTS):
+                 variants=RUN_VARIANTS, splits=None):
     """Execute the run's stages for the networks `variants` names and
     report their metrics; optionally checkpoint artifacts per stage.
 
@@ -230,13 +232,21 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
     student stages: it appends its students' `nncore.train` arguments to
     `batch` and returns a function that runs the rest, with `batch` as each
     student's `together` jobs, and returns the report.
+
+    The data stage's (train, eval) split is kept in `splits`, a dict by
+    (data, train fraction, master seed) that `run_pipelines` shares between
+    its runs; a run whose key it holds takes that split and makes none.
     """
     timings = {}
     seed_of = partial(rng.derive_key, config.master_seed)
+    splits = {} if splits is None else splits
 
     def data_stage():
-        full = make_dataset(replace(config.data, seed=seed_of("data")))
-        return split(full, config.train_fraction, seed_of("split"))
+        key = (config.data, config.train_fraction, config.master_seed)
+        if key not in splits:
+            full = make_dataset(replace(config.data, seed=seed_of("data")))
+            splits[key] = split(full, config.train_fraction, seed_of("split"))
+        return splits[key]
 
     real_train, eval_set = _stage("data", timings, data_stage)
     _save(checkpoint_dir, "train.txt", write_dataset, real_train, "real")
@@ -308,20 +318,22 @@ def run_pipelines(configs, variants=RUN_VARIANTS) -> list:
     """`run_pipeline` of each config for `variants`, with the students of
     all the runs trained together in one stacked SGD loop.
 
-    Each run executes its stages up to M2 in turn, inside its own
-    `run_pipeline` call, where the benchmark's traced stage-repeat check
-    (bench/spans.py) finds them; then, inside one training memo
-    (`nncore.reuse_training`), each run executes its student and evaluate
-    stages in turn, and the first student stage trains every student.  The
-    runs' students must share their network, schedule and loss, as the
-    cells of one sweep seed do.  With two failing runs, the stage named may
-    differ from one-by-one runs, since every run reaches M2 before any
-    student trains; it is a StageError either way.
+    The whole call runs inside one training memo (`nncore.reuse_training`),
+    so it trains each distinct network once, and runs with equal data,
+    train fraction and master seed share one split (`splits`), made by the
+    first of them.  Each run executes its stages up to M2 in turn, inside
+    its own `run_pipeline` call, where the benchmark's traced stage-repeat
+    check (bench/spans.py) finds them; then each run executes its student
+    and evaluate stages in turn, and the first student stage trains every
+    student.  The runs' students must share their network, schedule and
+    loss, as the cells of one sweep seed do.  With two failing runs, the
+    stage named may differ from one-by-one runs, since every run reaches M2
+    before any student trains; it is a StageError either way.
     """
-    batch = []
-    finishes = [run_pipeline(config, batch=batch, variants=variants)
-                for config in configs]
     with nncore.reuse_training():
+        batch, splits = [], {}
+        finishes = [run_pipeline(config, batch=batch, variants=variants,
+                                 splits=splits) for config in configs]
         return [finish() for finish in finishes]
 
 

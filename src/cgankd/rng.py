@@ -11,9 +11,10 @@ Two layers are provided:
   prefix-stable streams.  ``row_normals`` gives each row of a batch its own
   block of ``ROW_LANES`` counters.
 
-For sequential loops (shuffles, GAN training) ``generator`` returns a numpy
-Philox generator keyed the same way; Philox is itself counter-based and
-stable across platforms.
+For sequential draws (parameter initialisation, data splits, epoch
+shuffles, GAN training, fake-set caps and the bound verifier's samples)
+``generator`` returns a numpy Philox generator keyed the same way; Philox
+is itself counter-based and stable across platforms.
 """
 
 import hashlib

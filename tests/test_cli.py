@@ -558,19 +558,66 @@ def test_traced_ablation_repeats_no_stage(tmp_path):
 
 def test_direct_calls_train_their_students_in_one_loop(tmp_path, monkeypatch):
     # Without `main` no command memo is open: `run_pipelines` and
-    # `run_ablation` open one for their student stages themselves.
+    # `run_ablation` open one around the whole call themselves.
     config = build_pipeline_config(
         load_config(_tiny_with(tmp_path, REGRESSION))[0])
     runs = _counting(monkeypatch, nncore, "_train")
     m3_distill.run_pipelines([replace(config, rho=rho)
                               for rho in (0.3, 0.7, 1.0)])
-    # each cell's teacher, DR and student-nokd, then the three students
-    assert [len(jobs) for (jobs,) in runs] == [1, 1, 1] * 3 + [3]
+    # the teacher, DR and student-nokd that the cells share, then the three
+    # students
+    assert [len(jobs) for (jobs,) in runs] == [1, 1, 1, 3]
     runs.clear()
     m3_distill.run_ablation(config)
     # teacher, DR, then the four variants' students
     assert [len(jobs) for (jobs,) in runs] == [1, 1, 4]
     assert nncore._memo is None
+
+
+def test_a_sweep_seed_makes_one_split(tmp_path, monkeypatch):
+    # `m3_distill` imports both functions from `synthdata` by name
+    path = _tiny_with(tmp_path, REGRESSION)
+    made = _counting(monkeypatch, m3_distill, "make_dataset")
+    splits = _counting(monkeypatch, m3_distill, "split")
+    assert main(["sweep", path, "--param", "rho", "--values", "0.3,0.7,1",
+                 "--seeds", "4,5", "--out-dir", str(tmp_path)]) == 0
+    assert (len(made), len(splits)) == (2, 2)
+    made.clear()
+    splits.clear()
+    assert main(["run", path, "--out-dir", str(tmp_path)]) == 0
+    assert (len(made), len(splits)) == (1, 1)
+
+
+def test_cells_share_their_split_and_leave_it_untouched(tmp_path,
+                                                         monkeypatch):
+    config = build_pipeline_config(
+        load_config(_tiny_with(tmp_path, REGRESSION))[0])
+    data, stage = [], m3_distill._stage
+
+    def recording(name, timings, fn):
+        out = stage(name, timings, fn)
+        if name == "data":
+            data.append(out)
+        return out
+
+    def contents(pair):
+        return [(d.features.tobytes(), d.labels.tobytes()) for d in pair]
+
+    monkeypatch.setattr(m3_distill, "_stage", recording)
+    m3_distill.run_pipeline(config)
+    m3_distill.run_pipeline(replace(config, master_seed=1))
+    alone, other = map(contents, data)
+    data.clear()
+    m3_distill.run_pipelines([replace(config, rho=rho)
+                              for rho in (0.3, 0.7, 1.0)]
+                             + [replace(config, master_seed=1)])
+    # the students have trained: the split reads as a lone run's
+    shared = data[0]
+    assert all(pair[0] is shared[0] and pair[1] is shared[1]
+               for pair in data[:3])
+    assert contents(shared) == alone
+    assert data[3][0] is not shared[0] and data[3][1] is not shared[1]
+    assert contents(data[3]) == other != alone
 
 
 def test_no_fake_set_outlives_the_stages_before_the_students(
