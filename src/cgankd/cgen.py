@@ -24,8 +24,8 @@ import numpy as np
 
 from . import modelio, rng, synthdata
 from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
-    forward_batch, _forward, _layer_views, init_params, input_gradient, \
-    memoized, one_hot
+    forward_batch, _forward, _layer_views, frozen_params, init_params, \
+    input_gradient, memoized, one_hot
 from .synthdata import BlobsConfig, Dataset, SynthConfig, kv_lines
 
 GENERATOR_HEADER = "cgankd-generator v1"
@@ -198,9 +198,10 @@ def train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
 
     Each network pass runs through a workspace kept for the whole loop,
     and the generator and discriminator inputs are built in buffers whose
-    label columns are written once per iteration.  Inside
+    label columns are written once per iteration.  The generator's
+    parameters are read-only (see `nncore.frozen_params`).  Inside
     `nncore.reuse_training` a repeat of the same training set and config
-    returns a copy of the first result.
+    returns the first result.
     """
     return memoized("train_cgan", [train_set, config],
                     lambda: _train_cgan(train_set, config))
@@ -216,11 +217,8 @@ def _train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
     d_spec = NetSpec(d + enc_dim, GAN_HIDDEN_D, "linear", 1)
     gen = init_params(g_spec, rng.derive_key("cgan-g", config.seed))
     dis = init_params(d_spec, rng.derive_key("cgan-d", config.seed))
-    if config.iterations == 0:
-        return TrainedCgan(gen, config.noise_dim, task, d)
-
-    opt_g = SgdState(g_spec, gen.theta.copy(), GAN_MOMENTUM)
-    opt_d = SgdState(d_spec, dis.theta.copy(), GAN_MOMENTUM)
+    opt_g = SgdState(g_spec, gen.theta, GAN_MOMENTUM)
+    opt_d = SgdState(d_spec, dis.theta, GAN_MOMENTUM)
     # The discriminator's fake-batch gradient, added to its real-batch one.
     d_fake = np.empty_like(opt_d.grad)
     d_fake_grads = _layer_views(d_spec, d_fake)
@@ -264,7 +262,7 @@ def _train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
             raise RuntimeError(
                 f"cgan training diverged at iteration {it}: non-finite loss "
                 f"(D real {loss_r}, D fake {loss_f}, G {loss_g})")
-    return TrainedCgan(opt_g.params, config.noise_dim, task, d)
+    return TrainedCgan(frozen_params(g_spec, opt_g.theta), nz, task, d)
 
 
 # Fields an oracle file leaves out: the dataset size and seed of the base

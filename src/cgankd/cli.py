@@ -15,9 +15,9 @@ output that cannot be written.  `main` alone maps failures to these codes:
 a `ValueError` that reaches it, `ConfigError` included, is a rejected
 value, since a stage wraps its own failures in `StageError`; an `OSError`
 is a failed write, since `load_config` maps a failed read to `ConfigError`.
-Each command trains each distinct network once (`nncore.reuse_training`),
-and the students of one sweep seed, or of one ablation seed, in one
-stacked SGD loop.
+A sweep seed's cells, or an ablation seed's variants, run in one
+`m3_distill.run_pipelines` call: they share one data split and each
+distinct training, and their students train in one stacked SGD loop.
 """
 
 import argparse
@@ -35,7 +35,7 @@ from dataclasses import replace
 from .cgen import GanTrainConfig
 from .m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
                          run_ablation, run_pipeline, run_pipelines)
-from .nncore import Loss, TrainConfig, plain_loss, reuse_training
+from .nncore import Loss, TrainConfig, plain_loss
 from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
 from .theory import standard_setup, verify_bound
 
@@ -421,9 +421,9 @@ def main(argv=None) -> int:
     try:
         if not os.path.isdir(args.out_dir):
             raise ConfigError(f"no output directory {args.out_dir!r}")
-        # Loading, writing and printing all stay inside both contexts: moved
+        # Loading, writing and printing all stay inside the context: moved
         # out, they shift the heap layout that bench's `peak_rss_mb` reads.
-        with _one_blas_thread(), reuse_training():
+        with _one_blas_thread():
             kv, snapshot, manifest_seed = load_config(args.config,
                                                       args.command)
             seed, rows, note = command(args, decode(kv), manifest_seed)

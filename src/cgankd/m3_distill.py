@@ -11,11 +11,11 @@ surviving fakes and a plain loss the two coincide exactly.
 `run_pipeline` is the one stage sequence: its `variants` name the networks
 it reports, and a stage runs only when one of them reads it.
 `run_pipelines` runs several configs, such as the cells of one sweep seed,
-inside one training memo (`nncore.reuse_training`).  Cells with the same
-data, train fraction and master seed share one train/eval split, which no
-stage writes into.  Each student stage passes all their students to
-`nncore.train` as its `together` batch, so the first trains them in one
-stacked SGD loop.  Each is the student a lone run trains.
+inside a training memo (`nncore.reuse_training`) that no other code opens:
+they share each distinct training and, given equal data, train fraction
+and master seed, one read-only split.  Each student stage passes all their
+students to `nncore.train` as its `together` batch, so the first trains
+them in one stacked SGD loop.  Each is the student a lone run trains.
 """
 
 import time
@@ -214,7 +214,7 @@ ABLATION_VARIANTS = ("raw", "m1", "m1m2", "full")
 
 
 def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
-                 variants=RUN_VARIANTS, splits=None):
+                 variants=RUN_VARIANTS):
     """Execute the run's stages for the networks `variants` names and
     report their metrics; optionally checkpoint artifacts per stage.
 
@@ -233,22 +233,23 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
     `batch` and returns a function that runs the rest, with `batch` as each
     student's `together` jobs, and returns the report.
 
-    The data stage's (train, eval) split is kept in `splits`, a dict by
-    (data, train fraction, master seed) that `run_pipelines` shares between
-    its runs; a run whose key it holds takes that split and makes none.
+    The data stage's (train, eval) split is read-only, and memoized by
+    (data, train fraction, master seed): inside `run_pipelines` a run whose
+    split the memo holds takes it and makes none.
     """
     timings = {}
     seed_of = partial(rng.derive_key, config.master_seed)
-    splits = {} if splits is None else splits
 
-    def data_stage():
-        key = (config.data, config.train_fraction, config.master_seed)
-        if key not in splits:
-            full = make_dataset(replace(config.data, seed=seed_of("data")))
-            splits[key] = split(full, config.train_fraction, seed_of("split"))
-        return splits[key]
+    def make_split():
+        full = make_dataset(replace(config.data, seed=seed_of("data")))
+        pair = split(full, config.train_fraction, seed_of("split"))
+        for d in pair:
+            d.features.flags.writeable = d.labels.flags.writeable = False
+        return pair
 
-    real_train, eval_set = _stage("data", timings, data_stage)
+    real_train, eval_set = _stage("data", timings, lambda: nncore.memoized(
+        "split", [config.data, config.train_fraction, config.master_seed],
+        make_split))
     _save(checkpoint_dir, "train.txt", write_dataset, real_train, "real")
     _save(checkpoint_dir, "eval.txt", write_dataset, eval_set, "real")
 
@@ -320,20 +321,21 @@ def run_pipelines(configs, variants=RUN_VARIANTS) -> list:
 
     The whole call runs inside one training memo (`nncore.reuse_training`),
     so it trains each distinct network once, and runs with equal data,
-    train fraction and master seed share one split (`splits`), made by the
-    first of them.  Each run executes its stages up to M2 in turn, inside
-    its own `run_pipeline` call, where the benchmark's traced stage-repeat
-    check (bench/spans.py) finds them; then each run executes its student
-    and evaluate stages in turn, and the first student stage trains every
-    student.  The runs' students must share their network, schedule and
-    loss, as the cells of one sweep seed do.  With two failing runs, the
-    stage named may differ from one-by-one runs, since every run reaches M2
-    before any student trains; it is a StageError either way.
+    train fraction and master seed share one split, made by the first of
+    them; the memo dies with the call.  Each run executes its stages up to
+    M2 in turn, inside its own `run_pipeline` call, where the benchmark's
+    traced stage-repeat check (bench/spans.py) finds them; then each run
+    executes its student and evaluate stages in turn, and the first student
+    stage trains every student.  The runs' students must share their
+    network, schedule and loss, as the cells of one sweep seed do.  With two
+    failing runs, the stage named may differ from one-by-one runs, since
+    every run reaches M2 before any student trains; it is a StageError
+    either way.
     """
     with nncore.reuse_training():
-        batch, splits = [], {}
-        finishes = [run_pipeline(config, batch=batch, variants=variants,
-                                 splits=splits) for config in configs]
+        batch = []
+        finishes = [run_pipeline(config, batch=batch, variants=variants)
+                    for config in configs]
         return [finish() for finish in finishes]
 
 

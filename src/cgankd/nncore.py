@@ -29,7 +29,6 @@ INFER_ROWS rows, so its memory stays bounded whatever the batch.
 """
 
 import contextlib
-import copy
 import hashlib
 import math
 from dataclasses import dataclass, fields, replace
@@ -114,8 +113,12 @@ class NetParams:
             raise ValueError("non-finite parameters")
         self.weights, self.biases = _layer_views(self.spec, self.theta)
 
-    def __deepcopy__(self, memo):
-        return NetParams(self.spec, self.theta.copy())
+
+def frozen_params(spec: NetSpec, theta: np.ndarray) -> NetParams:
+    """A trained network on `theta`, made read-only first so that its views
+    are too: the memo shares it, and a write into it raises ValueError."""
+    theta.flags.writeable = False
+    return NetParams(spec, theta)
 
 
 @dataclass(frozen=True)
@@ -475,14 +478,10 @@ _memo = None
 
 @contextlib.contextmanager
 def reuse_training():
-    """Runs the body with a memo behind `train` and `cgen.train_cgan`: each
-    distinct training runs once, and a repeat gets a copy of the first
-    result.  A block opened inside another shares its memo; the outermost
-    drops it when the body ends, however it ends."""
+    """Runs the body with a memo behind `memoized`: each distinct training,
+    or data split, runs once, and a repeat gets the first result itself.
+    The memo is dropped when the body ends, however it ends."""
     global _memo
-    if _memo is not None:
-        yield
-        return
     _memo = {}
     try:
         yield
@@ -518,8 +517,8 @@ def memoized(name, inputs, compute):
     """`compute()`, whose result depends on nothing but the list `inputs`.
 
     Inside `reuse_training` it runs once per distinct (name, inputs), and
-    every call gets its own deep copy of the result, so no caller sees
-    another's arrays.  A `compute` that raises stores nothing.  Outside
+    every call gets that one result, so `compute` makes its arrays read-only
+    (see `frozen_params`).  A `compute` that raises stores nothing.  Outside
     `reuse_training` this is just `compute()`.
     """
     if _memo is None:
@@ -527,7 +526,7 @@ def memoized(name, inputs, compute):
     key = _digest(name, inputs)
     if key not in _memo:
         _memo[key] = compute()
-    return copy.deepcopy(_memo[key])
+    return _memo[key]
 
 
 def train(params: NetParams, dataset: Dataset, config: TrainConfig,
@@ -541,14 +540,14 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
     size.  Raises RuntimeError when an epoch ends with non-finite
     parameters.
 
-    Inside `reuse_training` a training already run returns a copy of its
-    first result without running SGD.  The key digests everything the
-    training reads: the initial params (spec, weight and bias bytes), the
-    dataset (task, feature and label bytes with dtype and shape), the
-    config's repr, loss included, and the teacher's spec and arrays.  A miss
-    trains in one SGD loop (`_train`) with the jobs of `together`, argument
-    lists of `train` calls, that the memo lacks; outside the memo `together`
-    is ignored.
+    The trained params are read-only (see `frozen_params`).  Inside
+    `reuse_training` a training already run returns its first result
+    without running SGD.  The key digests everything the training reads:
+    the initial params (spec, weight and bias bytes), the dataset (task,
+    feature and label bytes with dtype and shape), the config's repr, loss
+    included, and the teacher's spec and arrays.  A miss trains in one SGD
+    loop (`_train`) with the jobs of `together`, argument lists of `train`
+    calls, that the memo lacks; outside the memo `together` is ignored.
     """
     job = [params, dataset, config, teacher]
     return memoized("train", job, lambda: _train_batch(job, together))
@@ -648,7 +647,7 @@ def _train(jobs: list) -> list:
             histories[i].append(total / n)
     results = [None] * len(jobs)
     for i, j in enumerate(live):
-        results[j] = NetParams(spec, state.theta[i].copy()), histories[i]
+        results[j] = frozen_params(spec, state.theta[i].copy()), histories[i]
     return results
 
 

@@ -592,12 +592,12 @@ def test_cells_share_their_split_and_leave_it_untouched(tmp_path,
                                                          monkeypatch):
     config = build_pipeline_config(
         load_config(_tiny_with(tmp_path, REGRESSION))[0])
-    data, stage = [], m3_distill._stage
+    data, teachers, stage = [], [], m3_distill._stage
 
     def recording(name, timings, fn):
         out = stage(name, timings, fn)
-        if name == "data":
-            data.append(out)
+        if name in ("data", "teacher"):
+            (data if name == "data" else teachers).append(out)
         return out
 
     def contents(pair):
@@ -608,16 +608,24 @@ def test_cells_share_their_split_and_leave_it_untouched(tmp_path,
     m3_distill.run_pipeline(replace(config, master_seed=1))
     alone, other = map(contents, data)
     data.clear()
+    teachers.clear()
     m3_distill.run_pipelines([replace(config, rho=rho)
                               for rho in (0.3, 0.7, 1.0)]
                              + [replace(config, master_seed=1)])
     # the students have trained: the split reads as a lone run's
     shared = data[0]
-    assert all(pair[0] is shared[0] and pair[1] is shared[1]
-               for pair in data[:3])
+    assert all(pair is shared for pair in data[:3])
     assert contents(shared) == alone
     assert data[3][0] is not shared[0] and data[3][1] is not shared[1]
     assert contents(data[3]) == other != alone
+    # one memo result serves every cell, so none may write into it
+    for d in shared:
+        for a in (d.features, d.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+    # and the cells of one master seed train one teacher
+    assert all(t is teachers[0] for t in teachers[:3])
+    assert teachers[3] is not teachers[0]
 
 
 def test_no_fake_set_outlives_the_stages_before_the_students(
@@ -668,8 +676,10 @@ def test_cgan_sweep_trains_the_gan_once_per_seed(tmp_path, monkeypatch):
     assert len(runs) == 2
 
 
-def test_commands_memoize_only_inside_main_and_drop_the_memo(
+def test_only_sweep_and_ablation_stages_see_a_memo_and_it_ends_with_them(
         tiny_cfg, tmp_path, monkeypatch):
+    # `run_pipelines` alone opens the training memo, so a lone run shares
+    # nothing and every command leaves no memo open, however it exits.
     seen, stage = [], m3_distill._stage
 
     def recording(name, timings, fn):
@@ -677,25 +687,54 @@ def test_commands_memoize_only_inside_main_and_drop_the_memo(
         return stage(name, timings, fn)
 
     monkeypatch.setattr(m3_distill, "_stage", recording)
-    runs = _counting(monkeypatch, nncore, "_train")
-    config = build_pipeline_config(load_config(tiny_cfg)[0])
-    for _ in range(2):
-        m3_distill.run_pipeline(config)
+    out = ["--out-dir", str(tmp_path)]
+    assert main(["run", tiny_cfg] + out) == 0
     assert seen and not any(seen)
-    assert len(runs) == 2 * 4
-    seen.clear()
-    assert main(["run", tiny_cfg, "--out-dir", str(tmp_path)]) == 0
-    assert seen and all(seen)
     assert nncore._memo is None
+    sweep = ["sweep", "--param", "rho", "--values", "0.5,1", "--seeds", "0"]
+    for command in (sweep, ["ablation", "--seeds", "0"]):
+        seen.clear()
+        assert main(command + [tiny_cfg] + out) == 0
+        assert seen and all(seen)
+        assert nncore._memo is None
     bad = _tiny_with(tmp_path, {"bogus.key": "1"})
-    assert main(["run", bad, "--out-dir", str(tmp_path)]) == 2
+    assert main(sweep + [bad] + out) == 2
     assert nncore._memo is None
 
     def broken(config, real_train, seed):
         raise RuntimeError("generator exploded")
     monkeypatch.setattr(m3_distill, "_prepare_generator", broken)
-    assert main(["run", tiny_cfg, "--out-dir", str(tmp_path)]) == 3
-    assert nncore._memo is None
+    for command in (["run"], sweep, ["ablation", "--seeds", "0"]):
+        assert main(command + [tiny_cfg] + out) == 3
+        assert nncore._memo is None
+
+
+def test_a_sweep_seed_drops_its_memo_before_the_next_seed(tmp_path,
+                                                           monkeypatch):
+    # Nothing is shared across seeds, so no network that seed 0 trains, its
+    # teacher first, lives on through seed 1's cells.
+    nets, alive, stage, train = [], [], m3_distill._stage, nncore._train
+
+    def recording_train(jobs):
+        results = train(jobs)
+        nets.extend(weakref.ref(params) for params, _ in results)
+        return results
+
+    def recording(name, timings, fn):
+        if name == "data":
+            alive.append(sum(ref() is not None for ref in nets))
+        return stage(name, timings, fn)
+
+    monkeypatch.setattr(nncore, "_train", recording_train)
+    monkeypatch.setattr(m3_distill, "_stage", recording)
+    assert main(["sweep", _tiny_with(tmp_path, REGRESSION), "--param", "rho",
+                 "--values", "0.3,0.7,1", "--seeds", "4,5",
+                 "--out-dir", str(tmp_path)]) == 0
+    # per seed: the teacher, DR and baseline that its cells share, then its
+    # three students
+    assert len(nets) == 2 * 6
+    assert alive == [0, 3, 3, 0, 3, 3]
+    assert all(ref() is None for ref in nets)
 
 
 @pytest.mark.parametrize("edits", [{}, REGRESSION],

@@ -203,18 +203,24 @@ def _write_result(out_dir, rows):
     write_csv(out_dir, rows)
     return write_manifest(out_dir)
 
+def run_pipelines(configs):
+    with nncore.reuse_training():
+        return configs
+
 def main(path, out_dir):
-    write_csv(out_dir, load_config(path))
+    with reuse_training():
+        write_csv(out_dir, load_config(path))
     return write_manifest(out_dir)
 """)
 PLANTED_UNPASSED = {"planted.Optimizer.step(clip)", "planted.scale_of(factor)"}
 PLANTED_UNREAD = {"planted.Report.dropped", "planted.Report.per_class"}
 PLANTED_STAGE_CALLERS = {"planted.run_ablation"}
 PLANTED_DRIVER_CALLERS = {"planted._write_result"}
+PLANTED_MEMO_OPENERS = {"planted.main"}
 PLANTED_UNREFERENCED = {"planted.tally", "planted.run", "planted.run_pipeline",
                         "planted.run_ablation", "planted._flat_params",
                         "planted._Stack", "planted._write_result",
-                        "planted.main"}
+                        "planted.run_pipelines", "planted.main"}
 
 
 def _calls_by_name(modules):
@@ -360,6 +366,11 @@ def _driver_callers(modules):
                     "main")
 
 
+def _memo_openers(modules):
+    """Openers of the training memo `reuse_training` but `run_pipelines`."""
+    return _callers(modules, {"reuse_training"}, "run_pipelines")
+
+
 def test_only_run_pipeline_runs_stages():
     """Run, sweep and ablation share one stage sequence: a second function
     that calls the stage executor would be a second copy of it."""
@@ -379,3 +390,14 @@ def test_only_main_loads_configs_and_writes_results():
 
 def test_driver_caller_rule_flags_a_planted_violation():
     assert _driver_callers({"planted": PLANTED}) == PLANTED_DRIVER_CALLERS
+
+
+def test_only_run_pipelines_opens_the_training_memo():
+    """One owner per memo: the cells of one `run_pipelines` call share their
+    trainings and split, and the memo dies with the call.  A second opener
+    would keep networks alive that no later call can reuse."""
+    assert sorted(_memo_openers(MODULES)) == []
+
+
+def test_memo_opener_rule_flags_a_planted_violation():
+    assert _memo_openers({"planted": PLANTED}) == PLANTED_MEMO_OPENERS

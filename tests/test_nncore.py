@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from cgankd import cli, m2_labeladjust, nncore, rng
+from cgankd import cgen, cli, m2_labeladjust, nncore, rng
 from cgankd.nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
                            evaluate, forward_batch, init_params, one_hot,
                            train)
@@ -857,29 +857,36 @@ def test_memo_hits_on_equal_inputs_and_misses_on_any_changed_one(
     assert_same_training(first, train(*case))
 
 
-def test_memo_hit_is_a_copy_its_caller_may_change(sgd_runs):
+def assert_read_only(params):
+    for a in [params.theta] + params.weights + params.biases:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
+
+
+def test_memo_hit_is_the_first_result_and_read_only(sgd_runs):
+    # One result serves every caller, so none may write into it: a trained
+    # network's theta, and each weight and bias view, are read-only.
     case = blkd_case()
-    want = train(*case)
+    ds = blob_dataset(n=80)
     before = len(sgd_runs)
     with nncore.reuse_training():
-        params, history = train(*case)
-        for a in params.weights + params.biases:
-            a += 1.0
-        history.append(0.0)
-        again = train(*case)
+        first = train(*case)
+        assert train(*case) is first
+        gans = []
+        for config in (cgen.GanTrainConfig(0, seed=1),
+                       cgen.GanTrainConfig(5, seed=1)):
+            gans.append(cgen.train_cgan(ds, config))
+            assert cgen.train_cgan(ds, config) is gans[-1]
     assert len(sgd_runs) == before + 1
-    assert_same_training(again, want)
+    for params in [first[0]] + [gan.generator for gan in gans]:
+        assert_read_only(params)
+    assert_same_training(first, train(*case))
 
 
 def test_trained_params_are_views_of_their_own_theta_only():
-    # the second call is a memo hit: a deep copy of the first result
-    case = blkd_case()
-    with nncore.reuse_training():
-        (a, _), (b, _) = train(*case), train(*case)
-    for params, other in ((a, b), (b, a)):
-        for view in params.weights + params.biases:
-            assert np.shares_memory(view, params.theta)
-            assert not np.shares_memory(view, other.theta)
+    params, _ = train(*blkd_case())
+    for view in params.weights + params.biases:
+        assert np.shares_memory(view, params.theta)
 
 
 def test_memo_stores_no_failed_training_and_ends_with_its_block(sgd_runs):
@@ -888,14 +895,10 @@ def test_memo_stores_no_failed_training_and_ends_with_its_block(sgd_runs):
             TrainConfig(3, 1e300))
     assert nncore._memo is None
     with nncore.reuse_training():
-        outer = nncore._memo
         for _ in range(2):
             with np.errstate(all="ignore"), pytest.raises(RuntimeError):
                 train(*args)
-        assert outer == {}
-        with nncore.reuse_training():  # shares the open memo
-            assert nncore._memo is outer
-        assert nncore._memo is outer
+        assert nncore._memo == {}
     assert nncore._memo is None
     assert len(sgd_runs) == 2
     train(*blkd_case())
