@@ -4,9 +4,8 @@ The conditional ratio p_real(x|y) / p_fake(x|y) is estimated with a binary
 real-vs-fake classifier on (features ++ label encoding): the classifier's
 odds, times the fake/real training prior, recover the ratio.  Rejection then
 accepts a candidate with probability min(ratio / M_max, 1), where the ceiling
-M_max is gamma * max ratio over a calibration set.  The pipeline passes none,
-so M_max is calibrated on the very fakes the classifier trained on; a fresh
-calibration batch is open work on the ROADMAP.
+M_max is gamma * max ratio over the very fakes the classifier trained on; a
+fresh calibration batch is open work on the ROADMAP.
 """
 
 from dataclasses import dataclass
@@ -34,17 +33,12 @@ class DensityRatioModel:
     m_max: float
     task: object
 
-    def __post_init__(self):
-        if self.m_max <= 0.0:
-            raise ValueError("m_max must be positive")
-
 
 def train_dr(real: Dataset, fake: Dataset, hidden, train_cfg: TrainConfig,
-             gamma: float, seed: int,
-             calibration: Dataset = None) -> DensityRatioModel:
+             gamma: float, seed: int) -> DensityRatioModel:
     """Fit the real-vs-fake classifier, initialised from `seed`, and set the
-    rejection ceiling to `gamma` times the largest ratio over `calibration`,
-    by default the fake training set itself."""
+    rejection ceiling to `gamma` times the largest ratio over the fake
+    training set itself."""
     if real.n == 0 or fake.n == 0:
         raise ValueError("real and fake sets must be non-empty")
     if real.task != fake.task or real.dim != fake.dim:
@@ -59,8 +53,7 @@ def train_dr(real: Dataset, fake: Dataset, hidden, train_cfg: TrainConfig,
     params = nncore.init_params(spec, rng.derive_key("dr-init", seed))
     net, _ = nncore.train(params, dr_set, train_cfg)
     model = DensityRatioModel(net, fake.n / real.n, m_max=1.0, task=task)
-    calib = calibration if calibration is not None else fake
-    ratios = ratio_batch(model, calib.features, calib.labels)
+    ratios = ratio_batch(model, fake.features, fake.labels)
     model.m_max = gamma * float(ratios.max())
     return model
 

@@ -12,7 +12,7 @@ fakes, and regression relabels the kept ones from that same pass.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,13 +25,11 @@ _QUANTILE_FUZZ = 1e-9  # absorbs float error in rho * n before ceil
 
 @dataclass
 class FilterReport:
-    rho: float
     thresholds: dict        # class index -> alpha, or {"global": alpha}
     counts_in: dict         # per group (as in thresholds) plus "total"
     counts_out: dict
     consistency_before: float = None  # classification only
-    consistency_after: float = None
-    error_quantiles: dict = field(default_factory=dict)
+    consistency_after: float = None   # None also when nothing is kept
 
 
 def _errors(outputs: np.ndarray, samples: Dataset) -> np.ndarray:
@@ -72,7 +70,7 @@ def _filter(fakes: Dataset, errors: np.ndarray, rho: float):
     """Quantile filtering within each label group of the fakes; returns
     (keep mask, report without consistencies)."""
     keep = np.zeros(fakes.n, dtype=bool)
-    report = FilterReport(rho, {}, {}, {})
+    report = FilterReport({}, {}, {})
     for parts, idx in label_groups(fakes.task, fakes.labels):
         group = parts[0] if parts else "global"
         alpha = report.thresholds[group] = quantile_threshold(errors[idx], rho)
@@ -81,41 +79,14 @@ def _filter(fakes: Dataset, errors: np.ndarray, rho: float):
         report.counts_out[group] = int(keep[idx].sum())
     report.counts_in["total"] = fakes.n
     report.counts_out["total"] = int(keep.sum())
-    report.error_quantiles = dict(zip(("min", "q25", "q50", "q75", "max"),
-                                      _quartiles(errors)))
     return keep, report
-
-
-def _quartiles(errors: np.ndarray) -> list:
-    """`np.percentile(errors, [0, 25, 50, 75, 100]).tolist()`, bit for bit,
-    from one sort.  `np.percentile` calls `np.unique`, which imports
-    `numpy.ma`: 0.7 MB that no stage needs.  numpy's linear rule at index
-    q * (n - 1) reads the sorted errors a and b at its floor i and at i + 1,
-    with t = q * (n - 1) - i: a + (b - a) * t, or b - (b - a) * (1 - t)
-    when t >= 0.5.  At the last index numpy reads a and b both at index -1
-    and takes t = n; the copy does too, as that decides the sign of a zero
-    result.
-    """
-    s = np.sort(errors).tolist()
-    n = len(s)
-    out = []
-    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
-        at = (n - 1) * q
-        i = math.floor(at)
-        j = i + 1
-        if at >= n - 1:
-            i = j = -1
-        t = at - i
-        a, b = s[i], s[j]
-        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
-    return out
 
 
 def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
     """Per-class quantile filtering; returns (kept set, report)."""
     if fakes.task.kind != "classification":
         raise ValueError("classification filter on non-classification data")
-    # bincount, unlike setdiff1d, leaves numpy.ma unloaded (see _quartiles)
+    # bincount, unlike setdiff1d, leaves numpy.ma unloaded: no stage needs it
     missing = np.flatnonzero(
         np.bincount(fakes.labels, minlength=fakes.task.n_classes) == 0)
     if missing.size:
@@ -127,7 +98,7 @@ def filter_classification(teacher: NetParams, fakes: Dataset, rho: float):
     keep, report = _filter(fakes, _errors(logits, fakes), rho)
     agree = logits.argmax(axis=1) == fakes.labels
     report.consistency_before = float(np.mean(agree))
-    report.consistency_after = float(agree[keep].mean()) if keep.any() else 0.0
+    report.consistency_after = float(agree[keep].mean()) if keep.any() else None
     return fakes.subset(keep), report
 
 

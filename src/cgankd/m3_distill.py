@@ -126,8 +126,6 @@ def _stage(name, timings, fn):
     start = time.perf_counter()
     try:
         out = fn()
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
     timings[name] = time.perf_counter() - start

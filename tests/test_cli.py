@@ -199,6 +199,20 @@ def test_repeated_seed_or_value_exits_2_before_training(
     assert repeated in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,seeds,message", [
+    (f"{MANIFEST_HEADER}\nseed=3\n{TINY_CFG}", "0",
+     "manifest has no config snapshot section"),
+    (TINY_CFG, "0,x", "bad seeds")], ids=["no-snapshot", "bad-seeds"])
+def test_unreadable_manifest_or_seeds_exit_2_before_training(
+        tmp_path, monkeypatch, capsys, text, seeds, message):
+    monkeypatch.setattr(cli, "run_ablation", _no_training)
+    path = tmp_path / "config.txt"
+    path.write_text(text)
+    assert main(["ablation", str(path), "--seeds", seeds,
+                 "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_missing_out_dir_exits_2_before_running(tiny_cfg, tmp_path,
                                                 monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", _no_training)
@@ -312,6 +326,10 @@ BAD_VALUES = [
      "unknown config keys: data.radius_base"),
     ({"data.radius_slope": "-2.5", **REGRESSION},
      "unknown config keys: data.radius_slope"),
+    ({"task": "ranking"}, "unknown task"),
+    ({"student.loss": "kd"}, "unknown student loss"),
+    ({"generator": "vae"}, "unknown generator kind"),
+    ({"data.n": None}, "missing required key 'data.n'"),
 ]
 
 
@@ -788,14 +806,18 @@ def test_run_tags_each_dataset_file_with_its_stage(tmp_path, edits):
 def test_a_run_that_keeps_no_fakes_rewrites_fakes_m2_empty(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
-    kept = []
+    kept, after = [], []
     for rho in ("0.9", "0"):
         assert main(["run", _tiny_with(tmp_path, {"rho": rho}),
                      "--out-dir", str(out)]) == 0
-        m_fake = int(read(out / "report.csv")[1][RUN_COLUMNS.index("m_fake")])
+        row = read(out / "report.csv")[1]
+        m_fake = int(row[RUN_COLUMNS.index("m_fake")])
         rows = (out / "fakes_m2.txt").read_text().splitlines()[3:]
         kept.append((m_fake, len(rows)))
+        after.append(row[RUN_COLUMNS.index("consistency_after")])
     assert kept[0][0] > 0 and kept == [(kept[0][0], kept[0][0]), (0, 0)]
+    # the teacher's consistency with an empty kept set is undefined, not 0
+    assert 0.0 <= float(after[0]) <= 1.0 and after[1] == ""
 
 
 @pytest.mark.parametrize("argv,name", [
@@ -838,7 +860,8 @@ def test_verify_bound_csv(tmp_path):
     ("n_real", "0", "bad sample counts"),
     ("rho", "0", "rho must lie in (0, 1]"),
     ("trials", "0", "trials must be positive"),
-    ("n_mc", "1", "n_mc must be at least 2")])
+    ("n_mc", "1", "n_mc must be at least 2"),
+    ("kind", "grid", "bound setups need kind=bound")])
 def test_verify_bound_bad_setup_exits_2_and_writes_no_csv(
         tmp_path, capsys, key, value, message):
     setup = tmp_path / "bound.cfg"

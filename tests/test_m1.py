@@ -161,6 +161,23 @@ def test_rejection_acceptance_collapse_aborts():
                          label_source=constant_labels(0), n_target=10, seed=2)
 
 
+def test_rejection_above_collapse_rate_runs_past_one_window():
+    # 3e-4 accepts ~60 of one window's candidates: above the collapse rate,
+    # so the window resets and the draw goes on to n_target
+    task = ClassificationTask(2)
+    drawn = []
+
+    def counted(labels, seed, indices):
+        drawn.append(len(indices))
+        return two_point_generator(labels, seed, indices)
+
+    out = rejection_sample(counted, task, lambda f, l: np.full(len(l), 3e-4),
+                           m_max=1.0, label_source=constant_labels(0),
+                           n_target=70, seed=2)
+    assert out.n == 70
+    assert sum(drawn) > m1_subsample._COLLAPSE_WINDOW
+
+
 def test_rejection_label_sources():
     task = ClassificationTask(4)
     out = rejection_sample(two_point_generator, task,

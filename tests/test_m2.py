@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cgankd import cgen, cli, nncore
-from cgankd.m2_labeladjust import (_errors, _filter, filter_classification,
+from cgankd.m2_labeladjust import (_errors, filter_classification,
                                    filter_regression, quantile_threshold,
                                    replace_labels, run_m2)
 from cgankd.nncore import NetSpec, TrainConfig, init_params, train
@@ -108,24 +108,6 @@ def test_quantile_500_at_09_keeps_450():
     errors = np.random.default_rng(1).permutation(500).astype(float)
     alpha = quantile_threshold(errors, 0.9)
     assert np.sum(errors <= alpha) == 450
-
-
-@pytest.mark.parametrize("kind", ["distinct", "ties", "zeros"])
-@pytest.mark.parametrize("n", [*range(1, 10), 1023, 1024, 1025, 8000])
-def test_error_quantiles_equal_numpy_percentile_bit_for_bit(n, kind):
-    g = np.random.default_rng(n)
-    errors = {"distinct": g.exponential(size=n),
-              "ties": g.integers(0, 4, size=n) * 0.125,
-              "zeros": np.zeros(n)}[kind]
-    # -0.0 is the error of a certain, right teacher, -log(1.0); numpy's
-    # rule returns 0.0 or -0.0 for it by where it sits
-    errors[errors == 0.0] = -0.0
-    fakes = reg_dataset(np.zeros(n))
-    _, report = _filter(fakes, errors, 0.5)
-    want = np.percentile(errors, [0, 25, 50, 75, 100]).tolist()
-    assert list(report.error_quantiles) == ["min", "q25", "q50", "q75", "max"]
-    got = list(report.error_quantiles.values())
-    assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_filter_classification_per_class_counts():
