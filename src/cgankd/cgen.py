@@ -33,6 +33,9 @@ GENERATOR_HEADER = "cgankd-generator v1"
 GAN_HIDDEN_G = (32, 32)
 GAN_HIDDEN_D = (32, 32)
 GAN_MOMENTUM = 0.5
+# Iterations per `train_cgan` draw: as many as fit in this many noise values,
+# at least one.  Draws are pure in their counters, so no output depends on it.
+GAN_BLOCK_DRAWS = 4096
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,7 @@ def encoding_dim(task) -> int:
 def empirical_draw(pool: np.ndarray, key: int, counters) -> np.ndarray:
     """One entry of the sorted label `pool` per counter, each equally
     likely; pure in (key, counter)."""
-    u = rng.uniforms(key, np.asarray(counters, dtype=np.uint64))
-    return pool[np.minimum((u * len(pool)).astype(np.int64), len(pool) - 1)]
+    return pool[rng.below(key, counters, len(pool))]
 
 
 def sample_labels(train_set: Dataset, n: int, seed: int) -> np.ndarray:
@@ -130,8 +132,7 @@ def _oracle_features(handle: CorruptedOracle, labels: np.ndarray, seed: int,
     if base.task.kind == "classification":
         C = base.n_classes
         u_flip = rng.uniforms(rng.derive_key("oracle-flip", seed), idx)
-        u_pick = rng.uniforms(rng.derive_key("oracle-pick", seed), idx)
-        shift = 1 + np.minimum((u_pick * (C - 1)).astype(np.int64), C - 2)
+        shift = 1 + rng.below(rng.derive_key("oracle-pick", seed), idx, C - 1)
         wrong = (labels + shift) % C
         true_class = np.where(u_flip < handle.flip_prob, wrong, labels)
         feats = synthdata.blob_features(base, true_class,
@@ -231,13 +232,21 @@ def _train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
     xr, gin, xf = (np.empty((size, w)) for w in (d + enc_dim, nz + enc_dim,
                                                   d + enc_dim))
     grad = np.empty((size, 1))
-    g = rng.generator(rng.derive_key("cgan-train", config.seed))
+    # Iteration `it` draws its rows and both noise batches from counters
+    # it * size + (0, ..., size - 1), each under its own key.
+    keys = [rng.derive_key(name, config.seed)
+            for name in ("cgan-rows", "cgan-d-noise", "cgan-g-noise")]
+    per_block = max(1, GAN_BLOCK_DRAWS // (size * nz))
     for it in range(config.iterations):
-        idx = g.integers(0, train_set.n, size=size)
-        np.take(real_all, idx, axis=0, out=xr)
+        at = it % per_block * size
+        if at == 0:
+            counters = np.arange(it * size, (it + per_block) * size)
+            rows = rng.below(keys[0], counters, train_set.n)
+            z_d, z_g = (rng.row_normals(k, counters, nz) for k in keys[1:])
+        np.take(real_all, rows[at:at + size], axis=0, out=xr)
         gin[:, nz:] = xf[:, d:] = xr[:, d:]
         # discriminator step: real up, fake down
-        gin[:, :nz] = g.normal(size=(size, nz))
+        gin[:, :nz] = z_d[at:at + size]
         fake = _forward(opt_g.params, gin, ws_gen)
         xf[:, :d] = fake
         out_r = _forward(opt_d.params, xr, ws_real)
@@ -249,7 +258,7 @@ def _train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
         opt_d.grad += d_fake
         opt_d.step(config.lr_d)
         # generator step: non-saturating, push D(G(z)) toward "real"
-        gin[:, :nz] = g.normal(size=(size, nz))
+        gin[:, :nz] = z_g[at:at + size]
         fake = _forward(opt_g.params, gin, ws_gen)
         xf[:, :d] = fake
         out_f = _forward(opt_d.params, xf, ws_fake)

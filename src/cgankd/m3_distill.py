@@ -197,8 +197,7 @@ def _subsample_fakes(config: PipelineConfig, generator, real_train: Dataset,
 def _cap_fakes(fakes: Dataset, cap: int, seed: int) -> Dataset:
     if cap <= 0 or fakes.n <= cap:
         return fakes
-    g = rng.generator(seed)
-    idx = np.sort(g.permutation(fakes.n)[:cap])
+    idx = np.sort(rng.permutation(seed, fakes.n)[:cap])
     return fakes.subset(idx)
 
 

@@ -187,11 +187,13 @@ def init_params(spec: NetSpec, seed: int) -> NetParams:
     inactive on every input for roughly half of all seeds, and an inactive
     clamp passes no gradient, so such networks would never train.
     """
-    g = rng.generator(rng.derive_key("init", seed))
+    key, at = rng.derive_key("init", seed), 0
     params = NetParams(spec, np.zeros(spec.n_params))
     for w in params.weights:
         scale = 1.0 / math.sqrt(w.shape[1])
-        w[:] = g.uniform(-scale, scale, size=w.shape)
+        u = rng.uniforms(key, np.arange(at, at + w.size)).reshape(w.shape)
+        w[:] = -scale + 2.0 * scale * u
+        at += w.size
     if spec.output_kind == "nonneg_scalar":
         params.biases[-1][:] = 0.5
     return params
@@ -620,8 +622,8 @@ def _train(jobs: list) -> list:
         if epoch in config.lr_decay_epochs:
             lr *= LR_DECAY_FACTOR
         for i, j in enumerate(live):
-            order = rng.generator(rng.derive_key(
-                "shuffle", jobs[j][2].seed, epoch)).permutation(ns[i])
+            order = rng.permutation(rng.derive_key(
+                "shuffle", jobs[j][2].seed, epoch), ns[i])
             np.take(jobs[j][1].features, order, axis=0, out=X[i, :ns[i]])
             np.take(targets[j], order, axis=0, out=ts[i, :ns[i]])
         for start, k, alone in plan:

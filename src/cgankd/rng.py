@@ -1,20 +1,18 @@
-"""Deterministic, platform-portable randomness.
-
-Two layers are provided:
+"""Deterministic, platform-portable randomness, in one counter-based layer.
 
 * key derivation: every pipeline stage derives its own 64-bit key from
   (master_seed, stage_name, ...) via SHA-256, so independent stages never
   share a stream.
-* counter-based draws: ``uniforms``/``normals`` apply the SplitMix64
-  finalizer (constants below) to (key, counter) pairs.  Each draw is a pure
-  function of its arguments, which gives vectorized, order-independent,
-  prefix-stable streams.  ``row_normals`` gives each row of a batch its own
-  block of ``ROW_LANES`` counters.
-
-For sequential draws (parameter initialisation, data splits, epoch
-shuffles, GAN training, fake-set caps and the bound verifier's samples)
-``generator`` returns a numpy Philox generator keyed the same way; Philox
-is itself counter-based and stable across platforms.
+* counter-based draws: ``raw64`` applies the SplitMix64 finalizer
+  (constants below) to (key, counter) pairs, and ``uniforms``, ``normals``
+  and ``below`` are built on it.  Each draw is a pure function of its
+  arguments, which gives vectorized, order-independent, prefix-stable
+  streams.  ``row_normals`` gives each row of a batch its own block of
+  ``ROW_LANES`` counters.  ``permutation(key, n)`` orders the counters
+  0..n-1 by their ``raw64`` draws.  For a fixed key ``raw64`` is a bijection
+  of the counter (an odd multiplier, then invertible xor-shifts and odd
+  multipliers), so two counters never draw the same value: the order has
+  no ties, and every sort algorithm returns it.
 """
 
 import hashlib
@@ -38,12 +36,6 @@ def derive_key(*parts) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def generator(key: int) -> "np.random.Generator":
-    """A numpy Generator (Philox) for sequential, seeded loops.  The quoted
-    annotation leaves `numpy.random` unloaded until the first call."""
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _finalize(z: np.ndarray) -> np.ndarray:
     z = z ^ (z >> np.uint64(30))
     z = z * _MIX1
@@ -64,6 +56,16 @@ def raw64(key: int, counters) -> np.ndarray:
 def uniforms(key: int, counters) -> np.ndarray:
     """Floats in [0, 1), one per counter."""
     return (raw64(key, counters) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def below(key: int, counters, n: int) -> np.ndarray:
+    """Integers in [0, n), each equally likely, one per counter."""
+    return np.minimum((uniforms(key, counters) * n).astype(np.int64), n - 1)
+
+
+def permutation(key: int, n: int) -> np.ndarray:
+    """A permutation of range(n), pure in (key, n)."""
+    return np.argsort(raw64(key, np.arange(n)))
 
 
 def _uniforms_open(key: int, counters) -> np.ndarray:

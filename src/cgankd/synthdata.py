@@ -229,8 +229,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int):
     check_splittable(dataset.task, [len(idx) for _, idx in groups])
     train_idx, test_idx = [], []
     for parts, idx in groups:
-        g = rng.generator(rng.derive_key("split", seed, *parts))
-        idx = idx[g.permutation(len(idx))]
+        idx = idx[rng.permutation(rng.derive_key("split", seed, *parts),
+                                  len(idx))]
         k = int(round(train_fraction * len(idx)))
         k = min(max(k, 1), len(idx) - 1)
         train_idx.append(idx[:k])

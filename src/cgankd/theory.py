@@ -253,6 +253,13 @@ class VerifyReport:
         return sum(self.holds_flags) / len(self.holds_flags)
 
 
+def _draw_points(cdf: np.ndarray, key: int, n: int) -> np.ndarray:
+    """n support indices drawn by inverse CDF from counters 0..n-1; a draw
+    above a rounded-down last CDF value takes the last index."""
+    return np.minimum(np.searchsorted(cdf, rng.uniforms(key, np.arange(n)),
+                                      side="right"), len(cdf) - 1)
+
+
 def verify_bound(setup: VerifySetup, trials: int, delta: float,
                  seed: int, n_mc: int = 2000) -> VerifyReport:
     """Repeatedly draw training mixtures, run exact ERM, check LHS <= RHS."""
@@ -270,20 +277,20 @@ def verify_bound(setup: VerifySetup, trials: int, delta: float,
     v_star = bayes_risk(setup.p_real, setup.loss, setup.c_l)
     approx_gap = float(real_risks.min()) - v_star
 
-    g = rng.generator(rng.derive_key("theory-ref", seed))
-    ref_idx = g.choice(len(p_mix.points), size=n_total, p=p_mix.probs)
-    ref = [p_mix.points[i] for i in ref_idx]
+    cdf = np.cumsum(p_mix.probs)
+    ref = [p_mix.points[i] for i in _draw_points(
+        cdf, rng.derive_key("theory-ref", seed), n_total)]
     r_hat, r_se = empirical_rademacher(setup.hypotheses, ref, setup.loss,
                                        setup.c_l, n_mc=n_mc, seed=seed)
     bound = bound_rhs(r_hat, setup.c_l, n_total, delta, theta, tv, approx_gap)
 
     mix_loss = _loss_matrix(setup.hypotheses, list(p_mix.points), setup.loss,
                             setup.c_l)
-    probs = np.asarray(p_mix.probs)
     report = VerifyReport(bound=bound, theta=theta, tv=tv, r_hat_stderr=r_se)
     for t in range(trials):
-        gt = rng.generator(rng.derive_key("theory-trial", seed, t))
-        counts = gt.multinomial(n_total, probs)
+        counts = np.bincount(_draw_points(
+            cdf, rng.derive_key("theory-trial", seed, t), n_total),
+            minlength=len(cdf))
         emp = mix_loss @ (counts / n_total)
         f_hat = int(np.argmin(emp))
         lhs = float(real_risks[f_hat]) - v_star

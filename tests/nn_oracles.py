@@ -12,6 +12,8 @@ against.  `constant_labels` is a rejection label source that gives every
 candidate one label, the draw M1's per-class pools reduce to.  `layers`
 builds a network from per-layer arrays, and `reference_init_params` keeps
 the per-layer draws whose values `nncore.init_params` must give.
+`philox` is the numpy generator that tests draw their own inputs from;
+the program itself never loads `numpy.random`.
 """
 
 import math
@@ -38,16 +40,28 @@ def layers(spec: NetSpec, weights, biases) -> NetParams:
         [np.ravel(a) for a in [*weights, *biases]]))
 
 
+def philox(key: int) -> np.random.Generator:
+    """A numpy Philox generator keyed by `key`, for a test's own inputs."""
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def reference_init_params(spec: NetSpec, seed: int):
-    """The per-layer (weights, biases) that `init_params` draws: one
-    scaled-uniform draw per layer, in layer order, zero biases, and 0.5 on
-    the output bias of a nonnegative scalar head."""
-    g = rng.generator(rng.derive_key("init", seed))
+    """The per-layer (weights, biases) that `init_params` draws: weight k,
+    counting row-major through the layers in order, is -s + 2s * u_k with
+    u_k the uniform at counter k and s = 1/sqrt(fan_in); zero biases, and
+    0.5 on the output bias of a nonnegative scalar head."""
+    key, counter = rng.derive_key("init", seed), 0
     dims = spec.layer_dims
     weights, biases = [], []
     for l in range(len(dims) - 1):
         scale = 1.0 / math.sqrt(dims[l])
-        weights.append(g.uniform(-scale, scale, size=(dims[l + 1], dims[l])))
+        w = np.empty((dims[l + 1], dims[l]))
+        for i in range(dims[l + 1]):
+            for j in range(dims[l]):
+                u = rng.uniforms(key, [counter])[0]
+                w[i, j] = -scale + 2.0 * scale * u
+                counter += 1
+        weights.append(w)
         biases.append(np.zeros(dims[l + 1]))
     if spec.output_kind == "nonneg_scalar":
         biases[-1][:] = 0.5
@@ -220,7 +234,11 @@ def reference_bce_logit_loss_and_grad(logits: np.ndarray, target: float):
 
 
 def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
-    """Alternating non-saturating GAN updates; deterministic per seed."""
+    """Alternating non-saturating GAN updates; deterministic per seed.
+
+    Iteration `it` draws its own rows and noise batches, from counters
+    it * batch_size + (0, ..., batch_size - 1) under one key each, so the
+    blocks of iterations `train_cgan` draws at once change no output."""
     if train_set.n == 0:
         raise ValueError("empty training set")
     task, d = train_set.task, train_set.dim
@@ -239,13 +257,17 @@ def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedC
     d_fake_grads = _layer_views(d_spec, d_fake)
     ws_real, ws_fake = (Workspace(d_spec, config.batch_size) for _ in range(2))
     ws_gen = Workspace(g_spec, config.batch_size)
-    g = rng.generator(rng.derive_key("cgan-train", config.seed))
+    rows_key, zd_key, zg_key = (
+        rng.derive_key(name, config.seed)
+        for name in ("cgan-rows", "cgan-d-noise", "cgan-g-noise"))
     enc_all = label_encoding(task, train_set.labels)
     for it in range(config.iterations):
-        idx = g.integers(0, train_set.n, size=config.batch_size)
+        counters = np.arange(it * config.batch_size,
+                             (it + 1) * config.batch_size)
+        idx = rng.below(rows_key, counters, train_set.n)
         enc = enc_all[idx]
         # discriminator step: real up, fake down
-        z = g.normal(size=(config.batch_size, config.noise_dim))
+        z = rng.row_normals(zd_key, counters, config.noise_dim)
         fake = _forward(opt_g.params, np.hstack([z, enc]))
         xr = np.hstack([train_set.features[idx], enc])
         xf = np.hstack([fake, enc])
@@ -258,7 +280,7 @@ def reference_train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedC
         opt_d.grad += d_fake
         opt_d.step(config.lr_d)
         # generator step: non-saturating, push D(G(z)) toward "real"
-        z = g.normal(size=(config.batch_size, config.noise_dim))
+        z = rng.row_normals(zg_key, counters, config.noise_dim)
         gin = np.hstack([z, enc])
         fake = _forward(opt_g.params, gin, ws_gen)
         xf = np.hstack([fake, enc])

@@ -20,7 +20,8 @@ from cgankd.m3_distill import run_ablation, run_pipeline
 from cgankd.nncore import Loss, NetSpec, TrainConfig, init_params, one_hot
 from cgankd.synthdata import ClassificationTask
 from nn_oracles import (batch_loss, blended_targets, constant_labels,
-                        gradients, loss_value, pre_activations, soft_labels)
+                        gradients, loss_value, philox, pre_activations,
+                        soft_labels)
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 SEEDS = (0, 1, 2, 3, 4)
@@ -62,7 +63,7 @@ def _kink_margin(params, X):
 
 def _fd_worst_error(spec, loss, teacher, seed, n=5, h=1e-5):
     for attempt in range(80):
-        g = rng.generator(rng.derive_key("accept-fd", seed, attempt))
+        g = philox(rng.derive_key("accept-fd", seed, attempt))
         params = init_params(spec, rng.derive_key("accept-fd-p", seed, attempt))
         X = g.normal(size=(n, spec.input_dim))
         if _kink_margin(params, X) > 1e-3:
@@ -98,7 +99,7 @@ def _fd_worst_error(spec, loss, teacher, seed, n=5, h=1e-5):
 
 def test_criterion_01_gradient_oracle():
     start = time.perf_counter()
-    g = rng.generator(rng.derive_key("accept-fd-menu"))
+    g = philox(rng.derive_key("accept-fd-menu"))
     worst = 0.0
     for trial in range(100):
         kind = ("plain_ce", "plain_se", "blkd")[trial % 3]
@@ -125,7 +126,7 @@ def test_criterion_01_gradient_oracle():
 
 
 def test_criterion_02_loss_identities():
-    g = rng.generator(rng.derive_key("accept-loss"))
+    g = philox(rng.derive_key("accept-loss"))
     ok = True
     for _ in range(50):
         l = g.normal(size=4) * 3
@@ -146,7 +147,7 @@ def test_criterion_02_loss_identities():
 
 
 def test_criterion_03_quantile_filter_exactness():
-    g = rng.generator(rng.derive_key("accept-quantile"))
+    g = philox(rng.derive_key("accept-quantile"))
     ok = True
     for n in (10, 123, 500, 2000):
         errors = g.permutation(n).astype(float)

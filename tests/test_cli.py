@@ -998,29 +998,50 @@ def test_documented_defaults_cover_the_readme_table():
 
 
 # Run in a fresh interpreter: a classification and a regression `run`, a
-# `sweep` and an `ablation` on the configs its arguments name, then whether
-# numpy.ma was imported.
-NO_MA_SCRIPT = """\
+# `sweep`, an `ablation` with the oracle and one with a trained cGAN, and a
+# `verify-bound`, on the configs its arguments name; then the numpy modules
+# that were imported.
+COMMANDS_SCRIPT = """\
 import sys
 sys.path.insert(0, sys.argv[1])
 from cgankd import cli
-cls, reg, out = sys.argv[2:]
+cls, reg, cgan, bound, out = sys.argv[2:]
 for argv in (["run", cls], ["run", reg],
              ["sweep", cls, "--param", "rho", "--values", "0.5,1",
               "--seeds", "0"],
-             ["ablation", reg, "--seeds", "0"]):
+             ["ablation", reg, "--seeds", "0"],
+             ["ablation", cgan, "--seeds", "0"], ["verify-bound", bound]):
     assert cli.main(argv + ["--out-dir", out]) == 0, argv
-print("numpy.ma" in sys.modules)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("numpy."))))
 """
 
 
-def test_no_command_imports_numpy_ma(tiny_cfg, tmp_path):
-    """np.unique, which np.percentile and np.setdiff1d call, imports
-    numpy.ma, a module that no command needs."""
+@pytest.fixture(scope="module")
+def numpy_modules_after_commands(tmp_path_factory):
+    """The numpy submodules loaded after COMMANDS_SCRIPT's commands."""
+    tmp = tmp_path_factory.mktemp("commands")
+    (tmp / "tiny.cfg").write_text(TINY_CFG)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    bound = pathlib.Path(__file__).resolve().parent.parent / "configs"
     proc = subprocess.run(
-        [sys.executable, "-c", NO_MA_SCRIPT, src, tiny_cfg,
-         _tiny_with(tmp_path, REGRESSION), str(tmp_path)],
+        [sys.executable, "-c", COMMANDS_SCRIPT, src, str(tmp / "tiny.cfg"),
+         _tiny_with(tmp_path_factory.mktemp("reg"), REGRESSION),
+         _tiny_with(tmp_path_factory.mktemp("cgan"), {**REGRESSION, **CGAN}),
+         str(bound / "bound_standard.cfg"), str(tmp)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert "numpy.linalg" in loaded  # numpy's own import loads it
+    return loaded
+
+
+def test_no_command_imports_numpy_ma(numpy_modules_after_commands):
+    """np.unique, which np.percentile and np.setdiff1d call, imports
+    numpy.ma, a module that no command needs."""
+    assert "numpy.ma" not in numpy_modules_after_commands
+
+
+def test_no_command_imports_numpy_random(numpy_modules_after_commands):
+    """Every draw is counter-based (`cgankd.rng`), so no command loads
+    numpy's generators, which would hold about 1.9 MB for the whole run."""
+    assert "numpy.random" not in numpy_modules_after_commands

@@ -5,8 +5,8 @@ tests, and a private one that nothing reaches is a leftover.  The same holds
 for a defaulted parameter, which some src call must pass, and for a
 dataclass field, which src must read.  It also checks that `PipelineConfig`
 declares no field default, that `m3_distill.run_pipeline` is the one
-function that runs pipeline stages, and that `cli.main` is the one that
-loads configs and writes results."""
+function that runs pipeline stages, that `cli.main` is the one that
+loads configs and writes results, and that no module names `numpy.random`."""
 
 import ast
 import functools
@@ -405,3 +405,48 @@ def test_only_run_pipelines_opens_the_training_memo():
 
 def test_memo_opener_rule_flags_a_planted_violation():
     assert _memo_openers({"planted": PLANTED}) == PLANTED_MEMO_OPENERS
+
+
+def _numpy_random_uses(modules):
+    """`module:line` of each import of `numpy.random`, or of a name from
+    it, and of each `np.random` or `numpy.random` attribute."""
+    out = set()
+    for mod, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                  and getattr(node.value, "id", None) in ("np", "numpy")):
+                names = ["numpy.random"]
+            else:
+                continue
+            if any(name == "numpy.random" or name.startswith("numpy.random.")
+                   for name in names):
+                out.add(f"{mod}:{node.lineno}")
+    return out
+
+
+PLANTED_RANDOM = ast.parse("""\
+import numpy as np
+import numpy.random
+from numpy import linalg, random
+from numpy.random import Philox
+import numpy.linalg
+
+def draw(key, rng):
+    return np.random.default_rng(key), np.linalg.norm, rng.random(3)
+""")
+
+
+def test_no_module_names_numpy_random():
+    """All randomness is counter-based (`rng`): importing `numpy.random`
+    would hold about 1.9 MB of memory for the whole run."""
+    assert sorted(_numpy_random_uses(MODULES)) == []
+
+
+def test_numpy_random_rule_flags_a_planted_violation():
+    assert _numpy_random_uses({"planted": PLANTED_RANDOM}) == {
+        "planted:2", "planted:3", "planted:4", "planted:8"}

@@ -327,6 +327,17 @@ def test_filter_classification_matches_separate_passes():
     teacher, _ = train(init_params(NetSpec(2, (16,), "logits", 3), 3),
                        train_set, TrainConfig(30, 0.05, seed=3))
     fakes = make_classification(BlobsConfig(3, 1.5, 1.0, n=2000, seed=4))
+    # Every fourth fake takes a class the teacher does not predict.  In each
+    # class more fakes disagree with the teacher than the filter at rho 0.8
+    # drops, so some kept fakes must disagree with it too.
+    predicted = nncore.forward_batch(teacher, fakes.features).argmax(axis=1)
+    fakes = Dataset(fakes.task, fakes.features,
+                    np.where(np.arange(fakes.n) % 4 == 0, (predicted + 1) % 3,
+                             fakes.labels))
+    for c in range(3):
+        n_c = int(np.sum(fakes.labels == c))
+        disagree = np.sum((fakes.labels == c) & (predicted != fakes.labels))
+        assert disagree > n_c - math.ceil(0.8 * n_c)
     rows = []
     forward = nncore.forward_batch
 

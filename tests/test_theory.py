@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from cgankd import rng
 from cgankd.theory import (BoundReport, DiscreteJoint, FiniteHypothesisClass,
-                           VerifySetup, _loss_matrix, bayes_risk, bound_rhs,
-                           empirical_rademacher, exact_risk, filter_joint,
-                           mixture, standard_setup, threshold_rules,
-                           tv_distance, verify_bound, zero_one_loss)
+                           VerifySetup, _draw_points, _loss_matrix, bayes_risk,
+                           bound_rhs, empirical_rademacher, exact_risk,
+                           filter_joint, mixture, standard_setup,
+                           threshold_rules, tv_distance, verify_bound,
+                           zero_one_loss)
 
 
 def two_point(p0, labels=((0, 0), (1, 0))):
@@ -233,3 +235,22 @@ def test_mixture_arithmetic():
 def test_bayes_risk_standard_setup():
     setup = standard_setup(real_label_noise=0.15)
     assert bayes_risk(setup.p_real, zero_one_loss, 1.0) == pytest.approx(0.15)
+
+
+def test_inverse_cdf_draws_stay_in_range_when_the_cdf_falls_short_of_1():
+    cdf = np.cumsum([0.1] * 10)
+    assert cdf[-1] < 1.0  # rounding
+    key = rng.derive_key("inverse-cdf")
+    u = rng.uniforms(key, np.arange(20_000))
+    # Halving the CDF leaves half the draws above its last value.
+    for scale in (1.0, 0.5):
+        got = _draw_points(cdf * scale, key, 20_000)
+        assert got.min() >= 0 and got.max() == 9
+        want = np.minimum(np.sum(cdf * scale <= u[:, None], axis=1), 9)
+        assert np.array_equal(got, want)
+
+
+def test_inverse_cdf_never_draws_a_point_of_probability_0():
+    got = _draw_points(np.cumsum([0.5, 0.0, 0.5]), rng.derive_key("zero"),
+                       5000)
+    assert set(np.unique(got)) == {0, 2}
