@@ -18,8 +18,9 @@ Every network `train` fits takes minibatch SGD steps at batch SGD_BATCH
 with momentum SGD_MOMENTUM.  Training runs one SGD loop (`_train`) over a
 list of jobs that share a network spec and a schedule: one job is plain
 minibatch SGD, and several train as the rows of one parameter stack, each
-bit for bit as it would alone.  The loop fails as a whole, on its first
-invalid job or on the first epoch that leaves any network non-finite.
+bit for bit as it would alone.  It gathers shuffled rows SPAN at a time,
+and fails as a whole: on its first invalid job or on the first epoch that
+leaves any network non-finite.
 `train` is one job behind the training memo (`reuse_training`); on a miss
 it trains, in the same loop, the jobs of its `together` batch that the memo
 lacks.
@@ -43,6 +44,7 @@ LR_DECAY_FACTOR = 0.1  # learning-rate multiplier at each lr_decay_epochs entry
 SGD_MOMENTUM = 0.9  # momentum of every network `train` fits
 SGD_BATCH = 64  # batch size of every network `train` fits
 INFER_ROWS = 1024  # rows per block of an inference pass (`forward_batch`)
+SPAN = 16 * SGD_BATCH  # rows per network that `_train` gathers at a time
 
 OUTPUT_KINDS = ("logits", "nonneg_scalar", "linear")
 LOSS_KINDS = ("plain_ce", "plain_se", "blkd")
@@ -400,22 +402,25 @@ def _loss_grad(out, targets, loss: Loss, ws: Workspace, stash):
     return d_out
 
 
-def _batch_means(stash, targets, loss: Loss, size: int) -> list:
-    """Mean loss of each batch of `size` consecutive rows (the last may be
-    shorter) from what `_loss_grad` stashed for those rows: the mean of
-    diff**2, or of the rows' -sum_c t_c log(floored p_c)."""
+def _batch_means(stash, targets, loss: Loss, counts, size: int) -> list:
+    """Per network i of a stack, the mean loss of each batch of `size`
+    consecutive rows of its first counts[i] (the last may be shorter), from
+    what `_loss_grad` stashed for those rows: the mean of diff**2, or of the
+    rows' -sum_c t_c log(floored p_c).  counts[0] is the largest.  The rows
+    past a network's count enter the arithmetic too, so they must be finite."""
     if loss.kind == "plain_se":
         rows = np.multiply(stash, stash)
     else:
         rows = np.negative(np.add.reduce(
             np.multiply(targets, np.log(stash)), axis=-1))
-    full = len(rows) // size * size
-    sums = np.add.reduce(rows[:full].reshape(-1, size), axis=-1).tolist()
-    counts = [size] * len(sums)
-    if full < len(rows):
-        sums.append(float(np.add.reduce(rows[full:])))
-        counts.append(len(rows) - full)
-    return [s / m for s, m in zip(sums, counts)]
+    sums = np.add.reduce(rows[:, :counts[0] // size * size].reshape(
+        len(rows), -1, size), axis=-1).tolist()
+    means = [[s / size for s in sums[i][:n // size]]
+             for i, n in enumerate(counts)]
+    for row, n, out in zip(rows, counts, means):
+        if n % size:
+            out.append(float(np.add.reduce(row[n - n % size:n])) / (n % size))
+    return means
 
 
 def _prepare_targets(dataset: Dataset, spec: NetSpec, loss: Loss,
@@ -537,9 +542,9 @@ def train(params: NetParams, dataset: Dataset, config: TrainConfig,
 
     Returns (trained params, per-epoch mean-loss history).  The targets,
     blended with the teacher's soft labels in blkd mode, are computed once
-    (see `_prepare_targets`).  Each epoch gathers its shuffled copy of the
-    data once and trains on slices of it, through one workspace per batch
-    size.  Raises RuntimeError when an epoch ends with non-finite
+    (see `_prepare_targets`).  Each epoch gathers the shuffled data SPAN
+    rows at a time and trains on slices of them, through one workspace per
+    batch size.  Raises RuntimeError when an epoch ends with non-finite
     parameters.
 
     The trained params are read-only (see `frozen_params`).  Inside
@@ -581,7 +586,9 @@ def _train(jobs: list) -> list:
     the largest dataset first.  At each step those with a full batch left
     form a prefix of the stack and step as one; a lone one, and each
     network's last, partial batch, step on 2-D views.  So one job is plain
-    minibatch SGD.
+    minibatch SGD.  An epoch runs SPAN rows, a whole number of batches, at a
+    time: it gathers them, steps, then adds each batch's loss to the total
+    in batch order, so a history keeps the bits of a whole-epoch sum.
     """
     spec, config = jobs[0][0].spec, jobs[0][2]
     loss, size = config.loss, config.batch_size
@@ -612,41 +619,45 @@ def _train(jobs: list) -> list:
     rows = [state.part(i) for i in range(len(live))]
     heads = {k: (state.part(slice(0, k)), Workspace(spec, k, size))
              for _, k, _ in plan if k}
-    spaces = {}
-    X = np.empty((len(live), ns[0], spec.input_dim))
-    ts = np.empty((len(live), ns[0]) + targets[live[0]].shape[1:])
-    stash = np.empty_like(ts)
+    spaces = {stop - start: Workspace(spec, stop - start)
+              for start, _, alone in plan for _, stop in alone}
+    X = np.empty((len(live), min(ns[0], SPAN), spec.input_dim))
+    ts = np.zeros(X.shape[:2] + targets[live[0]].shape[1:])
+    stash = np.ones_like(ts)  # finite figures for `_batch_means`
     histories = [[] for _ in live]
     lr = config.lr
     for epoch in range(config.epochs):
         if epoch in config.lr_decay_epochs:
             lr *= LR_DECAY_FACTOR
-        for i, j in enumerate(live):
-            order = rng.permutation(rng.derive_key(
-                "shuffle", jobs[j][2].seed, epoch), ns[i])
-            np.take(jobs[j][1].features, order, axis=0, out=X[i, :ns[i]])
-            np.take(targets[j], order, axis=0, out=ts[i, :ns[i]])
-        for start, k, alone in plan:
-            if k:
-                part, ws = heads[k]
-                stop = start + size
-                _step(part, ws, X[:k, start:stop], ts[:k, start:stop],
-                      stash[:k, start:stop], loss, lr)
-            for i, stop in alone:
-                ws = spaces.get(stop - start)
-                if ws is None:
-                    ws = spaces[stop - start] = Workspace(spec, stop - start)
-                _step(rows[i], ws, X[i, start:stop], ts[i, start:stop],
-                      stash[i, start:stop], loss, lr)
+        orders = [rng.permutation(rng.derive_key(
+            "shuffle", jobs[j][2].seed, epoch), n) for j, n in zip(live, ns)]
+        totals = [0.0] * len(live)
+        for lo in range(0, ns[0], SPAN):
+            counts = [min(n - lo, SPAN) for n in ns if n > lo]
+            for i, (j, count) in enumerate(zip(live, counts)):
+                for whole, out in ((jobs[j][1].features, X), (targets[j], ts)):
+                    np.take(whole, orders[i][lo:lo + count], axis=0,
+                            out=out[i, :count])
+            for start, k, alone in plan[lo // size:(lo + SPAN) // size]:
+                if k:
+                    part, ws = heads[k]
+                    cut = slice(start - lo, start - lo + size)
+                    _step(part, ws, X[:k, cut], ts[:k, cut], stash[:k, cut],
+                          loss, lr)
+                for i, stop in alone:
+                    cut = slice(start - lo, stop - lo)
+                    _step(rows[i], spaces[stop - start], X[i, cut], ts[i, cut],
+                          stash[i, cut], loss, lr)
+            for i, means in enumerate(_batch_means(stash, ts, loss, counts,
+                                                   size)):
+                for b, value in enumerate(means):
+                    totals[i] += value * min(size, counts[i] - b * size)
+        del orders  # so that the next epoch's are drawn without them
         if not np.isfinite(state.theta).all():
             raise RuntimeError(f"training diverged in epoch {epoch}: "
                                "non-finite parameters")
         for i, n in enumerate(ns):
-            total = 0.0
-            for b, value in enumerate(_batch_means(
-                    stash[i, :n], ts[i, :n], loss, size)):
-                total += value * min(size, n - b * size)
-            histories[i].append(total / n)
+            histories[i].append(totals[i] / n)
     results = [None] * len(jobs)
     for i, j in enumerate(live):
         results[j] = frozen_params(spec, state.theta[i].copy()), histories[i]

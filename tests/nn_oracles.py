@@ -194,7 +194,10 @@ def batch_loss(params: NetParams, X: np.ndarray, targets, loss: Loss) -> float:
     out = _forward(params, X, ws)
     stash = loss_stash(out, targets)
     _loss_grad(out, targets, loss, ws, stash)
-    return _batch_means(stash, targets, loss, X.shape[0])[0]
+    n = X.shape[0]
+    [[value]] = _batch_means(stash[None], np.asarray(targets)[None], loss,
+                             [n], n)
+    return value
 
 
 def reference_backward(params: NetParams, ws: Workspace, d_out: np.ndarray,

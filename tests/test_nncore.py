@@ -510,15 +510,20 @@ def test_train_matches_reference_loop_bit_for_bit(kind):
         if kind == "blkd":
             teacher, _ = train(init_params(NetSpec(ds.dim, (8,), "logits", 3), 4),
                                ds, TrainConfig(5, 0.05, seed=4))
-    # 150 rows at batch 64: two full batches and one of 22 per epoch.
+    # 150 rows at batch 64: two full batches and one of 22 per epoch.  A
+    # 2,100-row set takes three spans of SPAN = 1,024 rows, the last one
+    # 52 rows, a partial batch.
     cfg = TrainConfig(6, 0.05, lr_decay_epochs=(4,), seed=2,
                       loss=Loss(kind, lam=0.3, temperature=4.0))
     p0 = init_params(spec, 3)
-    got, got_hist = train(p0, ds, cfg, teacher=teacher)
-    want, want_hist = _reference_train(p0, ds, cfg, teacher=teacher)
-    assert got_hist == want_hist
-    for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-        assert np.array_equal(a, b)
+    big = (ring_dataset(seed=5, n=2100) if kind == "plain_se" else
+           blob_dataset(seed=5, n=2100, sep=2.0, noise=1.0, classes=3))
+    for data in (ds, big):
+        got, got_hist = train(p0, data, cfg, teacher=teacher)
+        want, want_hist = _reference_train(p0, data, cfg, teacher=teacher)
+        assert got_hist == want_hist
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
     # train leaves its input untouched
     assert np.array_equal(p0.weights[0], init_params(spec, 3).weights[0])
 
@@ -596,7 +601,8 @@ def test_ce_loss_matches_reference_at_the_floor_and_on_nan(kind, temperature):
             stash = loss_stash(out[rows], t_eff[rows])
             d_out = nncore._loss_grad(out[rows], t_eff[rows], loss,
                                       nncore.Workspace(spec, rows.stop), stash)
-            [value] = nncore._batch_means(stash, t_eff[rows], loss, rows.stop)
+            [[value]] = nncore._batch_means(stash[None], t_eff[rows][None],
+                                            loss, [rows.stop], rows.stop)
             want_value, want_d_out = _reference_loss_and_dout(
                 out[rows], targets[rows], loss, tp[rows])
             assert np.array_equal(value, want_value, equal_nan=True)
@@ -777,6 +783,29 @@ def test_forward_batch_keeps_no_backprop_buffers():
         assert peak <= bound
 
 
+def test_stacked_training_keeps_no_whole_epoch_buffers():
+    # The ablation's student stack: four (8,) regression students over the
+    # real rows plus the cleaned fakes, one epoch.
+    spec = NetSpec(2, (8,), "nonneg_scalar")
+    ns = (8800, 8800, 6400, 6400)
+    jobs = [[init_params(spec, j), ring_dataset(seed=j, n=n),
+             TrainConfig(1, 0.02, seed=j, loss=Loss("plain_se")), None]
+            for j, n in enumerate(ns)]
+    # A first call keeps numpy's lazy imports out of the traced peaks.
+    nncore._train(jobs[-1:])
+    # Per network, one span of features (2 columns), targets and loss
+    # stash; every network's epoch permutation, plus the working set of
+    # drawing the largest; and at most twice the widest stack's workspace
+    # (the 4- and 2-network stacks and the 32-row tail batch).
+    drawing = traced_peak(lambda: rng.permutation(0, max(ns)))
+    stack_ws = traced_peak(lambda: nncore.Workspace(spec, 4, nncore.SGD_BATCH))
+    bound = (4 * nncore.SPAN * (2 + 1 + 1) * 8 + 8 * sum(ns) + drawing
+             + 2 * stack_ws)
+    # The whole-epoch copies of those buffers alone take 1,126,400 B.
+    assert 4 * max(ns) * (2 + 1 + 1) * 8 > bound
+    assert traced_peak(lambda: nncore._train(jobs)) <= bound
+
+
 # -- the training memo ------------------------------------------------------
 
 @pytest.fixture
@@ -942,7 +971,9 @@ def stack_jobs(kind, rows, seeds, epochs=5, hidden=None):
     # A one-unit layer, and a job whose last batch has one row: for squared
     # error a 1x1 layer, whose dead unit gives signed zeros.
     ((130, 65, 129), (1, 2, 3), (1,)),
-], ids=["ragged", "multiples", "equal", "one", "one-unit"])
+    # Ragged rows on both sides of the span edges at 1,024 and 2,048 rows.
+    ((2100, 1025, 1024, 1023, 64), (1, 2, 3, 4, 5), None),
+], ids=["ragged", "multiples", "equal", "one", "one-unit", "spans"])
 def test_jobs_trained_together_equal_separate_trainings(kind, rows, seeds,
                                                         hidden, sgd_runs):
     jobs = stack_jobs(kind, rows, seeds, hidden=hidden)
