@@ -15,9 +15,10 @@ output that cannot be written.  `main` alone maps failures to these codes:
 a `ValueError` that reaches it, `ConfigError` included, is a rejected
 value, since a stage wraps its own failures in `StageError`; an `OSError`
 is a failed write, since `load_config` maps a failed read to `ConfigError`.
-A sweep seed's cells, or an ablation seed's variants, run in one
-`m3_distill.run_pipelines` call: they share one data split and each
-distinct training, and their students train in one stacked SGD loop.
+Every command runs its pipelines through `m3_distill.run_pipelines`, one
+call per `run`, sweep seed or ablation seed: the configs of a call share
+one data split and each distinct training, and their students train in one
+stacked SGD loop.
 """
 
 import argparse
@@ -33,8 +34,8 @@ import time
 from dataclasses import replace
 
 from .cgen import GanTrainConfig
-from .m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
-                         run_ablation, run_pipeline, run_pipelines)
+from .m3_distill import (ABLATION_VARIANTS, RUN_VARIANTS, PipelineConfig,
+                         StageError, run_pipelines)
 from .nncore import Loss, TrainConfig, plain_loss
 from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
 from .theory import standard_setup, verify_bound
@@ -246,12 +247,12 @@ def cmd_run(args, config, manifest_seed):
     seed = args.seed if args.seed is not None else manifest_seed
     if seed is not None:
         config = replace(config, master_seed=seed)
-    report = run_pipeline(config, checkpoint_dir=args.out_dir)
+    report, = run_pipelines([config], checkpoint_dir=args.out_dir)
     fr = report.filter_report
     return config.master_seed, [(
         config.data.task.kind, report.n_real, report.n_fake, report.m_fake,
-        config.rho, report.theta, report.teacher.primary,
-        report.student_nokd.primary, report.student_cgankd.primary,
+        config.rho, report.theta,
+        *(report.metrics[v].primary for v in RUN_VARIANTS),
         fr.consistency_before, fr.consistency_after, config.master_seed)], ""
 
 
@@ -306,15 +307,16 @@ def cmd_sweep(args, base, _):
     rows = []
     for value, per_seed in zip(values, zip(*reports)):
         rows += _seed_rows((args.param, value), [
-            (seed, (rep.teacher.primary, rep.student_nokd.primary,
-                    rep.student_cgankd.primary, rep.m_fake, rep.theta))
+            (seed, (*(rep.metrics[v].primary for v in RUN_VARIANTS),
+                    rep.m_fake, rep.theta))
             for seed, rep in zip(seeds, per_seed)])
     return None, rows, ""
 
 
 def cmd_ablation(args, base, _):
     seeds = _distinct(args.seeds, int, "seed")
-    tables = [run_ablation(replace(base, master_seed=s)) for s in seeds]
+    tables = [run_pipelines([replace(base, master_seed=s)],
+                            ABLATION_VARIANTS)[0].metrics for s in seeds]
     rows = []
     for variant in ABLATION_VARIANTS:
         rows += _seed_rows((variant,), [(seed, (table[variant].primary,))

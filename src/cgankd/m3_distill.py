@@ -10,12 +10,14 @@ shared between the NOKD baseline and the augmented students: with no
 surviving fakes and a plain loss the two coincide exactly.
 `run_pipeline` is the one stage sequence: its `variants` name the networks
 it reports, and a stage runs only when one of them reads it.
-`run_pipelines` runs several configs, such as the cells of one sweep seed,
-inside a training memo (`nncore.reuse_training`) that no other code opens:
-they share each distinct training and, given equal data, train fraction
-and master seed, one read-only split.  Each student stage passes all their
-students to `nncore.train` as its `together` batch, so the first trains
-them in one stacked SGD loop.  Each is the student a lone run trains.
+`run_pipelines` is the one entry to it, for every command: it runs one or
+several configs, such as the cells of one sweep seed, inside a training
+memo (`nncore.reuse_training`) that no other code opens, so they share
+each distinct training and, given equal data, train fraction and master
+seed, one read-only split; a lone run's rho-0 student is its NOKD
+baseline, trained once.  Each student stage passes all their students to
+`nncore.train` as its `together` batch, so the first trains them in one
+stacked SGD loop.  Each is the student a lone run trains.
 """
 
 import time
@@ -27,8 +29,8 @@ import numpy as np
 from . import cgen, m1_subsample, m2_labeladjust, modelio, nncore, rng
 from .cgen import CorruptedOracle, GanTrainConfig
 from .m2_labeladjust import FilterReport
-from .nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
-                     check_loss, plain_loss)
+from .nncore import (Loss, NetParams, NetSpec, TrainConfig, check_loss,
+                     plain_loss)
 from .synthdata import (Dataset, SynthConfig, check_splittable, class_budgets,
                         concat, label_groups, make_dataset, split,
                         write_dataset)
@@ -100,18 +102,6 @@ class PipelineReport:
     m_fake: int                  # fakes surviving the filter (and cap)
     theta: float
     timings: dict = field(default_factory=dict)
-
-    @property
-    def teacher(self) -> Metrics:
-        return self.metrics["teacher"]
-
-    @property
-    def student_nokd(self) -> Metrics:
-        return self.metrics["nokd"]
-
-    @property
-    def student_cgankd(self) -> Metrics:
-        return self.metrics["full"]
 
 
 class StageError(RuntimeError):
@@ -210,10 +200,12 @@ RUN_VARIANTS = ("teacher", "nokd", "full")
 ABLATION_VARIANTS = ("raw", "m1", "m1m2", "full")
 
 
-def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
-                 variants=RUN_VARIANTS):
-    """Execute the run's stages for the networks `variants` names and
-    report their metrics; optionally checkpoint artifacts per stage.
+def run_pipeline(config: PipelineConfig, variants, checkpoint_dir):
+    """Execute the run's stages up to M2 for the networks `variants` names,
+    optionally checkpointing artifacts per stage, and return (the students'
+    `nncore.train` arguments, `finish`): `finish(together)` runs the
+    student stages, each with the `together` jobs (see `nncore.train`), and
+    the evaluate stage, and returns the report.
 
     "teacher" reports the teacher, which every run trains for M2, and
     "nokd" the baseline student on the real set alone (stage
@@ -223,16 +215,11 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
     otherwise: "raw" the generator's unprocessed fakes (stage "raw", run
     only for it), "m1" the subsampled ones, "m1m2" those M2 keeps and
     "full" those relabelled too (for classification, "m1m2" again).  No
-    fake set outlives the stages before the students.
-
-    With a `batch` list (see `run_pipelines`), the run stops before its
-    student stages: it appends its students' `nncore.train` arguments to
-    `batch` and returns a function that runs the rest, with `batch` as each
-    student's `together` jobs, and returns the report.
+    fake set outlives this call, since `finish` reads none.
 
     The data stage's (train, eval) split is read-only, and memoized by
-    (data, train fraction, master seed): inside `run_pipelines` a run whose
-    split the memo holds takes it and makes none.
+    (data, train fraction, master seed): a run whose split the memo holds
+    takes it and makes none.
     """
     timings = {}
     seed_of = partial(rng.derive_key, config.master_seed)
@@ -256,50 +243,42 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
     _save(checkpoint_dir, "teacher.txt", modelio.write_netparams, teacher)
 
     nets = {"teacher": teacher}
+    generator = _stage("generator", timings, lambda: _prepare_generator(
+        config, real_train, seed_of("generator")))
+    _save(checkpoint_dir, "generator.txt", cgen.save_generator, generator)
+    d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
+        config, generator, real_train, seed_of))
+    _save(checkpoint_dir, "fakes_m1.txt", write_dataset, d_m1, "fake_m1")
+    if "nokd" in variants:
+        nets["nokd"] = _stage("student-nokd", timings, lambda: train_student(
+            real_train, config.student_hidden, config.student_train,
+            plain_loss(real_train.task), seed_of("student")))
+        _save(checkpoint_dir, "student_nokd.txt", modelio.write_netparams,
+              nets["nokd"])
+    sets = {"m1": d_m1}
+    if "raw" in variants:
+        sets["raw"] = _stage("raw", timings, lambda: cgen.sample(
+            generator, cgen.sample_labels(real_train, config.n_fake,
+                                          seed=seed_of("raw-labels")),
+            seed=seed_of("raw-fakes")))
+    sets["m1m2"], sets["full"], filter_report = _stage("m2", timings, (
+        lambda: m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
+    capped = {v: _cap_fakes(sets[v], config.fake_cap, seed_of("fake-cap"))
+              for v in variants if v in sets}
+    _save(checkpoint_dir, "fakes_m2.txt", write_dataset, capped["full"],
+          "fake_m2")
+    m_fake = capped["full"].n
+    student_args = {v: (augment(real_train, fakes), config.student_hidden,
+                        config.student_train, config.student_loss,
+                        seed_of("student"), teacher)
+                    for v, fakes in capped.items()}
 
-    # The stages up to M2, in a scope of their own so that the fake sets die
-    # when it returns.
-    def prefix():
-        generator = _stage("generator", timings, lambda: _prepare_generator(
-            config, real_train, seed_of("generator")))
-        _save(checkpoint_dir, "generator.txt", cgen.save_generator, generator)
-        d_m1 = _stage("m1", timings, lambda: _subsample_fakes(
-            config, generator, real_train, seed_of))
-        _save(checkpoint_dir, "fakes_m1.txt", write_dataset, d_m1, "fake_m1")
-        if "nokd" in variants:
-            nets["nokd"] = _stage("student-nokd", timings, lambda: (
-                train_student(real_train, config.student_hidden,
-                              config.student_train,
-                              plain_loss(real_train.task), seed_of("student"))))
-            _save(checkpoint_dir, "student_nokd.txt", modelio.write_netparams,
-                  nets["nokd"])
-        sets = {"m1": d_m1}
-        if "raw" in variants:
-            sets["raw"] = _stage("raw", timings, lambda: cgen.sample(
-                generator, cgen.sample_labels(real_train, config.n_fake,
-                                              seed=seed_of("raw-labels")),
-                seed=seed_of("raw-fakes")))
-        sets["m1m2"], sets["full"], filter_report = _stage("m2", timings, (
-            lambda: m2_labeladjust.run_m2(teacher, d_m1, config.rho)))
-        capped = {v: _cap_fakes(sets[v], config.fake_cap, seed_of("fake-cap"))
-                  for v in variants if v in sets}
-        _save(checkpoint_dir, "fakes_m2.txt", write_dataset, capped["full"],
-              "fake_m2")
-        return filter_report, capped["full"].n, {v: (
-            augment(real_train, fakes), config.student_hidden,
-            config.student_train, config.student_loss, seed_of("student"),
-            teacher) for v, fakes in capped.items()}
-
-    filter_report, m_fake, student_args = prefix()
-    if batch is not None:
-        batch += [_net_job(*args) for args in student_args.values()]
-
-    def finish():
+    def finish(together):
         # "full" first, so that its "student" stage times the stacked loop
         for name in sorted(student_args, key=lambda v: v != "full"):
             stage = "student" if name == "full" else f"student-{name}"
             nets[name] = _stage(stage, timings, lambda: train_student(
-                *student_args[name], together=batch or ()))
+                *student_args[name], together=together))
         _save(checkpoint_dir, "student.txt", modelio.write_netparams,
               nets["full"])
         metrics = _stage("evaluate", timings, lambda: {
@@ -309,12 +288,13 @@ def run_pipeline(config: PipelineConfig, checkpoint_dir=None, batch=None,
             n_real=real_train.n, n_fake=config.n_fake, m_fake=m_fake,
             theta=real_train.n / (real_train.n + m_fake), timings=timings)
 
-    return finish() if batch is None else finish
+    return [_net_job(*args) for args in student_args.values()], finish
 
 
-def run_pipelines(configs, variants=RUN_VARIANTS) -> list:
-    """`run_pipeline` of each config for `variants`, with the students of
-    all the runs trained together in one stacked SGD loop.
+def run_pipelines(configs, variants=RUN_VARIANTS, checkpoint_dir=None) -> list:
+    """The report of each config's run for `variants` (see `run_pipeline`),
+    with the students of all the runs trained together in one stacked SGD
+    loop; every command runs its pipelines through this call.
 
     The whole call runs inside one training memo (`nncore.reuse_training`),
     so it trains each distinct network once, and runs with equal data,
@@ -327,17 +307,10 @@ def run_pipelines(configs, variants=RUN_VARIANTS) -> list:
     network, schedule and loss, as the cells of one sweep seed do.  With two
     failing runs, the stage named may differ from one-by-one runs, since
     every run reaches M2 before any student trains; it is a StageError
-    either way.
+    either way.  Each run checkpoints into `checkpoint_dir` if one is given.
     """
     with nncore.reuse_training():
-        batch = []
-        finishes = [run_pipeline(config, batch=batch, variants=variants)
-                    for config in configs]
-        return [finish() for finish in finishes]
-
-
-def run_ablation(config: PipelineConfig) -> dict:
-    """Metrics of the module ablation's students by variant, in
-    `ABLATION_VARIANTS` order (see `run_pipeline`), all trained in one
-    stacked SGD loop; `full` is `run_pipeline`'s student for the config."""
-    return run_pipelines([config], ABLATION_VARIANTS)[0].metrics
+        runs = [run_pipeline(config, variants, checkpoint_dir)
+                for config in configs]
+        jobs = [job for own, _ in runs for job in own]
+        return [finish(jobs) for _, finish in runs]

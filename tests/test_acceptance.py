@@ -16,7 +16,7 @@ import pytest
 from cgankd import cgen, m1_subsample, m2_labeladjust, rng, theory
 from cgankd.cli import build_pipeline_config, load_config, main
 from cgankd.m1_subsample import rejection_sample
-from cgankd.m3_distill import run_ablation, run_pipeline
+from cgankd.m3_distill import ABLATION_VARIANTS, run_pipelines
 from cgankd.nncore import Loss, NetSpec, TrainConfig, init_params, one_hot
 from cgankd.synthdata import ClassificationTask
 from nn_oracles import (batch_loss, blended_targets, constant_labels,
@@ -42,13 +42,13 @@ def bench_config(name):
 @pytest.fixture(scope="module")
 def cls_reports():
     base = bench_config("bench_cls.cfg")
-    return [run_pipeline(replace(base, master_seed=s)) for s in SEEDS]
+    return [run_pipelines([replace(base, master_seed=s)])[0] for s in SEEDS]
 
 
 @pytest.fixture(scope="module")
 def reg_reports():
     base = bench_config("bench_reg.cfg")
-    return [run_pipeline(replace(base, master_seed=s)) for s in SEEDS]
+    return [run_pipelines([replace(base, master_seed=s)])[0] for s in SEEDS]
 
 
 # --- criterion 1: analytic gradients against central finite differences ---
@@ -197,9 +197,9 @@ def test_criterion_05_label_consistency_direction():
                   dr_hidden=(16,), dr_train=TrainConfig(20, 0.02))
     afters, strict, teacher_ok = [], True, True
     for seed in SEEDS:
-        rep = run_pipeline(replace(cfg, master_seed=seed))
+        rep = run_pipelines([replace(cfg, master_seed=seed)])[0]
         fr = rep.filter_report
-        teacher_ok &= rep.teacher.top1 >= 0.95
+        teacher_ok &= rep.metrics["teacher"].top1 >= 0.95
         strict &= fr.consistency_after > fr.consistency_before
         afters.append(fr.consistency_after)
     elapsed = time.perf_counter() - start
@@ -211,15 +211,15 @@ def test_criterion_05_label_consistency_direction():
 
 def test_criterion_06_classification_direction(cls_reports):
     start = time.perf_counter()
-    nokd = float(np.mean([r.student_nokd.top1 for r in cls_reports]))
-    kd = float(np.mean([r.student_cgankd.top1 for r in cls_reports]))
+    nokd = float(np.mean([r.metrics["nokd"].top1 for r in cls_reports]))
+    kd = float(np.mean([r.metrics["full"].top1 for r in cls_reports]))
     corrupted_ok = kd >= nokd + 0.01
     base = bench_config("bench_cls.cfg")
     clean = replace(base, oracle_flip=0.0, oracle_junk=0.0)
-    clean_reports = [run_pipeline(replace(clean, master_seed=s))
+    clean_reports = [run_pipelines([replace(clean, master_seed=s)])[0]
                      for s in SEEDS]
-    nokd_c = float(np.mean([r.student_nokd.top1 for r in clean_reports]))
-    kd_c = float(np.mean([r.student_cgankd.top1 for r in clean_reports]))
+    nokd_c = float(np.mean([r.metrics["nokd"].top1 for r in clean_reports]))
+    kd_c = float(np.mean([r.metrics["full"].top1 for r in clean_reports]))
     elapsed = time.perf_counter() - start
     report(6, "classification direction",
            corrupted_ok and kd_c >= nokd_c and elapsed < 600.0,
@@ -228,9 +228,9 @@ def test_criterion_06_classification_direction(cls_reports):
 
 
 def test_criterion_07_regression_direction(reg_reports):
-    nokd = float(np.mean([r.student_nokd.mae for r in reg_reports]))
-    kd = float(np.mean([r.student_cgankd.mae for r in reg_reports]))
-    teacher = float(np.mean([r.teacher.mae for r in reg_reports]))
+    nokd = float(np.mean([r.metrics["nokd"].mae for r in reg_reports]))
+    kd = float(np.mean([r.metrics["full"].mae for r in reg_reports]))
+    teacher = float(np.mean([r.metrics["teacher"].mae for r in reg_reports]))
     strong_teacher = teacher <= 0.5 * nokd
     reduction = 1.0 - kd / nokd
     report(7, "regression direction",
@@ -241,7 +241,8 @@ def test_criterion_07_regression_direction(reg_reports):
 
 def _ablation_table(name):
     base = bench_config(name)
-    tables = [run_ablation(replace(base, master_seed=s)) for s in SEEDS]
+    tables = [run_pipelines([replace(base, master_seed=s)],
+                            ABLATION_VARIANTS)[0].metrics for s in SEEDS]
     sign = 1.0 if base.data.task.kind == "classification" else -1.0
     return {v: sign * np.array([t[v].primary for t in tables])
             for v in ("raw", "m1", "m1m2")}
@@ -289,10 +290,11 @@ def test_criterion_09_rho_sweep_endpoints(tmp_path):
                   for r in seed_rows if float(r[1]) == 0.0)
         # rho=1 rows equal a directly executed unfiltered pipeline
         base = bench_config(name)
-        direct = run_pipeline(replace(base, rho=1.0, master_seed=SEEDS[0]))
+        direct = run_pipelines([replace(base, rho=1.0,
+                                        master_seed=SEEDS[0])])[0]
         row_one = next(r for r in seed_rows
                        if float(r[1]) == 1.0 and r[2] == str(SEEDS[0]))
-        ok &= float(row_one[i_kd]) == direct.student_cgankd.primary
+        ok &= float(row_one[i_kd]) == direct.metrics["full"].primary
         sign = 1.0 if base.data.task.kind == "classification" else -1.0
         for rho in (0.3, 0.5, 0.7, 0.9):
             ok &= sign * mean_rows[rho] > sign * mean_rows[0.0]

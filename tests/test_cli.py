@@ -170,7 +170,7 @@ def _no_training(*args, **kwargs):
     ids=["rho-0.5,1.5", "rho-nan", "teacher-epochs-5,-1", "mg--3"])
 def test_sweep_out_of_range_value_exits_2_before_training(
         tiny_cfg, tmp_path, monkeypatch, capsys, param, values, message):
-    monkeypatch.setattr(cli, "run_pipeline", _no_training)
+    monkeypatch.setattr(cli, "run_pipelines", _no_training)
     assert main(["sweep", tiny_cfg, "--param", param, "--values", values,
                  "--seeds", "0", "--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
@@ -192,8 +192,7 @@ def test_repeated_seed_or_value_exits_2_before_training(
         tiny_cfg, tmp_path, monkeypatch, capsys, argv, repeated):
     # A repeated cell would run one pipeline twice and report a stddev of
     # 0 across "two" runs that are the same run.
-    monkeypatch.setattr(cli, "run_pipeline", _no_training)
-    monkeypatch.setattr(cli, "run_ablation", _no_training)
+    monkeypatch.setattr(cli, "run_pipelines", _no_training)
     argv = argv[:1] + [tiny_cfg] + argv[1:] + ["--out-dir", str(tmp_path)]
     assert main(argv) == 2
     assert repeated in capsys.readouterr().err
@@ -205,7 +204,7 @@ def test_repeated_seed_or_value_exits_2_before_training(
     (TINY_CFG, "0,x", "bad seeds")], ids=["no-snapshot", "bad-seeds"])
 def test_unreadable_manifest_or_seeds_exit_2_before_training(
         tmp_path, monkeypatch, capsys, text, seeds, message):
-    monkeypatch.setattr(cli, "run_ablation", _no_training)
+    monkeypatch.setattr(cli, "run_pipelines", _no_training)
     path = tmp_path / "config.txt"
     path.write_text(text)
     assert main(["ablation", str(path), "--seeds", seeds,
@@ -215,8 +214,7 @@ def test_unreadable_manifest_or_seeds_exit_2_before_training(
 
 def test_missing_out_dir_exits_2_before_running(tiny_cfg, tmp_path,
                                                 monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_pipeline", _no_training)
-    monkeypatch.setattr(cli, "run_ablation", _no_training)
+    monkeypatch.setattr(cli, "run_pipelines", _no_training)
     missing = str(tmp_path / "missing")
     for argv in (["run", tiny_cfg],
                  ["sweep", tiny_cfg, "--param", "rho", "--values", "0.5",
@@ -452,7 +450,7 @@ def test_checkpoints_are_byte_identical_on_one_and_two_blas_threads(
         set_threads(threads)
         out = tmp_path / f"threads{threads}"
         out.mkdir()
-        m3_distill.run_pipeline(config, checkpoint_dir=str(out))
+        m3_distill.run_pipelines([config], checkpoint_dir=str(out))
         files.append({p.name: p.read_bytes() for p in out.iterdir()})
     assert files[0] and files[0] == files[1]
 
@@ -550,13 +548,29 @@ def test_a_seed_trains_its_sweep_and_ablation_students_in_one_loop(
         "evaluate"]
 
 
+@pytest.mark.parametrize("edits", [{}, REGRESSION],
+                         ids=["classification", "regression"])
+def test_a_rho_zero_run_trains_its_student_once(tmp_path, monkeypatch,
+                                                edits):
+    # A run keeps no fakes at rho 0, so with a plain loss its student is the
+    # baseline's job, and the run's training memo answers it.
+    out = tmp_path / "out"
+    out.mkdir()
+    runs = _counting(monkeypatch, nncore, "_train")
+    assert main(["run", _tiny_with(tmp_path, {**edits, "rho": "0"}),
+                 "--out-dir", str(out)]) == 0
+    # the teacher, the DR and the baseline
+    assert [len(jobs) for (jobs,) in runs] == [1, 1, 1]
+    assert ((out / "student.txt").read_bytes()
+            == (out / "student_nokd.txt").read_bytes())
+
+
 def test_traced_ablation_repeats_no_stage(tmp_path):
     # The benchmark's span recorder (bench/spans.py) keys each stage inside
     # a `run_pipeline` call by its name and config, and fails a traced round
     # whose stage of one key gives two outputs; so the ablation's variant
-    # students must run under stage names of their own.  The command's
-    # students train after `run_pipeline` returns, and a lone call's inside
-    # it.
+    # students must run under stage names of their own.  They train after
+    # `run_pipeline` returns, whether the command or a direct call runs it.
     spec = importlib.util.spec_from_file_location(
         "spans", pathlib.Path(__file__).resolve().parent.parent / "bench"
         / "spans.py")
@@ -567,16 +581,16 @@ def test_traced_ablation_repeats_no_stage(tmp_path):
     with tracer:
         assert cli.main(["ablation", path, "--seeds", "4,5",
                          "--out-dir", str(tmp_path)]) == 0
-        m3_distill.run_pipeline(build_pipeline_config(load_config(path)[0]),
-                                variants=m3_distill.ABLATION_VARIANTS)
+        config = build_pipeline_config(load_config(path)[0])
+        m3_distill.run_pipelines([config], m3_distill.ABLATION_VARIANTS)
     m = spans.layer_metrics(tracer)
     assert not tracer.stage_mismatches
     assert (m["m3.stage_runs"], m["m3.stage_runs_repeat"]) == (3 * 11, 0)
 
 
 def test_direct_calls_train_their_students_in_one_loop(tmp_path, monkeypatch):
-    # Without `main` no command memo is open: `run_pipelines` and
-    # `run_ablation` open one around the whole call themselves.
+    # Without `main` no command memo is open: `run_pipelines` opens one
+    # around the whole call itself.
     config = build_pipeline_config(
         load_config(_tiny_with(tmp_path, REGRESSION))[0])
     runs = _counting(monkeypatch, nncore, "_train")
@@ -586,7 +600,7 @@ def test_direct_calls_train_their_students_in_one_loop(tmp_path, monkeypatch):
     # students
     assert [len(jobs) for (jobs,) in runs] == [1, 1, 1, 3]
     runs.clear()
-    m3_distill.run_ablation(config)
+    m3_distill.run_pipelines([config], m3_distill.ABLATION_VARIANTS)
     # teacher, DR, then the four variants' students
     assert [len(jobs) for (jobs,) in runs] == [1, 1, 4]
     assert nncore._memo is None
@@ -622,8 +636,8 @@ def test_cells_share_their_split_and_leave_it_untouched(tmp_path,
         return [(d.features.tobytes(), d.labels.tobytes()) for d in pair]
 
     monkeypatch.setattr(m3_distill, "_stage", recording)
-    m3_distill.run_pipeline(config)
-    m3_distill.run_pipeline(replace(config, master_seed=1))
+    m3_distill.run_pipelines([config])
+    m3_distill.run_pipelines([replace(config, master_seed=1)])
     alone, other = map(contents, data)
     data.clear()
     teachers.clear()
@@ -676,10 +690,11 @@ def test_no_fake_set_outlives_the_stages_before_the_students(
     monkeypatch.setattr(cgen, "sample", keeping(cgen.sample))
     monkeypatch.setattr(m3_distill, "_stage", recording)
     for command in (
-            lambda: m3_distill.run_pipeline(config),
+            lambda: m3_distill.run_pipelines([config]),
             lambda: m3_distill.run_pipelines(
                 [config, replace(config, rho=0.5)]),
-            lambda: m3_distill.run_ablation(config)):
+            lambda: m3_distill.run_pipelines(
+                [config], m3_distill.ABLATION_VARIANTS)):
         refs.clear()
         alive.clear()
         command()
@@ -694,10 +709,11 @@ def test_cgan_sweep_trains_the_gan_once_per_seed(tmp_path, monkeypatch):
     assert len(runs) == 2
 
 
-def test_only_sweep_and_ablation_stages_see_a_memo_and_it_ends_with_them(
+def test_every_command_runs_its_stages_in_a_memo_that_ends_with_it(
         tiny_cfg, tmp_path, monkeypatch):
-    # `run_pipelines` alone opens the training memo, so a lone run shares
-    # nothing and every command leaves no memo open, however it exits.
+    # `run_pipelines` alone opens the training memo, and every command runs
+    # through it, so every stage sees the memo and every command leaves
+    # none open, however it exits.
     seen, stage = [], m3_distill._stage
 
     def recording(name, timings, fn):
@@ -706,11 +722,8 @@ def test_only_sweep_and_ablation_stages_see_a_memo_and_it_ends_with_them(
 
     monkeypatch.setattr(m3_distill, "_stage", recording)
     out = ["--out-dir", str(tmp_path)]
-    assert main(["run", tiny_cfg] + out) == 0
-    assert seen and not any(seen)
-    assert nncore._memo is None
     sweep = ["sweep", "--param", "rho", "--values", "0.5,1", "--seeds", "0"]
-    for command in (sweep, ["ablation", "--seeds", "0"]):
+    for command in (["run"], sweep, ["ablation", "--seeds", "0"]):
         seen.clear()
         assert main(command + [tiny_cfg] + out) == 0
         assert seen and all(seen)
@@ -762,7 +775,7 @@ def test_a_sweep_seed_drops_its_memo_before_the_next_seed(tmp_path,
                                           ("mg", "0,50")])
 def test_sweep_rows_equal_independent_pipeline_runs(tmp_path, param, values,
                                                     edits):
-    # Every cell, all seeds, against a run_pipeline call outside any memo.
+    # Every cell, all seeds, against a lone run_pipelines call of its own.
     # A regression MAE moves with any change to a network, where a top-1
     # over 120 rows can stay put.
     path = _tiny_with(tmp_path, edits)
@@ -778,10 +791,10 @@ def test_sweep_rows_equal_independent_pipeline_runs(tmp_path, param, values,
         for seed in (0, 1):
             config = cli._sweep_variant(replace(base, master_seed=seed),
                                         param, value)
-            rep = m3_distill.run_pipeline(config)
-            per_seed.append((seed, (rep.teacher.primary,
-                                    rep.student_nokd.primary,
-                                    rep.student_cgankd.primary, rep.m_fake,
+            rep = m3_distill.run_pipelines([config])[0]
+            per_seed.append((seed, (rep.metrics["teacher"].primary,
+                                    rep.metrics["nokd"].primary,
+                                    rep.metrics["full"].primary, rep.m_fake,
                                     rep.theta)))
         rows += cli._seed_rows((param, value), per_seed)
     want = tmp_path / "want.csv"

@@ -5,8 +5,7 @@ import pytest
 
 from cgankd import m2_labeladjust, m3_distill, nncore
 from cgankd.m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
-                               augment, run_ablation, run_pipeline,
-                               train_student)
+                               augment, run_pipelines, train_student)
 from cgankd.nncore import Loss, TrainConfig
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RingConfig, make_classification, make_regression)
@@ -95,38 +94,38 @@ def test_train_student_blkd_requires_teacher_and_classification():
 
 
 def test_pipeline_deterministic():
-    a = run_pipeline(cls_config(seed=11))
-    b = run_pipeline(cls_config(seed=11))
-    assert a.student_cgankd == b.student_cgankd
-    assert a.student_nokd == b.student_nokd
-    assert a.teacher == b.teacher
+    a = run_pipelines([cls_config(seed=11)])[0]
+    b = run_pipelines([cls_config(seed=11)])[0]
+    assert a.metrics["full"] == b.metrics["full"]
+    assert a.metrics["nokd"] == b.metrics["nokd"]
+    assert a.metrics["teacher"] == b.metrics["teacher"]
     assert a.m_fake == b.m_fake and a.theta == b.theta
 
 
 def test_pipeline_rho_zero_is_nokd():
-    report = run_pipeline(cls_config(seed=12, rho=0.0))
+    report = run_pipelines([cls_config(seed=12, rho=0.0)])[0]
     assert report.m_fake == 0
     assert report.theta == 1.0
-    assert report.student_cgankd == report.student_nokd
+    assert report.metrics["full"] == report.metrics["nokd"]
 
 
 def test_pipeline_theta_bookkeeping():
-    report = run_pipeline(cls_config(seed=13))
+    report = run_pipelines([cls_config(seed=13)])[0]
     assert report.theta == report.n_real / (report.n_real + report.m_fake)
     assert report.n_fake == 900
     assert 0 < report.m_fake <= report.n_fake
 
 
 def test_pipeline_fake_cap():
-    report = run_pipeline(cls_config(seed=14, fake_cap=100))
+    report = run_pipelines([cls_config(seed=14, fake_cap=100)])[0]
     assert report.m_fake == 100
     assert report.theta == report.n_real / (report.n_real + 100)
 
 
 def test_pipeline_regression_runs():
-    report = run_pipeline(reg_config(seed=15))
-    assert report.student_cgankd.mae is not None
-    assert report.student_nokd.mae is not None
+    report = run_pipelines([reg_config(seed=15)])[0]
+    assert report.metrics["full"].mae is not None
+    assert report.metrics["nokd"].mae is not None
     assert report.m_fake == 630  # 0.7 of 900
 
 
@@ -136,7 +135,7 @@ def test_pipeline_stage_error_names_stage(monkeypatch):
     monkeypatch.setattr(m3_distill, "split", broken)
     config = cls_config(seed=16)
     with pytest.raises(StageError, match="'data'"):
-        run_pipeline(config)
+        run_pipelines([config])
     assert "timings" not in config.__dict__  # config untouched
 
 
@@ -148,7 +147,7 @@ def test_config_rejects_data_too_small_to_split():
 
 
 def test_pipeline_checkpoints(tmp_path):
-    run_pipeline(cls_config(seed=17), checkpoint_dir=str(tmp_path))
+    run_pipelines([cls_config(seed=17)], checkpoint_dir=str(tmp_path))
     for name in ("train.txt", "eval.txt", "teacher.txt", "student_nokd.txt",
                  "generator.txt", "fakes_m1.txt", "fakes_m2.txt",
                  "student.txt"):
@@ -159,7 +158,7 @@ def test_pipeline_nan_teacher_errors_fail_stage_m2(monkeypatch):
     monkeypatch.setattr(m2_labeladjust, "_errors",
                         lambda outputs, fakes: np.full(fakes.n, np.nan))
     with pytest.raises(StageError, match="'m2'.*non-finite"):
-        run_pipeline(reg_config(seed=20))
+        run_pipelines([reg_config(seed=20)])
 
 
 # overlapping blobs, so that top-1 tells different students apart
@@ -185,10 +184,10 @@ def test_ablation_full_equals_pipeline_student(config, monkeypatch):
         return train_student(d_aug, *args, **kwargs)
 
     monkeypatch.setattr(m3_distill, "train_student", recording)
-    ablation = run_ablation(config)
+    ablation = run_pipelines([config], ABLATION_VARIANTS)[0].metrics
     monkeypatch.undo()
-    report = run_pipeline(config)
-    assert ablation["full"] == report.student_cgankd
+    report = run_pipelines([config])[0]
+    assert ablation["full"] == report.metrics["full"]
     if config.data.task.kind == "classification":
         assert ablation["m1m2"] == ablation["full"]
     assert len(train_rows) == len(ABLATION_VARIANTS)
@@ -197,8 +196,8 @@ def test_ablation_full_equals_pipeline_student(config, monkeypatch):
 
 
 def test_ablation_variants_and_determinism():
-    a = run_ablation(cls_config(seed=18))
-    b = run_ablation(cls_config(seed=18))
+    a = run_pipelines([cls_config(seed=18)], ABLATION_VARIANTS)[0].metrics
+    b = run_pipelines([cls_config(seed=18)], ABLATION_VARIANTS)[0].metrics
     assert tuple(a) == ABLATION_VARIANTS
     assert a == b
     # classification has no replacement step: last two variants coincide
@@ -206,7 +205,7 @@ def test_ablation_variants_and_determinism():
 
 
 def test_ablation_regression_full_differs_by_replacement_only():
-    out = run_ablation(reg_config(seed=19))
+    out = run_pipelines([reg_config(seed=19)], ABLATION_VARIANTS)[0].metrics
     assert set(out) == set(ABLATION_VARIANTS)
     for metrics in out.values():
         assert metrics.mae is not None

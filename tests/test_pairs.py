@@ -55,3 +55,35 @@ def test_wins_follow_the_metric_direction(better, wins):
 def test_a_metric_without_a_direction_counts_lower_as_better():
     got = pairs.summarize(runs_of([2.0], [1.0], name="x"), {})
     assert got["x"]["better"] == "lower" and got["x"]["wins"] == 1
+
+
+@pytest.mark.parametrize("output, counts", [
+    ("....\n577 passed in 51.36s\n", (577, 0)),
+    ("F.\n=== 2 failed, 575 passed, 1 warning in 50.12s ===\n", (575, 2)),
+    ("E\n1 passed, 1 error in 0.51s\n", (1, 1)),
+    ("no summary\n", (0, 0)),
+], ids=["passed", "failed", "error", "none"])
+def test_tier1_counts_read_the_pytest_summary_line(output, counts):
+    assert pairs.tier1_counts(output) == counts
+
+
+def test_a_tier1_run_times_the_suite_in_its_tree_with_its_src(tmp_path):
+    # The suite imports from the tree's own `src`, and a failing test is
+    # counted, not fatal.
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "planted.py").write_text("VALUE = 1\n")
+    (tmp_path / "test_planted.py").write_text(
+        "import planted\n\n"
+        "def test_reads_src():\n    assert planted.VALUE == 1\n\n"
+        "def test_fails():\n    assert planted.VALUE == 2\n")
+    run = pairs.tier1(str(tmp_path))
+    assert run["returncode"] == 1
+    assert run["metrics"]["passed"] == 1 and run["metrics"]["failed"] == 1
+    assert run["metrics"]["wall_s"] > 0
+
+
+def test_tier1_pairs_summarise_like_the_benchmark_metrics():
+    runs = runs_of([50.0, 52.0], [49.0, 53.0], name="wall_s")
+    got = pairs.summarize(runs, pairs.TIER1_BETTER)
+    assert got["wall_s"]["wins"] == 1 and got["wall_s"]["pairs"] == 2
+    assert pairs.TIER1_BETTER["passed"] == "higher"

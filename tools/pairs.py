@@ -10,13 +10,19 @@ The base revision's committed files are exported with `git archive` into
 tree's own, unchanged `bench/run.py --workload W --seed SEED+i --seconds S
 --trace 0`, one after the other: base first in even pairs, change first in
 odd ones, so a drift in the machine's pace loads both sides alike.  With
-several --workload flags their pairs run in turn.
+several --workload flags their pairs run in turn.  With --tier1 N, N more
+pairs, alternating the same way, run the Tier-1 suite in each tree:
+`python -m pytest -q --continue-on-collection-errors` with the tree's `src`
+first on PYTHONPATH, as ROADMAP.md gives it.
 
 It writes `BENCH_<label>.json` at the repository root: the machine facts
 (nproc, Python, numpy, the BLAS name, version and thread count), every raw
 run, and per workload and metric each side's median and quartiles and the
 change's wins out of the pairs (pairs where the change's figure is better,
-in the direction `BENCHMARK.json` gives).  Standard library only.
+in the direction `BENCHMARK.json` gives).  The Tier-1 pairs go under
+"tier1", summarised the same way: the suite's wall seconds (lower is
+better) and its passed and failed test counts, a collection error counting
+as failed.  Standard library only.
 """
 
 import argparse
@@ -24,13 +30,19 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 import tarfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TREES = os.path.join(ROOT, "tools", ".pairs")
+
+# ROADMAP.md's Tier-1 command, run in a tree with its `src` on PYTHONPATH.
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+TIER1_BETTER = {"wall_s": "lower", "passed": "higher", "failed": "lower"}
 
 # Run in the change tree: numpy's version and BLAS, and the OpenBLAS thread
 # count the way `cgankd.cli` finds it.
@@ -114,6 +126,47 @@ def bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def tier1_counts(output: str) -> tuple:
+    """(passed, failed) from pytest's summary line, the last line of its
+    output that names a count; an error counts as failed."""
+    for line in reversed(output.splitlines()):
+        found = {word: int(n) for n, word in re.findall(
+            r"(\d+) (passed|failed|error)s?\b", line)}
+        if found:
+            return (found.get("passed", 0),
+                    found.get("failed", 0) + found.get("error", 0))
+    return 0, 0
+
+
+def tier1(tree: str) -> dict:
+    """One Tier-1 run in `tree`: its wall seconds and its passed and failed
+    test counts."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    passed, failed = tier1_counts(done.stdout)
+    return {"returncode": done.returncode,
+            "metrics": {"wall_s": wall, "passed": passed, "failed": failed}}
+
+
+def run_pairs(trees: dict, pairs: int, seed: int, label: str, measure) -> list:
+    """`pairs` pairs of `measure(tree, seed)` runs, base first in even pairs
+    and change first in odd ones; pair i runs seed + i."""
+    runs = []
+    for pair in range(pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
+        for side in order:
+            run = measure(trees[side], seed + pair)
+            runs.append({"pair": pair, "seed": seed + pair, "side": side,
+                         **run})
+            print(f"{label} pair {pair} seed {seed + pair} {side}: "
+                  f"{json.dumps(run['metrics'])}", file=sys.stderr)
+    return runs
+
+
 def machine() -> dict:
     facts = json.loads(subprocess.run(
         [sys.executable, "-c", FACTS], cwd=ROOT, check=True,
@@ -127,16 +180,20 @@ def machine() -> dict:
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--base", required=True, help="the parent revision")
-    p.add_argument("--workload", required=True, action="append")
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--workload", action="append", default=[])
+    p.add_argument("--pairs", type=int, default=0)
+    p.add_argument("--seconds", type=float, default=0.0)
+    p.add_argument("--tier1", type=int, default=0, metavar="N",
+                   help="also run N pairs of the Tier-1 suite")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the first pair; pair i runs seed + i")
     p.add_argument("--label", required=True,
                    help="the output is BENCH_<label>.json")
     args = p.parse_args(argv)
-    if args.pairs < 1:
-        p.error("--pairs must be at least 1")
+    if args.workload and (args.pairs < 1 or args.seconds <= 0):
+        p.error("--workload needs --pairs of at least 1 and --seconds")
+    if args.tier1 < 0 or not (args.workload or args.tier1):
+        p.error("give a --workload, or --tier1 of at least 1")
     return args
 
 
@@ -156,15 +213,9 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in args.workload:
-        runs = []
-        for pair in range(args.pairs):
-            seed = args.seed + pair
-            order = ("base", "change") if pair % 2 == 0 else ("change", "base")
-            for side in order:
-                run = bench(trees[side], workload, seed, args.seconds)
-                runs.append({"pair": pair, "seed": seed, "side": side, **run})
-                print(f"{workload} pair {pair} seed {seed} {side}: "
-                      f"{json.dumps(run['metrics'])}", file=sys.stderr)
+        runs = run_pairs(trees, args.pairs, args.seed, workload,
+                         lambda tree, seed: bench(tree, workload, seed,
+                                                  args.seconds))
         report["workloads"][workload] = {
             "seconds": args.seconds, "runs": runs,
             "failed": {side: sum(r["failed"] for r in runs if r["side"] == side)
@@ -172,6 +223,11 @@ def main(argv=None) -> int:
             "attempted": {side: sum(r["attempted"] for r in runs
                                     if r["side"] == side) for side in trees},
             "summary": summarize(runs, better)}
+    if args.tier1:
+        runs = run_pairs(trees, args.tier1, args.seed, "tier1",
+                         lambda tree, _: tier1(tree))
+        report["tier1"] = {"command": TIER1, "runs": runs,
+                           "summary": summarize(runs, TIER1_BETTER)}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as f:
         json.dump(report, f, indent=1)
