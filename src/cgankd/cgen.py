@@ -25,7 +25,7 @@ import numpy as np
 from . import modelio, rng, synthdata
 from .nncore import NetParams, NetSpec, SgdState, Workspace, backward, \
     forward_batch, _forward, _layer_views, frozen_params, init_params, \
-    input_gradient, memoized, one_hot
+    memoized, one_hot
 from .synthdata import BlobsConfig, Dataset, SynthConfig, kv_lines
 
 GENERATOR_HEADER = "cgankd-generator v1"
@@ -109,10 +109,11 @@ def encoding_dim(task) -> int:
     return task.n_classes if task.kind == "classification" else 1
 
 
-def empirical_draw(pool: np.ndarray, key: int, counters) -> np.ndarray:
-    """One entry of the sorted label `pool` per counter, each equally
-    likely; pure in (key, counter)."""
-    return pool[rng.below(key, counters, len(pool))]
+def empirical_labels(labels: np.ndarray, key: int):
+    """Label source: counters -> one entry each of the sorted pool
+    `labels`, every entry equally likely; pure in (key, counter)."""
+    pool = np.sort(labels)
+    return lambda counters: pool[rng.below(key, counters, len(pool))]
 
 
 def sample_labels(train_set: Dataset, n: int, seed: int) -> np.ndarray:
@@ -121,8 +122,8 @@ def sample_labels(train_set: Dataset, n: int, seed: int) -> np.ndarray:
         raise ValueError("empty training set")
     if n <= 0:
         raise ValueError("n must be positive")
-    return empirical_draw(np.sort(train_set.labels),
-                          rng.derive_key("labels", seed), np.arange(n))
+    return empirical_labels(train_set.labels, rng.derive_key("labels", seed))(
+        np.arange(n))
 
 
 def _oracle_features(handle: CorruptedOracle, labels: np.ndarray, seed: int,
@@ -263,7 +264,7 @@ def _train_cgan(train_set: Dataset, config: GanTrainConfig) -> TrainedCgan:
         xf[:, :d] = fake
         out_f = _forward(opt_d.params, xf, ws_fake)
         loss_g = _bce_logit_loss_and_grad(out_f, 1.0, grad)
-        d_input = input_gradient(opt_d.params, ws_fake, grad)
+        d_input = backward(opt_d.params, ws_fake, grad)
         backward(opt_g.params, ws_gen, d_input[:, :d], opt_g.grads)
         opt_g.step(config.lr_g)
         if not (math.isfinite(loss_r) and math.isfinite(loss_f)

@@ -38,7 +38,6 @@ from .m3_distill import (ABLATION_VARIANTS, RUN_VARIANTS, PipelineConfig,
                          StageError, run_pipelines)
 from .nncore import Loss, TrainConfig, plain_loss
 from .synthdata import BlobsConfig, RingConfig, kv_lines, parse_kv
-from .theory import standard_setup, verify_bound
 
 MANIFEST_HEADER = "cgankd-manifest v1"
 
@@ -211,6 +210,7 @@ def build_pipeline_config(kv: dict) -> PipelineConfig:
 
 
 def build_bound_setup(kv: dict):
+    from .theory import standard_setup  # loaded by verify-bound alone
     r = _Reader(kv)
     if r.get("kind", str, required=True) != "bound":
         raise ConfigError("bound setups need kind=bound")
@@ -250,7 +250,7 @@ def cmd_run(args, config, manifest_seed):
     report, = run_pipelines([config], checkpoint_dir=args.out_dir)
     fr = report.filter_report
     return config.master_seed, [(
-        config.data.task.kind, report.n_real, report.n_fake, report.m_fake,
+        config.data.task.kind, report.n_real, config.n_fake, report.m_fake,
         config.rho, report.theta,
         *(report.metrics[v].primary for v in RUN_VARIANTS),
         fr.consistency_before, fr.consistency_after, config.master_seed)], ""
@@ -325,6 +325,7 @@ def cmd_ablation(args, base, _):
 
 
 def cmd_verify_bound(args, setup_extras, _):
+    from .theory import verify_bound
     setup, extras = setup_extras
     report = verify_bound(setup, **extras)
     frac = report.holds_fraction

@@ -9,7 +9,6 @@ fresh calibration batch is open work on the ROADMAP.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -67,12 +66,6 @@ def ratio_batch(model: DensityRatioModel, features: np.ndarray,
     return np.exp(odds_log) * model.prior_correction
 
 
-def empirical_labels(labels: np.ndarray, seed: int):
-    """Label source drawing uniformly from the pool `labels`."""
-    return partial(cgen.empirical_draw, np.sort(labels),
-                   rng.derive_key("reject-labels", seed))
-
-
 def rejection_sample(sample_fn, task, ratio_fn, m_max: float, label_source,
                      n_target: int, seed: int) -> Dataset:
     """Accept-reject until n_target accepted.
@@ -80,9 +73,9 @@ def rejection_sample(sample_fn, task, ratio_fn, m_max: float, label_source,
     `sample_fn` maps (labels, seed, indices) -> features of `task`, such as
     `partial(cgen.sample_features, handle)`; `ratio_fn` maps (features,
     labels) -> ratios (a trained model's estimate or an injected exact
-    function); `label_source` maps stream indices -> labels.  The acceptance
-    decision at stream position i is a pure function of (ratio_i, m_max,
-    uniform draw i).
+    function); `label_source` maps stream indices -> labels, such as a
+    `cgen.empirical_labels` source.  The acceptance decision at stream
+    position i is a pure function of (ratio_i, m_max, uniform draw i).
     """
     if n_target <= 0:
         raise ValueError("n_target must be positive")

@@ -98,7 +98,6 @@ class PipelineReport:
     metrics: dict                # each variant's network -> its Metrics
     filter_report: FilterReport
     n_real: int
-    n_fake: int
     m_fake: int                  # fakes surviving the filter (and cap)
     theta: float
     timings: dict = field(default_factory=dict)
@@ -178,8 +177,8 @@ def _subsample_fakes(config: PipelineConfig, generator, real_train: Dataset,
     groups = label_groups(real_train.task, real_train.labels)
     budgets = class_budgets(config.n_fake, len(groups))
     return reduce(concat, [
-        reject(m1_subsample.empirical_labels(
-                   real_train.labels[idx], seed=seed_of("m1-labels", *parts)),
+        reject(cgen.empirical_labels(real_train.labels[idx], rng.derive_key(
+                   "reject-labels", seed_of("m1-labels", *parts))),
                int(n), seed=seed_of("m1-reject", *parts))
         for (parts, idx), n in zip(groups, budgets)])
 
@@ -285,7 +284,7 @@ def run_pipeline(config: PipelineConfig, variants, checkpoint_dir):
             name: nncore.evaluate(nets[name], eval_set) for name in variants})
         return PipelineReport(
             metrics=metrics, filter_report=filter_report,
-            n_real=real_train.n, n_fake=config.n_fake, m_fake=m_fake,
+            n_real=real_train.n, m_fake=m_fake,
             theta=real_train.n / (real_train.n + m_fake), timings=timings)
 
     return [_net_job(*args) for args in student_args.values()], finish

@@ -309,17 +309,18 @@ def forward_batch(params: NetParams, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def backward(params, ws: Workspace, d_out: np.ndarray, grads):
+def backward(params, ws: Workspace, d_out: np.ndarray, grads=None):
     """Backprop a gradient w.r.t. the network output through `ws`.
 
     Writes the weight and bias gradients into `grads`, a (weights, biases)
     pair of per-layer arrays, and stops before the gradient w.r.t. the
-    input batch.  A stack of networks (3-D `d_out`) backprops each through
-    its own weights.  ReLU masks are read from the layer outputs:
-    max(z, 0) > 0 is z > 0 for every z, NaN and signed zeros included.
-    They multiply as booleans, which keeps signed zeros.
+    input batch.  Without `grads` it computes no parameter gradients and
+    runs the delta chain on into `ws.d_input`, which it returns.  A stack
+    of networks (3-D `d_out`) backprops each through its own weights.  ReLU
+    masks are read from the layer outputs: max(z, 0) > 0 is z > 0 for
+    every z, NaN and signed zeros included.  They multiply as booleans,
+    which keeps signed zeros.
     """
-    gw, gb = grads
     product = np.dot if d_out.ndim == 2 else np.matmul
     stacked = d_out.ndim == 3
     delta = d_out
@@ -327,34 +328,31 @@ def backward(params, ws: Workspace, d_out: np.ndarray, grads):
         if ws.clamped[l]:
             mask = np.greater(ws.acts[l + 1], 0.0, out=ws.masks[l])
             delta = np.multiply(delta, mask, out=ws.deltas[l])
-        product(_mT(delta), ws.acts[l], out=gw[l])
-        np.add.reduce(delta, axis=-2, keepdims=stacked, out=gb[l])
-        if l:
-            delta = product(delta, params.weights[l], out=ws.deltas[l - 1])
-
-
-def input_gradient(params: NetParams, ws: Workspace, d_out: np.ndarray):
-    """Gradient w.r.t. the input batch of `ws`, written into `ws.d_input`.
-
-    The delta chain of `backward`, one matrix product per layer and no
-    parameter gradients.
-    """
-    delta = d_out
-    for l in range(len(params.weights) - 1, -1, -1):
-        if ws.clamped[l]:
-            mask = np.greater(ws.acts[l + 1], 0.0, out=ws.masks[l])
-            delta = np.multiply(delta, mask, out=ws.deltas[l])
-        delta = np.dot(delta, params.weights[l],
-                       out=ws.deltas[l - 1] if l else ws.d_input)
+        if grads is not None:
+            product(_mT(delta), ws.acts[l], out=grads[0][l])
+            np.add.reduce(delta, axis=-2, keepdims=stacked, out=grads[1][l])
+        if l or grads is None:
+            delta = product(delta, params.weights[l],
+                            out=ws.deltas[l - 1] if l else ws.d_input)
     return delta
 
 
-def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Row-wise temperature softmax with max-subtraction."""
-    z = np.asarray(logits, dtype=np.float64) / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits: np.ndarray, temperature: float = 1.0, out=None,
+            col=None) -> np.ndarray:
+    """Row-wise temperature softmax with max-subtraction.
+
+    As with numpy's `out=`, the probabilities go into `out` and the row
+    maxima, then the row sums, into `col` when given.  Dividing by T = 1
+    is exact, so it is skipped.
+    """
+    z = np.asarray(logits, dtype=np.float64)
+    if temperature != 1.0:
+        z = np.divide(z, temperature, out=out)
+    col = np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
+    p = np.subtract(z, col, out=out)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True, out=col)
+    return p
 
 
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -382,14 +380,8 @@ def _loss_grad(out, targets, loss: Loss, ws: Workspace, stash):
         np.multiply(diff, 2.0, out=d_out[..., 0])
         d_out /= n
         return d_out
-    T = loss.temperature
-    p, col = ws.probs, ws.col
-    # Dividing by T = 1 is exact, so it is skipped.
-    z = out if T == 1.0 else np.divide(out, T, out=p)
-    np.maximum.reduce(z, axis=-1, keepdims=True, out=col)
-    np.subtract(z, col, out=p)
-    np.exp(p, out=p)
-    p /= np.add.reduce(p, axis=-1, keepdims=True, out=col)
+    T, col = loss.temperature, ws.col
+    p = softmax(out, T, out=ws.probs, col=col)
     floored = np.maximum(p, PROB_FLOOR, out=stash)
     # d/dp with the probability floor: clamped entries contribute nothing.
     g = np.divide(np.negative(targets, out=ws.terms), floored, out=ws.terms)

@@ -5,8 +5,9 @@ soft labels, the per-sample loss and the batch gradient one sample or one
 batch at a time, so tests can hold `nncore.train` and its batch arithmetic
 against them.  `reference_backward` and `reference_train_cgan` keep the
 backprop with an optional input gradient and the cGAN training loop that
-`nncore.input_gradient` and the buffer-reusing `cgen.train_cgan` replaced,
-so the new code must match them bit for bit.  `ring_true_label` inverts
+`nncore.backward` (which gives the input gradient when called without
+parameter gradients) and the buffer-reusing `cgen.train_cgan` replaced, so
+the new code must match them bit for bit.  `ring_true_label` inverts
 the noiseless ring map, the ground truth that regression samples are held
 against.  `constant_labels` is a rejection label source that gives every
 candidate one label, the draw M1's per-class pools reduce to.  `layers`

@@ -1011,8 +1011,9 @@ def test_documented_defaults_cover_the_readme_table():
 
 
 # Run in a fresh interpreter: a classification and a regression `run`, a
-# `sweep`, an `ablation` with the oracle and one with a trained cGAN, and a
-# `verify-bound`, on the configs its arguments name; then the numpy modules
+# `sweep`, an `ablation` with the oracle and one with a trained cGAN, on the
+# configs its arguments name; then, after the word "cgankd", the cgankd
+# modules that were imported; then a `verify-bound`, and the numpy modules
 # that were imported.
 COMMANDS_SCRIPT = """\
 import sys
@@ -1023,15 +1024,17 @@ for argv in (["run", cls], ["run", reg],
              ["sweep", cls, "--param", "rho", "--values", "0.5,1",
               "--seeds", "0"],
              ["ablation", reg, "--seeds", "0"],
-             ["ablation", cgan, "--seeds", "0"], ["verify-bound", bound]):
+             ["ablation", cgan, "--seeds", "0"]):
     assert cli.main(argv + ["--out-dir", out]) == 0, argv
+print("cgankd", *sorted(m for m in sys.modules if m.startswith("cgankd.")))
+assert cli.main(["verify-bound", bound, "--out-dir", out]) == 0
 print(" ".join(sorted(m for m in sys.modules if m.startswith("numpy."))))
 """
 
 
 @pytest.fixture(scope="module")
-def numpy_modules_after_commands(tmp_path_factory):
-    """The numpy submodules loaded after COMMANDS_SCRIPT's commands."""
+def commands_output(tmp_path_factory):
+    """COMMANDS_SCRIPT's output lines."""
     tmp = tmp_path_factory.mktemp("commands")
     (tmp / "tiny.cfg").write_text(TINY_CFG)
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -1043,9 +1046,24 @@ def numpy_modules_after_commands(tmp_path_factory):
          str(bound / "bound_standard.cfg"), str(tmp)],
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.splitlines()[-1].split())
+    return proc.stdout.splitlines()
+
+
+@pytest.fixture(scope="module")
+def numpy_modules_after_commands(commands_output):
+    """The numpy submodules loaded after COMMANDS_SCRIPT's commands."""
+    loaded = set(commands_output[-1].split())
     assert "numpy.linalg" in loaded  # numpy's own import loads it
     return loaded
+
+
+def test_pipeline_commands_do_not_import_theory(commands_output):
+    """`run`, `sweep` and `ablation` never read the bound verifier, so
+    `cli` imports `theory` only for `verify-bound`."""
+    line = next(line for line in commands_output if line.startswith("cgankd "))
+    loaded = set(line.split())
+    assert "cgankd.m3_distill" in loaded
+    assert "cgankd.theory" not in loaded
 
 
 def test_no_command_imports_numpy_ma(numpy_modules_after_commands):

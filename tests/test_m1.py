@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from cgankd import cgen, m1_subsample, nncore
-from cgankd.m1_subsample import (DensityRatioModel, empirical_labels,
-                                 ratio_batch, rejection_sample, train_dr)
+from cgankd import cgen, m1_subsample, nncore, rng
+from cgankd.cgen import empirical_labels
+from cgankd.m1_subsample import (DensityRatioModel, ratio_batch,
+                                 rejection_sample, train_dr)
 from cgankd.nncore import NetSpec, TrainConfig
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               label_groups, make_classification)
@@ -187,7 +188,7 @@ def test_rejection_label_sources():
     assert np.all(out.labels == 3)
 
     train = make_classification(BlobsConfig(4, 4.0, 0.5, n=400, seed=0))
-    src = empirical_labels(train.labels, seed=4)
+    src = empirical_labels(train.labels, rng.derive_key("reject-labels", 4))
     labels = src(np.arange(4000))
     counts = np.bincount(labels, minlength=4)
     assert np.max(np.abs(counts - 1000)) < 150
@@ -198,7 +199,8 @@ def test_empirical_labels_of_one_class_are_that_class():
     # reproduces a constant label source draw for draw.
     train = make_classification(BlobsConfig(3, 4.0, 0.5, n=90, seed=1))
     for (c,), idx in label_groups(train.task, train.labels):
-        labels = empirical_labels(train.labels[idx], seed=5)(np.arange(500))
+        labels = empirical_labels(train.labels[idx], rng.derive_key(
+            "reject-labels", 5))(np.arange(500))
         assert labels.dtype == np.int64
         assert np.array_equal(labels, np.full(500, c))
         assert np.array_equal(labels, constant_labels(c)(np.arange(500)))

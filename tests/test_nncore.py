@@ -156,6 +156,23 @@ def test_soft_labels_shift_invariance_and_normalization():
         assert abs(a.sum() - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("shape", [(9, 4), (3, 7, 5)])
+@pytest.mark.parametrize("T", [1.0, 5.0])
+def test_softmax_into_buffers_matches_allocating_call(shape, T):
+    # Both equal the textbook steps bit for bit, which leave the input alone.
+    logits = philox(rng.derive_key("softmax-out")).normal(size=shape) * 20
+    before = logits.copy()
+    z = logits / T
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    want = e / e.sum(axis=-1, keepdims=True)
+    fresh = nncore.softmax(logits, T)
+    out, col = np.empty(shape), np.empty(shape[:-1] + (1,))
+    got = nncore.softmax(logits, T, out=out, col=col)
+    assert got is out
+    assert np.array_equal(fresh, want) and np.array_equal(got, want)
+    assert np.array_equal(logits, before)
+
+
 def test_soft_labels_rejects_nonfinite():
     with pytest.raises(ValueError):
         soft_labels([np.inf, 0.0], 1.0)
@@ -632,7 +649,7 @@ def test_backprop_matches_reference_backward(head, hidden, rows):
     ws = nncore.Workspace(spec, rows)
     with np.errstate(invalid="ignore"):
         nncore._forward(params, X, ws)
-        got = nncore.input_gradient(params, ws, d_out).copy()
+        got = nncore.backward(params, ws, d_out).copy()
         got_grads = nncore._layer_views(spec, np.empty(spec.n_params))
         nncore.backward(params, ws, d_out, got_grads)
         grads = nncore._layer_views(spec, np.empty(spec.n_params))

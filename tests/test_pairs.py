@@ -87,3 +87,19 @@ def test_tier1_pairs_summarise_like_the_benchmark_metrics():
     got = pairs.summarize(runs, pairs.TIER1_BETTER)
     assert got["wall_s"]["wins"] == 1 and got["wall_s"]["pairs"] == 2
     assert pairs.TIER1_BETTER["passed"] == "higher"
+
+
+@pytest.mark.parametrize("value, dont_write", [("1", True), (None, False)])
+def test_machine_facts_record_the_bytecode_setting(monkeypatch, tmp_path,
+                                                   value, dont_write):
+    # Without cached bytecode every timed run compiles `src/` as it starts.
+    # Bytecode written goes under `tmp_path`: a `__pycache__` left in `src/`
+    # would speed up this tree's later timed starts.
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path))
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    facts = pairs.machine()
+    assert facts["PYTHONDONTWRITEBYTECODE"] == value
+    assert facts["dont_write_bytecode"] is dont_write

@@ -16,10 +16,12 @@ pairs, alternating the same way, run the Tier-1 suite in each tree:
 first on PYTHONPATH, as ROADMAP.md gives it.
 
 It writes `BENCH_<label>.json` at the repository root: the machine facts
-(nproc, Python, numpy, the BLAS name, version and thread count), every raw
-run, and per workload and metric each side's median and quartiles and the
-change's wins out of the pairs (pairs where the change's figure is better,
-in the direction `BENCHMARK.json` gives).  The Tier-1 pairs go under
+(nproc, Python, numpy, the BLAS name, version and thread count, and the
+bytecode setting: PYTHONDONTWRITEBYTECODE and the `sys.dont_write_bytecode`
+a run sees, since without cached bytecode every run compiles `src/` as it
+starts), every raw run, and per workload and metric each side's median and
+quartiles and the change's wins out of the pairs (pairs where the change's
+figure is better, in the direction `BENCHMARK.json` gives).  The Tier-1 pairs go under
 "tier1", summarised the same way: the suite's wall seconds (lower is
 better) and its passed and failed test counts, a collection error counting
 as failed.  Standard library only.
@@ -44,8 +46,8 @@ TREES = os.path.join(ROOT, "tools", ".pairs")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 TIER1_BETTER = {"wall_s": "lower", "passed": "higher", "failed": "lower"}
 
-# Run in the change tree: numpy's version and BLAS, and the OpenBLAS thread
-# count the way `cgankd.cli` finds it.
+# Run in the change tree: numpy's version and BLAS, the OpenBLAS thread
+# count the way `cgankd.cli` finds it, and whether Python writes bytecode.
 FACTS = """
 import json, sys
 sys.path.insert(0, "src")
@@ -55,7 +57,8 @@ blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
 funcs = cli._openblas()
 print(json.dumps({"numpy": numpy.__version__, "blas": blas.get("name"),
                   "blas_version": blas.get("version"),
-                  "blas_threads": funcs[1]() if funcs else None}))
+                  "blas_threads": funcs[1]() if funcs else None,
+                  "dont_write_bytecode": sys.dont_write_bytecode}))
 """
 
 
@@ -174,7 +177,8 @@ def machine() -> dict:
     nproc = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
     return {"nproc": nproc, "python": platform.python_version(),
-            "machine": platform.machine(), **facts}
+            "machine": platform.machine(), "PYTHONDONTWRITEBYTECODE":
+            os.environ.get("PYTHONDONTWRITEBYTECODE"), **facts}
 
 
 def parse_args(argv):
