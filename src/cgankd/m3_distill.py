@@ -137,13 +137,10 @@ def augment(real: Dataset, fakes: Dataset) -> Dataset:
     return concat(real, fakes) if fakes.n else real
 
 
-def train_student(d_aug: Dataset, hidden, train_cfg: TrainConfig, loss: Loss,
-                  seed: int, teacher: NetParams = None,
-                  together=()) -> NetParams:
-    """Train the student on the (augmented) set under `loss` (see
-    `_net_job`), with the `together` jobs (see `nncore.train`)."""
-    params, _ = nncore.train(*_net_job(d_aug, hidden, train_cfg, loss, seed,
-                                       teacher), together=together)
+def train_student(job: list, together=()) -> NetParams:
+    """Train the student of `job`, a `_net_job` argument list, with the
+    `together` jobs (see `nncore.train`)."""
+    params, _ = nncore.train(*job, together=together)
     return params
 
 
@@ -250,8 +247,8 @@ def run_pipeline(config: PipelineConfig, variants, checkpoint_dir):
     _save(checkpoint_dir, "fakes_m1.txt", write_dataset, d_m1, "fake_m1")
     if "nokd" in variants:
         nets["nokd"] = _stage("student-nokd", timings, lambda: train_student(
-            real_train, config.student_hidden, config.student_train,
-            plain_loss(real_train.task), seed_of("student")))
+            _net_job(real_train, config.student_hidden, config.student_train,
+                     plain_loss(real_train.task), seed_of("student"))))
         _save(checkpoint_dir, "student_nokd.txt", modelio.write_netparams,
               nets["nokd"])
     sets = {"m1": d_m1}
@@ -267,17 +264,17 @@ def run_pipeline(config: PipelineConfig, variants, checkpoint_dir):
     _save(checkpoint_dir, "fakes_m2.txt", write_dataset, capped["full"],
           "fake_m2")
     m_fake = capped["full"].n
-    student_args = {v: (augment(real_train, fakes), config.student_hidden,
+    jobs = {v: _net_job(augment(real_train, fakes), config.student_hidden,
                         config.student_train, config.student_loss,
                         seed_of("student"), teacher)
-                    for v, fakes in capped.items()}
+            for v, fakes in capped.items()}
 
     def finish(together):
         # "full" first, so that its "student" stage times the stacked loop
-        for name in sorted(student_args, key=lambda v: v != "full"):
+        for name in sorted(jobs, key=lambda v: v != "full"):
             stage = "student" if name == "full" else f"student-{name}"
             nets[name] = _stage(stage, timings, lambda: train_student(
-                *student_args[name], together=together))
+                jobs[name], together=together))
         _save(checkpoint_dir, "student.txt", modelio.write_netparams,
               nets["full"])
         metrics = _stage("evaluate", timings, lambda: {
@@ -287,7 +284,7 @@ def run_pipeline(config: PipelineConfig, variants, checkpoint_dir):
             n_real=real_train.n, m_fake=m_fake,
             theta=real_train.n / (real_train.n + m_fake), timings=timings)
 
-    return [_net_job(*args) for args in student_args.values()], finish
+    return list(jobs.values()), finish
 
 
 def run_pipelines(configs, variants=RUN_VARIANTS, checkpoint_dir=None) -> list:

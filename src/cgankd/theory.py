@@ -53,21 +53,6 @@ class DiscreteJoint:
         return tuple(sorted({y for _, y in self.points}))
 
 
-@dataclass(frozen=True)
-class FiniteHypothesisClass:
-    """Explicit predictors, each a total mapping from x-points to predictions."""
-    predictors: tuple           # tuple of dicts {x: prediction}
-
-    def __post_init__(self):
-        object.__setattr__(self, "predictors",
-                           tuple(dict(p) for p in self.predictors))
-        if not self.predictors:
-            raise ValueError("hypothesis class must be non-empty")
-
-    def __len__(self):
-        return len(self.predictors)
-
-
 @dataclass
 class BoundReport:
     r_hat: float
@@ -95,17 +80,11 @@ def mixture(p: DiscreteJoint, q: DiscreteJoint, theta: float) -> DiscreteJoint:
     return DiscreteJoint(tuple(keys), tuple(probs))
 
 
-def _predict(f: dict, x):
-    if x not in f:
-        raise ValueError(f"predictor is not total: missing x={x!r}")
-    return f[x]
-
-
 def exact_risk(f, joint: DiscreteJoint, loss, c_l: float) -> float:
     """Exact expected loss of f under the joint; loss must stay within c_l."""
     total = 0.0
     for (x, y), prob in zip(joint.points, joint.probs):
-        value = loss(_predict(f, x), y)
+        value = loss(f[x], y)
         if not 0.0 <= value <= c_l:
             raise ValueError("loss leaves the [0, c_l] range on the support")
         total += prob * value
@@ -128,22 +107,21 @@ def bayes_risk(joint: DiscreteJoint, loss, c_l: float) -> float:
     return total
 
 
-def _loss_matrix(hypotheses: FiniteHypothesisClass, samples, loss,
-                 c_l: float) -> np.ndarray:
+def _loss_matrix(hypotheses: tuple, samples, loss, c_l: float) -> np.ndarray:
     """(|H|, n) matrix of losses normalized by c_l."""
     if not samples:
         raise ValueError("empty sample set")
     out = np.empty((len(hypotheses), len(samples)))
-    for i, f in enumerate(hypotheses.predictors):
+    for i, f in enumerate(hypotheses):
         for j, (x, y) in enumerate(samples):
-            out[i, j] = loss(_predict(f, x), y)
+            out[i, j] = loss(f[x], y)
     if out.min() < 0.0 or out.max() > c_l:
         raise ValueError("loss leaves the [0, c_l] range on the samples")
     return out / c_l
 
 
-def empirical_rademacher(hypotheses: FiniteHypothesisClass, samples, loss,
-                         c_l: float, n_mc: int = 2000, seed: int = 0):
+def empirical_rademacher(hypotheses: tuple, samples, loss, c_l: float,
+                         n_mc: int = 2000, seed: int = 0):
     """Estimate E_sigma[ sup_f (1/n)|sum_i sigma_i loss(f(x_i), y_i)/c_l| ].
 
     Returns (estimate, standard error) over n_mc random sign vectors; the
@@ -224,7 +202,7 @@ class VerifySetup:
     p_real: DiscreteJoint
     p_gen: DiscreteJoint
     teacher: dict               # x -> tuple of label probabilities
-    hypotheses: FiniteHypothesisClass
+    hypotheses: tuple           # predictors, each a dict {x: prediction}
     loss: object                # callable (prediction, label) -> loss
     c_l: float
     n_real: int
@@ -273,7 +251,7 @@ def verify_bound(setup: VerifySetup, trials: int, delta: float,
     n_total = setup.n_real + setup.n_fake
 
     real_risks = np.array([exact_risk(f, setup.p_real, setup.loss, setup.c_l)
-                           for f in setup.hypotheses.predictors])
+                           for f in setup.hypotheses])
     v_star = bayes_risk(setup.p_real, setup.loss, setup.c_l)
     approx_gap = float(real_risks.min()) - v_star
 
@@ -299,7 +277,7 @@ def verify_bound(setup: VerifySetup, trials: int, delta: float,
     return report
 
 
-def threshold_rules(xs) -> FiniteHypothesisClass:
+def threshold_rules(xs) -> tuple:
     """All step rules on an ordered support: 1[x >= t] and its complement."""
     xs = list(xs)
     predictors = []
@@ -307,7 +285,7 @@ def threshold_rules(xs) -> FiniteHypothesisClass:
         up = {x: int(x >= t) for x in xs}
         predictors.append(up)
         predictors.append({x: 1 - v for x, v in up.items()})
-    return FiniteHypothesisClass(tuple(predictors))
+    return tuple(predictors)
 
 
 def zero_one_loss(prediction, label) -> float:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cgankd import cgen, m1_subsample, m2_labeladjust, rng, theory
+from cgankd import m2_labeladjust, rng, theory
 from cgankd.cli import build_pipeline_config, load_config, main
 from cgankd.m1_subsample import rejection_sample
 from cgankd.m3_distill import ABLATION_VARIANTS, run_pipelines

@@ -6,14 +6,16 @@ for a defaulted parameter, which some src call must pass, and for a
 dataclass field, which src must read.  It also checks that `PipelineConfig`
 declares no field default, that `m3_distill.run_pipeline` is the one
 function that runs pipeline stages, that `cli.main` is the one that
-loads configs and writes results, and that no module names `numpy.random`."""
+loads configs and writes results, and that no module names `numpy.random`.
+Every module in src/cgankd, tests and tools uses each name it imports."""
 
 import ast
 import functools
 import pathlib
 from collections import defaultdict
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cgankd"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cgankd"
 MODULES = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
 
@@ -450,3 +452,46 @@ def test_no_module_names_numpy_random():
 def test_numpy_random_rule_flags_a_planted_violation():
     assert _numpy_random_uses({"planted": PLANTED_RANDOM}) == {
         "planted:2", "planted:3", "planted:4", "planted:8"}
+
+
+def _unused_imports(modules):
+    """`module.name` of each name that an import in `modules`, at any
+    depth, binds and that module never loads."""
+    out = set()
+    for mod, tree in modules.items():
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Load)}
+        out |= {f"{mod}.{name}" for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+                for name in [(alias.asname or alias.name).split(".")[0]]
+                if name not in loaded}
+    return out
+
+
+PLANTED_IMPORTS = ast.parse("""\
+import os.path
+import json, sys as system
+from collections import defaultdict, OrderedDict as Ordered
+from . import rng
+
+def path_of(name):
+    from .cli import main
+    return os.path.join(name, json.dumps(rng.derive_key(0)))
+""")
+
+
+def test_every_import_is_used():
+    """An import that nothing reads only costs load time and misleads the
+    reader about what a module depends on."""
+    modules = {f"{p.parent.relative_to(ROOT)}/{p.stem}": ast.parse(
+        p.read_text()) for folder in (SRC, ROOT / "tests", ROOT / "tools")
+        for p in sorted(folder.glob("*.py"))}
+    assert sorted(_unused_imports(modules)) == []
+
+
+def test_unused_import_rule_flags_a_planted_violation():
+    assert _unused_imports({"planted": PLANTED_IMPORTS}) == {
+        "planted.system", "planted.defaultdict", "planted.Ordered",
+        "planted.main"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cgankd import cgen, m1_subsample, nncore, rng
+from cgankd import cgen, m1_subsample, rng
 from cgankd.cgen import empirical_labels
 from cgankd.m1_subsample import (DensityRatioModel, ratio_batch,
                                  rejection_sample, train_dr)

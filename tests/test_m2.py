@@ -9,7 +9,7 @@ from cgankd.m2_labeladjust import (_errors, filter_classification,
                                    replace_labels, run_m2)
 from cgankd.nncore import NetSpec, TrainConfig, init_params, train
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
-                              RegressionTask, RingConfig, make_classification)
+                              RegressionTask, make_classification)
 from nn_oracles import layers
 
 

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from cgankd import m2_labeladjust, m3_distill, nncore
-from cgankd.m3_distill import (ABLATION_VARIANTS, PipelineConfig, StageError,
-                               augment, run_pipelines, train_student)
+from cgankd.m3_distill import (ABLATION_VARIANTS, RUN_VARIANTS, PipelineConfig,
+                               StageError, _net_job, augment, run_pipelines,
+                               train_student)
 from cgankd.nncore import Loss, TrainConfig
-from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
-                              RingConfig, make_classification, make_regression)
+from cgankd.synthdata import (BlobsConfig, Dataset, RingConfig,
+                              make_classification, make_regression)
 
 
 # Settings both tasks share; `PipelineConfig` declares no defaults.
@@ -70,12 +71,12 @@ def test_train_student_blkd_lambda_zero_matches_plain():
     cfg = TrainConfig(20, 0.05)
     teacher = nncore.init_params(
         nncore.NetSpec(2, (8,), "logits", 2), 9)
-    plain = train_student(real, (8,), cfg, Loss("plain_ce"), seed=5,
-                          teacher=teacher)
+    plain = train_student(_net_job(real, (8,), cfg, Loss("plain_ce"), seed=5,
+                                   teacher=teacher))
     # lambda 0 at unit temperature reduces the combined loss to the hard term
-    blkd = train_student(real, (8,), cfg, Loss("blkd", lam=0.0,
-                                               temperature=1.0),
-                         seed=5, teacher=teacher)
+    blkd = train_student(_net_job(real, (8,), cfg,
+                                  Loss("blkd", lam=0.0, temperature=1.0),
+                                  seed=5, teacher=teacher))
     for wa, wb in zip(plain.weights, blkd.weights):
         assert np.array_equal(wa, wb)
 
@@ -83,14 +84,14 @@ def test_train_student_blkd_lambda_zero_matches_plain():
 def test_train_student_blkd_requires_teacher_and_classification():
     real = make_classification(BlobsConfig(2, 4.0, 0.5, n=100, seed=4))
     with pytest.raises(ValueError, match="teacher"):
-        train_student(real, (8,), TrainConfig(5, 0.05),
-                      Loss("blkd", lam=0.5), seed=0)
+        train_student(_net_job(real, (8,), TrainConfig(5, 0.05),
+                               Loss("blkd", lam=0.5), seed=0))
     reg = make_regression(RingConfig(n=100, seed=1))
     teacher = nncore.init_params(nncore.NetSpec(2, (8,), "nonneg_scalar"), 0)
     with pytest.raises(ValueError,
                        match="blkd loss does not fit a regression task"):
-        train_student(reg, (8,), TrainConfig(5, 0.05),
-                      Loss("blkd", lam=0.5), seed=0, teacher=teacher)
+        train_student(_net_job(reg, (8,), TrainConfig(5, 0.05),
+                               Loss("blkd", lam=0.5), seed=0, teacher=teacher))
 
 
 def test_pipeline_deterministic():
@@ -178,9 +179,9 @@ def test_ablation_full_equals_pipeline_student(config, monkeypatch):
     # cap, so the last variant is the pipeline's student.
     train_rows = []
 
-    def recording(d_aug, *args, **kwargs):
-        train_rows.append(d_aug.n)
-        return train_student(d_aug, *args, **kwargs)
+    def recording(job, *args, **kwargs):
+        train_rows.append(job[1].n)
+        return train_student(job, *args, **kwargs)
 
     monkeypatch.setattr(m3_distill, "train_student", recording)
     ablation = run_pipelines([config], ABLATION_VARIANTS)[0].metrics
@@ -192,6 +193,25 @@ def test_ablation_full_equals_pipeline_student(config, monkeypatch):
     assert len(train_rows) == len(ABLATION_VARIANTS)
     if config.fake_cap:
         assert max(train_rows) <= report.n_real + config.fake_cap
+
+
+@pytest.mark.parametrize("variants, builds", [
+    (RUN_VARIANTS, 2), (ABLATION_VARIANTS, 4)],
+    ids=["run", "ablation"])
+def test_each_student_is_built_once(variants, builds, monkeypatch):
+    # One initial draw per student network: NOKD and full for a run, one
+    # per variant for an ablation; `finish` trains the jobs it was given.
+    config = reg_config(seed=22)
+    specs, draw = [], nncore.init_params
+
+    def counting(spec, seed):
+        specs.append(spec)
+        return draw(spec, seed)
+
+    monkeypatch.setattr(nncore, "init_params", counting)
+    run_pipelines([config], variants)
+    assert sum(s.hidden_widths == config.student_hidden
+               for s in specs) == builds
 
 
 def test_ablation_variants_and_determinism():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from cgankd import cgen, cli, m2_labeladjust, nncore, rng
-from cgankd.nncore import (Loss, Metrics, NetParams, NetSpec, TrainConfig,
-                           evaluate, forward_batch, init_params, one_hot,
-                           train)
+from cgankd.nncore import (Loss, NetParams, NetSpec, TrainConfig, evaluate,
+                           forward_batch, init_params, one_hot, train)
 from cgankd.synthdata import (BlobsConfig, ClassificationTask, Dataset,
                               RegressionTask, RingConfig, make_classification,
                               make_dataset)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cgankd import rng
-from cgankd.theory import (BoundReport, DiscreteJoint, FiniteHypothesisClass,
-                           VerifySetup, _draw_points, _loss_matrix, bayes_risk,
-                           bound_rhs, empirical_rademacher, exact_risk,
-                           filter_joint, mixture, standard_setup,
+from cgankd.theory import (DiscreteJoint, _draw_points, _loss_matrix,
+                           bayes_risk, bound_rhs, empirical_rademacher,
+                           exact_risk, filter_joint, mixture, standard_setup,
                            threshold_rules, tv_distance, verify_bound,
                            zero_one_loss)
 
@@ -88,7 +87,7 @@ def test_exact_risk_rejects_unbounded_loss():
 
 
 def test_rademacher_zero_loss_is_zero():
-    H = FiniteHypothesisClass(({0: 0},))
+    H = ({0: 0},)
     samples = [(0, 0)] * 10
     est, se = empirical_rademacher(H, samples, zero_one_loss, 1.0, seed=0)
     assert est == 0.0 and se == 0.0
@@ -97,7 +96,7 @@ def test_rademacher_zero_loss_is_zero():
 def test_rademacher_constant_loss_matches_binomial_closed_form():
     # one predictor, constant loss c: estimate = (c / C_L) * E|sum sigma| / n
     n, c = 12, 0.5
-    H = FiniteHypothesisClass(({0: 1},))
+    H = ({0: 1},)
     samples = [(0, 0)] * n
     loss = lambda p, y: c
     expected = c * sum(math.comb(n, k) * abs(2 * k - n)
@@ -126,7 +125,7 @@ def test_rademacher_needs_two_sign_vectors_for_its_standard_error():
 
 def test_rademacher_duplicate_hypothesis_invariance():
     base = threshold_rules(range(4))
-    doubled = FiniteHypothesisClass(base.predictors + base.predictors[:2])
+    doubled = base + base[:2]
     samples = [(i % 4, i % 2) for i in range(10)]
     a, _ = empirical_rademacher(base, samples, zero_one_loss, 1.0, seed=2)
     b, _ = empirical_rademacher(doubled, samples, zero_one_loss, 1.0, seed=2)
@@ -134,7 +133,7 @@ def test_rademacher_duplicate_hypothesis_invariance():
 
 
 def test_rademacher_monotone_under_enlargement():
-    small = FiniteHypothesisClass(threshold_rules(range(4)).predictors[:3])
+    small = threshold_rules(range(4))[:3]
     big = threshold_rules(range(4))
     samples = [(i % 4, (i * 7) % 2) for i in range(12)]
     a, _ = empirical_rademacher(small, samples, zero_one_loss, 1.0, seed=3)
